@@ -3,7 +3,8 @@
 Subcommands
     verify    run the full verification suite and emit a JSON report
     racah     emit the polynomial value table by a chosen route
-    bethe     solve one Bethe system and emit admissible solutions
+    bethe     solve one Bethe system and emit the root sets that reproduce
+              a spectrum entry
     spectrum  emit both eigenvalue sequences
 
 Exit codes: 0 on success (for verify: overall pass), 2 on config parse
@@ -17,11 +18,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import bethe as bethe_mod
 from .bethe import KINDS, SolverConfig, BetheSystem, coverage, solve
 from .leonard import build, eigen_family, verify_aw, verify_cayley_hamilton
 from .model import (
@@ -44,7 +44,7 @@ from .transition import (
 __all__ = ["ConfigError", "RunConfig", "load_config", "run_verify",
            "run_racah_table", "run_bethe", "run_spectrum", "main"]
 
-_SCHEMA_VERSION = "1.0"
+_SCHEMA_VERSION = "2.0"
 
 _TOL_DEFAULTS = {
     "identity_tol": 1e-8,
@@ -52,7 +52,6 @@ _TOL_DEFAULTS = {
     "match_tol": 1e-6,
     "dedup_tol": 1e-6,
 }
-_SOLVER_DEFAULTS = {"starts": 400, "max_iter": 200, "seed": 42}
 
 
 class ConfigError(ValueError):
@@ -119,7 +118,7 @@ def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from decoded JSON, naming offending paths."""
     _require_map(data, "config")
     known = {"q", "two_s", "b", "c", "b_star", "c_star", "zeta", "m0", "chi",
-             "tolerances", "solver", "output"}
+             "tolerances", "output"}
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
@@ -142,19 +141,6 @@ def parse_config(data: dict) -> RunConfig:
                 raise ConfigError(f"unknown config key tolerances.{key}")
         for key in _TOL_DEFAULTS:
             tols[key] = _pos_float_field(block, key, f"tolerances.{key}", _TOL_DEFAULTS[key])
-
-    sol = dict(_SOLVER_DEFAULTS)
-    if "solver" in data:
-        block = _require_map(data["solver"], "solver")
-        for key in block:
-            if key not in _SOLVER_DEFAULTS:
-                raise ConfigError(f"unknown config key solver.{key}")
-        sol["starts"] = _int_field(block, "starts", "solver.starts",
-                                   default=_SOLVER_DEFAULTS["starts"], minimum=1)
-        sol["max_iter"] = _int_field(block, "max_iter", "solver.max_iter",
-                                     default=_SOLVER_DEFAULTS["max_iter"], minimum=1)
-        sol["seed"] = _int_field(block, "seed", "solver.seed",
-                                 default=_SOLVER_DEFAULTS["seed"], minimum=0)
 
     out_format = "json"
     out_path = None
@@ -179,9 +165,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     solver = SolverConfig(
-        starts=sol["starts"], max_iter=sol["max_iter"], seed=sol["seed"],
-        tol=tols["bethe_tol"], dedup_tol=tols["dedup_tol"],
-        match_tol=tols["match_tol"],
+        tol=tols["bethe_tol"], dedup_tol=tols["dedup_tol"], match_tol=tols["match_tol"],
     )
     return RunConfig(
         params=params,
@@ -237,11 +221,6 @@ def _instance_block(cfg: RunConfig) -> dict:
             "match_tol": cfg.match_tol,
             "dedup_tol": cfg.dedup_tol,
         },
-        "solver": {
-            "starts": cfg.solver.starts,
-            "max_iter": cfg.solver.max_iter,
-            "seed": cfg.solver.seed,
-        },
     }
 
 
@@ -262,6 +241,15 @@ def _refuse_if_nongeneric(params: ModelParams) -> None:
         raise GenericityError(
             "genericity refusal:\n" + "\n".join(f"  - {c}" for c in conditions)
         )
+
+
+def _double_ratio_table(fam, dim: int, form: str) -> np.ndarray:
+    """The polynomial table from eigenvector double ratios of one form."""
+    R = np.empty((dim, dim), dtype=complex)
+    for M in range(dim):
+        for N in range(dim):
+            R[M, N] = racah_from_scalar_products(fam, M, N, form)
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +306,8 @@ def run_verify(cfg: RunConfig) -> dict:
     scale = float(np.max(np.abs(R)))
     checks.append(_check("racah_series_vs_recurrence",
                          float(np.max(np.abs(R - Rrec))) / scale, tol))
-    rr1 = np.empty_like(R)
-    rr2 = np.empty_like(R)
-    for M in range(dim):
-        for N in range(dim):
-            rr1[M, N] = racah_from_scalar_products(fam, M, N, "rac1")
-            rr2[M, N] = racah_from_scalar_products(fam, M, N, "rac2")
+    rr1 = _double_ratio_table(fam, dim, "rac1")
+    rr2 = _double_ratio_table(fam, dim, "rac2")
     checks.append(_check("racah_series_vs_rac1",
                          float(np.max(np.abs(R - rr1))) / scale, tol))
     checks.append(_check("racah_series_vs_rac2",
@@ -380,13 +364,8 @@ def run_racah_table(cfg: RunConfig, route: str) -> list[dict]:
     elif route == "recurrence":
         R = racah_by_recurrence(p)
     elif route == "double_ratio":
-        real = build(p)
-        fam = eigen_family(real.A_mat, spectrum(p).theta)
-        dim = p.dim
-        R = np.empty((dim, dim), dtype=complex)
-        for M in range(dim):
-            for N in range(dim):
-                R[M, N] = racah_from_scalar_products(fam, M, N, "rac1")
+        fam = eigen_family(build(p).A_mat, spectrum(p).theta)
+        R = _double_ratio_table(fam, p.dim, "rac1")
     else:
         raise ConfigError(f"unknown route {route!r}; choose series, recurrence, double-ratio")
     rows = []
@@ -407,7 +386,7 @@ def run_bethe(cfg: RunConfig, kind: str, level: int) -> list[dict]:
         raise ConfigError(str(exc)) from exc
     rows = []
     for s in solve(system, cfg.solver):
-        if not s.admissible:
+        if s.matched_index is None:
             continue
         rows.append({
             "kind": kind,
@@ -417,7 +396,7 @@ def run_bethe(cfg: RunConfig, kind: str, level: int) -> list[dict]:
             "residual": float(s.residual_max),
             "eigenvalue": _ser(s.reconstructed_eigenvalue),
             "matched_index": s.matched_index,
-            "match_error": float(s.match_error) if np.isfinite(s.match_error) else None,
+            "match_error": float(s.match_error),
         })
     return rows
 
@@ -463,8 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp_):
         sp_.add_argument("config", help="path to JSON config file")
-        sp_.add_argument("--seed", type=int, default=None,
-                         help="override the solver seed from the config")
 
     sp_v = sub.add_parser("verify", help="run the full verification suite")
     add_common(sp_v)
@@ -485,10 +462,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            cfg = replace(cfg, solver=replace(cfg.solver, seed=args.seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,12 +3,14 @@
 Independent oracles used here:
   * the level-1 residual factors into a difference of two explicit products
     of linear-in-u factors; its roots in x = u**2 come from a companion
-    matrix (np.roots), giving root sets the Newton solver must reproduce
+    matrix (np.roots), giving root sets the TQ solver must reproduce
   * level-0 systems have an empty root set whose reconstructed eigenvalue
     must equal the first entry of the matching closed-form spectrum, for
     every probe point
-  * full coverage sweeps match reconstructed eigenvalues against the
-    closed-form spectrum, which the solver never sees during iteration
+  * full coverage sweeps check every root set against the Bethe residual
+    and match its reconstructed eigenvalue against the closed-form
+    spectrum; the solver takes the target entry as input, but neither check
+    uses the solve, and a fit at a wrong entry gives roots off shell
 """
 
 import numpy as np
@@ -33,7 +35,7 @@ from qracah.bethe import (
     symmetrize_roots,
 )
 
-from conftest import draw_params
+from conftest import draw_many, draw_params
 
 
 def _bf(x):
@@ -230,7 +232,7 @@ def test_level1_companion_matrix_oracle():
     assert abs(oracle_sym[0] - oracle_sym[1]) < 1e-10 * max(1.0, abs(oracle_sym[0]))
 
     sysm = BetheSystem("hom_minus", 1, p)
-    sols = solve(sysm, SolverConfig(starts=200))
+    sols = solve(sysm, SolverConfig())
     assert len(sols) == 1
     s = sols[0]
     assert abs(complex(s.symmetrized[0]) - oracle_sym[0]) < 1e-8 * max(1.0, abs(oracle_sym[0]))
@@ -340,7 +342,7 @@ def test_closed_form_matches_solver_spectrum_two_s_1():
     rng = np.random.default_rng(18)
     p = draw_params(1, rng)
     sp = spectrum(p)
-    cfg = SolverConfig(starts=96)
+    cfg = SolverConfig()
     for kind in bethe.INHOM_KINDS:
         target = sp.theta if bethe.TARGET_SPECTRUM[kind] == "theta" else sp.theta_star
         sols = solve(BetheSystem(kind, 1, p), cfg)
@@ -356,7 +358,7 @@ def test_closed_form_matches_solver_spectrum_two_s_1():
 def test_hom_coverage_two_s_2():
     rng = np.random.default_rng(19)
     p = draw_params(2, rng)
-    cfg = SolverConfig(starts=128)
+    cfg = SolverConfig()
     for kind in bethe.HOM_KINDS:
         rep = coverage(kind, p, cfg)
         assert rep.kind == kind
@@ -372,7 +374,7 @@ def test_hom_coverage_two_s_2():
 def test_inhom_coverage_two_s_2():
     rng = np.random.default_rng(20)
     p = draw_params(2, rng)
-    cfg = SolverConfig(starts=400)
+    cfg = SolverConfig()
     for kind in bethe.INHOM_KINDS:
         rep = coverage(kind, p, cfg)
         assert len(rep.entries) == 3
@@ -387,7 +389,7 @@ def test_dual_functional_agrees_with_closed_form():
     rng = np.random.default_rng(21)
     p = draw_params(2, rng)
     sc = structure_constants(p)
-    cfg = SolverConfig(starts=400)
+    cfg = SolverConfig()
     sols = solve(BetheSystem("dual_inhom_plus", 2, p), cfg)
     matched = [s for s in sols if s.admissible and s.matched_index is not None]
     assert matched
@@ -402,7 +404,7 @@ def test_hom_on_shell_probe_independence():
     rng = np.random.default_rng(22)
     p = draw_params(2, rng)
     sc = structure_constants(p)
-    cfg = SolverConfig(starts=128)
+    cfg = SolverConfig()
     sols = solve(BetheSystem("hom_minus", 2, p), cfg)
     s = next(x for x in sols if x.admissible and x.matched_index == 2)
     vals = []
@@ -425,7 +427,7 @@ def test_hom_on_shell_probe_independence():
 def test_solver_determinism_bitwise():
     rng = np.random.default_rng(23)
     p = draw_params(1, rng)
-    cfg = SolverConfig(starts=64)
+    cfg = SolverConfig()
     a = solve(BetheSystem("inhom_plus", 1, p), cfg)
     b = solve(BetheSystem("inhom_plus", 1, p), cfg)
     assert len(a) == len(b)
@@ -438,7 +440,7 @@ def test_solver_determinism_bitwise():
 def test_solutions_are_canonical_and_deduplicated():
     rng = np.random.default_rng(24)
     p = draw_params(1, rng)
-    cfg = SolverConfig(starts=200)
+    cfg = SolverConfig()
     sols = solve(BetheSystem("inhom_minus", 1, p), cfg)
     syms = [s.symmetrized for s in sols]
     for i, s in enumerate(sols):
@@ -446,6 +448,35 @@ def test_solutions_are_canonical_and_deduplicated():
             assert u.real > 0 or (u.real == 0 and u.imag >= 0)
         for j in range(i + 1, len(sols)):
             assert np.max(np.abs(syms[i] - syms[j])) > cfg.dedup_tol
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 6])
+def test_default_solver_covers_every_index_of_every_kind(two_s):
+    misses = []
+    for d, p in enumerate(draw_many(two_s, 3, seed=1000 + two_s)):
+        for kind in bethe.KINDS:
+            for e in coverage(kind, p, SolverConfig()).entries:
+                if not (e.hit and e.solution.residual_max < 1e-9 and e.match_error < 1e-6):
+                    misses.append((d, kind, e.index))
+    assert not misses
+
+
+def test_tq_fit_at_a_wrong_eigenvalue_is_off_shell():
+    # a homogeneous level-L system reproduces only entry L: fitting Q at any
+    # other entry of the spectrum must not give Bethe roots
+    rng = np.random.default_rng(26)
+    p = draw_params(3, rng)
+    sc = structure_constants(p)
+    for kind in bethe.HOM_KINDS:
+        targets = getattr(spectrum(p), bethe.TARGET_SPECTRUM[kind])
+        for level in (1, 2, 3):
+            for index in range(p.dim):
+                roots = bethe._tq_roots(kind, targets[index], level, p, sc)
+                res = bethe._scaled_residual(kind, roots, p)
+                if index == level:
+                    assert res < 1e-9
+                else:
+                    assert res > 1e-3, (kind, level, index, res)
 
 
 def test_coverage_rejects_unknown_kind():

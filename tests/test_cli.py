@@ -42,7 +42,6 @@ def _base_config():
             "match_tol": 1e-6,
             "dedup_tol": 1e-6,
         },
-        "solver": {"starts": 400, "max_iter": 200, "seed": 42},
         "output": {"format": "json"},
     }
 
@@ -60,15 +59,12 @@ def _write(tmp_path, data, name="cfg.json"):
 def test_parse_roundtrip_defaults():
     data = _base_config()
     del data["tolerances"]
-    del data["solver"]
     del data["output"]
     del data["chi"]
     del data["m0"]
     cfg = parse_config(data)
     assert cfg.identity_tol == 1e-8
     assert cfg.bethe_tol == 1e-10
-    assert cfg.solver.starts == 400
-    assert cfg.solver.seed == 42
     assert cfg.output_format == "json"
     assert cfg.params.two_s == 2
     assert cfg.params.chi == 1.0 + 0j
@@ -86,8 +82,8 @@ def test_parse_errors_name_the_path():
         parse_config(data)
 
     data = _base_config()
-    data["solver"]["starts"] = 0
-    with pytest.raises(ConfigError, match=r"solver\.starts"):
+    data["solver"] = {"starts": 400, "max_iter": 200, "seed": 42}
+    with pytest.raises(ConfigError, match="unknown config key 'solver'"):
         parse_config(data)
 
     data = _base_config()
@@ -148,15 +144,6 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "c - b*q^(2k) vanishes at k = 0" in err
 
 
-def test_main_seed_override_changes_solver_seed_only(tmp_path, capsys):
-    cfgfile = _write(tmp_path, _base_config())
-    assert main(["bethe", cfgfile, "--kind", "hom_minus", "--level", "1",
-                 "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    rows = json.loads(out)
-    assert rows and rows[0]["matched_index"] == 1
-
-
 def test_main_invalid_level_is_config_error(tmp_path, capsys):
     cfgfile = _write(tmp_path, _base_config())
     assert main(["bethe", cfgfile, "--kind", "inhom_plus", "--level", "1"]) == 2
@@ -171,7 +158,6 @@ def test_main_invalid_level_is_config_error(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def fast_cfg(tmp_path_factory):
     data = _base_config()
-    data["solver"]["starts"] = 200
     path = tmp_path_factory.mktemp("cli") / "cfg.json"
     path.write_text(json.dumps(data))
     return load_config(str(path))
@@ -180,7 +166,7 @@ def fast_cfg(tmp_path_factory):
 def test_verify_report_schema_and_pass(fast_cfg):
     rep = run_verify(fast_cfg)
     assert set(rep) == {"instance", "checks", "bethe", "racah", "pass", "versions"}
-    assert rep["versions"] == {"spec": "1.0"}
+    assert rep["versions"] == {"spec": "2.0"}
     assert rep["pass"] is True
     names = [c["name"] for c in rep["checks"]]
     for expected in ("aw1", "aw2", "pinv_p_identity", "recurrence",
@@ -268,9 +254,7 @@ def test_csv_header_exact(tmp_path):
 
 
 def test_verify_byte_identical_runs(tmp_path):
-    data = _base_config()
-    data["solver"]["starts"] = 200
-    cfgfile = _write(tmp_path, data)
+    cfgfile = _write(tmp_path, _base_config())
     p1 = _run_cli(["verify", cfgfile], tmp_path)
     p2 = _run_cli(["verify", cfgfile], tmp_path)
     assert p1.returncode == 0, p1.stderr.decode()
