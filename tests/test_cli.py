@@ -127,6 +127,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["spectrum", good]) == 0
     capsys.readouterr()
 
+    assert main(["bethe", good, "--kind", "hom_minus", "--level", "1"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["matched_index"] for r in rows] == [1]
+
     bad = _write(tmp_path, {"q": [1.18, 0.0]}, "bad.json")
     assert main(["spectrum", bad]) == 2
     err = capsys.readouterr().err
