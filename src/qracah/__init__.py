@@ -1,14 +1,12 @@
 """Numerical realization of a tridiagonal generator pair, its polynomial
 transition matrices, and the Bethe-root description of its spectra."""
 
-from .qnum import QBase, bfun, phi43, qnumber, qpoch, qpoch_many
+from .qnum import QBase, phi43, qnumber, qpoch
 from .model import (
-    FIX_MODES,
     GenericityError,
     ModelParams,
     Spectrum,
     StructureConstants,
-    fix_alpha_beta,
     spectrum,
     structure_constants,
     validate_genericity,
@@ -26,9 +24,7 @@ from .leonard import (
     verify_cayley_hamilton,
 )
 from .transition import (
-    NORMALIZER_KINDS,
     TransitionData,
-    bethe_normalizer,
     build_transition,
     normalizers,
     orthogonality_residuals,
@@ -53,7 +49,6 @@ from .bethe import (
     eigenvalue_from_roots,
     etabar,
     exchange_fh,
-    gamma_eps,
     hom_eigenvalue_functional,
     lambda12,
     residual,
@@ -64,21 +59,19 @@ from .bethe import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QBase", "bfun", "phi43", "qnumber", "qpoch", "qpoch_many",
-    "FIX_MODES", "GenericityError", "ModelParams", "Spectrum",
-    "StructureConstants", "fix_alpha_beta", "spectrum",
-    "structure_constants", "validate_genericity",
+    "QBase", "phi43", "qnumber", "qpoch",
+    "GenericityError", "ModelParams", "Spectrum", "StructureConstants",
+    "spectrum", "structure_constants", "validate_genericity",
     "COEFF_KINDS", "GAUGE_THETA", "GAUGE_THETA_STAR", "EigenFamily",
     "TridiagonalRealization", "build", "coeff", "eigen_family",
     "verify_aw", "verify_cayley_hamilton",
-    "NORMALIZER_KINDS", "TransitionData", "bethe_normalizer",
-    "build_transition", "normalizers", "orthogonality_residuals", "racah",
-    "racah_by_recurrence", "racah_from_scalar_products", "racah_matrix",
-    "verify_recurrences",
+    "TransitionData", "build_transition", "normalizers",
+    "orthogonality_residuals", "racah", "racah_by_recurrence",
+    "racah_from_scalar_products", "racah_matrix", "verify_recurrences",
     "HOM_KINDS", "INHOM_KINDS", "KINDS", "BetheSolution", "BetheSystem",
     "CoverageEntry", "CoverageReport", "PoleError", "SolverConfig",
     "coverage", "dual_eigenvalue_functional", "eigenvalue_from_roots",
-    "etabar", "exchange_fh", "gamma_eps", "hom_eigenvalue_functional",
+    "etabar", "exchange_fh", "hom_eigenvalue_functional",
     "lambda12", "residual", "solve", "symmetrize_roots",
     "__version__",
 ]

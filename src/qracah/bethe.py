@@ -41,7 +41,6 @@ __all__ = [
     "CoverageReport",
     "lambda12",
     "exchange_fh",
-    "gamma_eps",
     "etabar",
     "residual",
     "solve",
@@ -100,7 +99,6 @@ class SolverConfig:
     tol: float = 1e-10
     dedup_tol: float = 1e-6
     match_tol: float = 1e-6
-    probe_tol: float = 1e-8
 
     @property
     def starts(self) -> int:
@@ -248,18 +246,6 @@ def exchange_fh(u: complex, v: complex, p: ModelParams) -> tuple[complex, comple
     return complex(_f(u, v, q)), complex(_h(u, v, q))
 
 
-def gamma_eps(eps: int, u: complex, m: int, p: ModelParams) -> complex:
-    """Off-diagonal gauge weight combination for branch eps = +-1."""
-    if eps not in (-1, 1):
-        raise ValueError("gamma_eps: eps must be +1 or -1")
-    q = p.base.q
-    if eps == 1:
-        lead, trail = p.beta, p.alpha
-    else:
-        lead, trail = p.alpha, p.beta
-    return lead * q ** (-m) * u - trail * q**m / u
-
-
 def etabar(u: complex, sc: StructureConstants, p: ModelParams) -> complex:
     """Degree-one combination of the inhomogeneous structure constants."""
     if abs(u) < 1e-150:
@@ -271,32 +257,14 @@ def etabar(u: complex, sc: StructureConstants, p: ModelParams) -> complex:
 # batched residual evaluation; rows are independent candidate root sets
 
 
-def _pair_products(U: np.ndarray, q):
-    S, L = U.shape
-    F = np.ones((S, L), dtype=complex)
-    H = np.ones((S, L), dtype=complex)
-    for i in range(L):
-        ui = U[:, i]
-        for j in range(L):
-            if j == i:
-                continue
-            uj = U[:, j]
-            F[:, i] *= _f(ui, uj, q)
-            H[:, i] *= _h(ui, uj, q)
-    return F, H
-
-
-def _coupling_denominator(U: np.ndarray, q):
-    S, L = U.shape
-    D = np.ones((S, L), dtype=complex)
-    for i in range(L):
-        ui = U[:, i]
-        for j in range(L):
-            if j == i:
-                continue
-            uj = U[:, j]
-            D[:, i] *= _b(ui / uj) * _b(q * ui * uj)
-    return D
+def _pair_products(U: np.ndarray, q) -> np.ndarray:
+    """Per-root products over the other roots of each row, stacked as
+    (f(u_i, u_j), h(u_i, u_j), b(u_i/u_j)*b(q*u_i*u_j)); unpacks as F, H and
+    the coupling denominator.  Callers hold the numpy error state: the
+    diagonal's poles are evaluated, then replaced by 1."""
+    ui, uj = U[:, :, None], U[:, None, :]
+    pairs = np.stack([_f(ui, uj, q), _h(ui, uj, q), _b(ui / uj) * _b(q * ui * uj)])
+    return np.where(np.eye(U.shape[1], dtype=bool), 1.0, pairs).prod(axis=-1)
 
 
 def _nu(kind: str, p: ModelParams) -> complex:
@@ -314,12 +282,12 @@ def _nu(kind: str, p: ModelParams) -> complex:
 def _residual_terms(kind: str, U: np.ndarray, p: ModelParams) -> list[np.ndarray]:
     q = p.base.q
     eps = _KIND_EPS[kind]
-    F, H = _pair_products(U, q)
+    F, H, den = _pair_products(U, q)
     bU = _b(U * U)
     ratio = bU / _b(q * U * U)
     if kind in HOM_KINDS:
         return [-ratio * F * _lam1(eps, U, p), H * _lam2(eps, U, p)]
-    inh = _inh_product(U, p) / _coupling_denominator(U, q)
+    inh = _inh_product(U, p) / den
     nu = _nu(kind, p)
     if kind in ("inhom_plus", "inhom_minus"):
         t1 = ratio * U**eps * F * _lam1(eps, U, p)
@@ -466,6 +434,10 @@ def _closed_form_eigenvalue(kind: str, roots: np.ndarray, p: ModelParams) -> com
     return q ** (-2 * n) * (p.c * z * qn + q**n * (p.b_star * q**n + p.c_star * q**-n) - q * p.c * S)
 
 
+# relative spread allowed between the probe-point values of an on-shell set
+_PROBE_TOL = 1e-8
+
+
 def _probe_points(roots: np.ndarray, p: ModelParams, count: int = 3) -> list[complex]:
     """Deterministic pole-avoiding probe points in the sampling annulus."""
     q = p.base.q
@@ -489,11 +461,11 @@ def _probe_points(roots: np.ndarray, p: ModelParams, count: int = 3) -> list[com
     return out
 
 
-def eigenvalue_from_roots(sys: BetheSystem, roots, probe_tol: float = 1e-8) -> complex:
+def eigenvalue_from_roots(sys: BetheSystem, roots) -> complex:
     """Eigenvalue reconstructed from an on-shell root set.
 
     Homogeneous kinds evaluate the probe functional at three points and
-    insist on probe-independence within ``probe_tol``; inhomogeneous kinds
+    insist on probe-independence within ``_PROBE_TOL``; inhomogeneous kinds
     use the closed-form symmetric function of the roots.
     """
     roots = np.asarray(roots, dtype=complex)
@@ -506,7 +478,7 @@ def eigenvalue_from_roots(sys: BetheSystem, roots, probe_tol: float = 1e-8) -> c
     eps = _KIND_EPS[sys.kind]
     vals = [hom_eigenvalue_functional(eps, u, roots, p, sc) for u in _probe_points(roots, p)]
     spread = max(abs(a - b) for a in vals for b in vals)
-    if spread > probe_tol * max(1.0, abs(vals[0])):
+    if spread > _PROBE_TOL * max(1.0, abs(vals[0])):
         raise ValueError(
             "eigenvalue_from_roots: probe dependence above tolerance "
             f"({spread:.3e}); roots are off shell"
@@ -680,7 +652,7 @@ def _solution(sys: BetheSystem, roots: np.ndarray, res: float, targets: np.ndarr
     err = np.inf
     if adm:
         try:
-            lam = eigenvalue_from_roots(sys, roots, cfg.probe_tol)
+            lam = eigenvalue_from_roots(sys, roots)
         except ValueError:
             adm = False
         else:

@@ -44,7 +44,7 @@ from .transition import (
 __all__ = ["ConfigError", "RunConfig", "load_config", "run_verify",
            "run_racah_table", "run_bethe", "run_spectrum", "main"]
 
-_SCHEMA_VERSION = "2.0"
+_SCHEMA_VERSION = "3.0"
 
 _TOL_DEFAULTS = {
     "identity_tol": 1e-8,
@@ -62,9 +62,6 @@ class ConfigError(ValueError):
 class RunConfig:
     params: ModelParams
     identity_tol: float
-    bethe_tol: float
-    match_tol: float
-    dedup_tol: float
     solver: SolverConfig
     output_format: str
     output_path: str | None
@@ -76,10 +73,8 @@ def _require_map(obj, path):
     return obj
 
 
-def _complex_field(obj, key, path, default=None):
+def _complex_field(obj, key, path):
     if key not in obj:
-        if default is not None:
-            return default
         raise ConfigError(f"{path} is required")
     v = obj[key]
     ok = (
@@ -92,10 +87,8 @@ def _complex_field(obj, key, path, default=None):
     return complex(float(v[0]), float(v[1]))
 
 
-def _int_field(obj, key, path, default=None, minimum=None):
+def _int_field(obj, key, path, minimum=None):
     if key not in obj:
-        if default is not None:
-            return default
         raise ConfigError(f"{path} is required")
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
@@ -117,8 +110,7 @@ def _pos_float_field(obj, key, path, default):
 def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from decoded JSON, naming offending paths."""
     _require_map(data, "config")
-    known = {"q", "two_s", "b", "c", "b_star", "c_star", "zeta", "m0", "chi",
-             "tolerances", "output"}
+    known = {"q", "two_s", "b", "c", "b_star", "c_star", "zeta", "tolerances", "output"}
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
@@ -130,8 +122,6 @@ def parse_config(data: dict) -> RunConfig:
     b_star = _complex_field(data, "b_star", "b_star")
     c_star = _complex_field(data, "c_star", "c_star")
     zeta = _complex_field(data, "zeta", "zeta")
-    m0 = _int_field(data, "m0", "m0", default=0)
-    chi = _complex_field(data, "chi", "chi", default=1.0 + 0j)
 
     tols = dict(_TOL_DEFAULTS)
     if "tolerances" in data:
@@ -159,7 +149,7 @@ def parse_config(data: dict) -> RunConfig:
     try:
         params = ModelParams(
             base=QBase(q), two_s=two_s, b=b, c=c, b_star=b_star,
-            c_star=c_star, zeta=zeta, m0=m0, chi=chi,
+            c_star=c_star, zeta=zeta,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -170,9 +160,6 @@ def parse_config(data: dict) -> RunConfig:
     return RunConfig(
         params=params,
         identity_tol=tols["identity_tol"],
-        bethe_tol=tols["bethe_tol"],
-        match_tol=tols["match_tol"],
-        dedup_tol=tols["dedup_tol"],
         solver=solver,
         output_format=out_format,
         output_path=out_path,
@@ -213,13 +200,11 @@ def _instance_block(cfg: RunConfig) -> dict:
         "b_star": _ser(p.b_star),
         "c_star": _ser(p.c_star),
         "zeta": _ser(p.zeta),
-        "m0": p.m0,
-        "chi": _ser(p.chi),
         "tolerances": {
             "identity_tol": cfg.identity_tol,
-            "bethe_tol": cfg.bethe_tol,
-            "match_tol": cfg.match_tol,
-            "dedup_tol": cfg.dedup_tol,
+            "bethe_tol": cfg.solver.tol,
+            "match_tol": cfg.solver.match_tol,
+            "dedup_tol": cfg.solver.dedup_tol,
         },
     }
 
@@ -342,7 +327,7 @@ def run_verify(cfg: RunConfig) -> dict:
                 "residual": float(s.residual_max) if s is not None else None,
                 "match_error": float(e.match_error) if e.hit else None,
             })
-        checks.append(_check(f"bethe_coverage_{kind}", worst, cfg.match_tol))
+        checks.append(_check(f"bethe_coverage_{kind}", worst, cfg.solver.match_tol))
 
     report = {
         "instance": _instance_block(cfg),

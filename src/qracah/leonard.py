@@ -35,20 +35,18 @@ __all__ = [
 
 GAUGE_THETA_STAR = "theta_star_basis"
 GAUGE_THETA = "theta_basis"
-COEFF_KINDS = ("Astar", "A", "Astar_dual", "A_dual")
+COEFF_KINDS = ("Astar", "A")
 
 _DEN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class TridiagonalRealization:
-    """Matrix pair for one gauge, plus the covector scale data xi, xi_star."""
+    """Matrix pair for one gauge."""
 
     gauge: str
     A_mat: np.ndarray
     Astar_mat: np.ndarray
-    xi: np.ndarray
-    xi_star: np.ndarray
     params: ModelParams
 
 
@@ -118,21 +116,13 @@ def _tri_entry(row: int, col: int, q, n, b, c, bs, cs, zeta) -> complex:
     )
 
 
-def coeff(
-    kind: str,
-    row: int,
-    col: int,
-    p: ModelParams,
-    xi: np.ndarray | None = None,
-    xi_star: np.ndarray | None = None,
-) -> complex:
+def coeff(kind: str, row: int, col: int, p: ModelParams) -> complex:
     """Tridiagonal action coefficient of the requested kind at (row, col).
 
     ``Astar`` gives the action of the second generator on the first
     eigenbasis, ``A`` the action of the first generator on the second
     eigenbasis (related by swapping starred and unstarred couplings and
-    inverting the twist).  The ``_dual`` kinds rescale by the covector
-    normalization ratios xi[row]/xi[col] (resp. xi_star).
+    inverting the twist).
     """
     n = p.two_s
     if not (0 <= row <= n and 0 <= col <= n):
@@ -140,32 +130,17 @@ def coeff(
     if abs(row - col) > 1:
         raise ValueError(f"coeff: ({row}, {col}) is not a tridiagonal position")
     q = p.base.q
-    if kind in ("Astar", "Astar_dual"):
-        val = _tri_entry(row, col, q, n, p.b, p.c, p.b_star, p.c_star, p.zeta)
-    elif kind in ("A", "A_dual"):
-        val = _tri_entry(row, col, q, n, p.b_star, p.c_star, p.b, p.c, 1.0 / p.zeta)
-    else:
-        raise ValueError(f"coeff: unknown kind {kind!r}; choose one of {COEFF_KINDS}")
-    if kind == "Astar_dual":
-        scales = np.ones(p.dim, dtype=complex) if xi is None else np.asarray(xi)
-        val *= scales[row] / scales[col]
-    elif kind == "A_dual":
-        scales = np.ones(p.dim, dtype=complex) if xi_star is None else np.asarray(xi_star)
-        val *= scales[row] / scales[col]
-    return val
+    if kind == "Astar":
+        return _tri_entry(row, col, q, n, p.b, p.c, p.b_star, p.c_star, p.zeta)
+    if kind == "A":
+        return _tri_entry(row, col, q, n, p.b_star, p.c_star, p.b, p.c, 1.0 / p.zeta)
+    raise ValueError(f"coeff: unknown kind {kind!r}; choose one of {COEFF_KINDS}")
 
 
-def build(
-    p: ModelParams,
-    gauge: str = GAUGE_THETA_STAR,
-    xi: np.ndarray | None = None,
-    xi_star: np.ndarray | None = None,
-) -> TridiagonalRealization:
+def build(p: ModelParams, gauge: str = GAUGE_THETA_STAR) -> TridiagonalRealization:
     """Matrix realization of the generator pair in the requested gauge."""
     sp = spectrum(p)
     D = p.dim
-    xi = np.ones(D, dtype=complex) if xi is None else np.asarray(xi, dtype=complex)
-    xi_star = np.ones(D, dtype=complex) if xi_star is None else np.asarray(xi_star, dtype=complex)
     tri = np.zeros((D, D), dtype=complex)
     if gauge == GAUGE_THETA_STAR:
         kind = "A"
@@ -180,9 +155,7 @@ def build(
         A_mat, Astar_mat = tri, np.diag(sp.theta_star)
     else:
         A_mat, Astar_mat = np.diag(sp.theta), tri
-    return TridiagonalRealization(
-        gauge=gauge, A_mat=A_mat, Astar_mat=Astar_mat, xi=xi, xi_star=xi_star, params=p
-    )
+    return TridiagonalRealization(gauge=gauge, A_mat=A_mat, Astar_mat=Astar_mat, params=p)
 
 
 def _maxabs(m: np.ndarray) -> float:

@@ -3,9 +3,7 @@ genericity screening.
 
 A parameter set consists of a deformation base q, a nonnegative half-integer
 spin encoded as the integer two_s = 2s, four nonzero couplings b, c, b_star,
-c_star constrained by b*c = b_star*c_star, a nonzero twist zeta, an integer
-offset m0, a free nonzero scale chi, and two gauge weights alpha, beta that
-are normally populated by :func:`fix_alpha_beta`.
+c_star constrained by b*c = b_star*c_star, and a nonzero twist zeta.
 """
 
 from __future__ import annotations
@@ -23,8 +21,6 @@ __all__ = [
     "Spectrum",
     "structure_constants",
     "spectrum",
-    "fix_alpha_beta",
-    "FIX_MODES",
     "validate_genericity",
 ]
 
@@ -47,22 +43,16 @@ class ModelParams:
     b_star: complex
     c_star: complex
     zeta: complex
-    m0: int = 0
-    chi: complex = 1.0 + 0j
-    alpha: complex = 0j
-    beta: complex = 0j
     degeneracy_tol: float = 1e-8
 
     def __post_init__(self):
         if not isinstance(self.two_s, int) or self.two_s < 1:
             raise ValueError("ModelParams: two_s must be an integer >= 1")
-        for name in ("b", "c", "b_star", "c_star", "zeta", "chi"):
+        for name in ("b", "c", "b_star", "c_star", "zeta"):
             val = complex(getattr(self, name))
             object.__setattr__(self, name, val)
             if val == 0:
                 raise ValueError(f"ModelParams: {name} must be nonzero")
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        object.__setattr__(self, "beta", complex(self.beta))
         lhs = self.b * self.c
         rhs = self.b_star * self.c_star
         if abs(lhs - rhs) > _COUPLING_REL_TOL * max(abs(lhs), abs(rhs)):
@@ -134,57 +124,6 @@ def spectrum(p: ModelParams) -> Spectrum:
                 f"(gap {diff[i, j]:.3e})"
             )
     return Spectrum(theta=theta, theta_star=theta_star)
-
-
-FIX_MODES = (
-    "minus_vacuum",
-    "plus_vacuum",
-    "dual_minus",
-    "dual_plus",
-    "lemma33_B_plus",
-    "lemma33_B_minus",
-    "lemma33_C_plus",
-    "lemma33_C_minus",
-)
-
-
-def fix_alpha_beta(p: ModelParams, mode: str) -> tuple[complex, complex]:
-    """Gauge weights (alpha, beta) for the requested reference-state mode.
-
-    Each mode pins one weight through a linear condition and zeroes the
-    other.  The defining conditions, with d = q^2 - q^-2 and k = chi:
-
-    - minus_vacuum:     d * alpha * b * q^-m0 / k = -1, beta = 0
-    - plus_vacuum:      d * alpha * c_star * q^m0 / k = 1, beta = 0
-    - dual_minus:       d * beta * c * q^(m0-2) / k = -1, alpha = 0
-    - dual_plus:        d * beta * b_star * q^(2-m0) / k = 1, alpha = 0
-    - lemma33_B_plus:   d * beta * b_star * q^-m0 / k = 1, alpha = 0
-    - lemma33_B_minus:  d * beta * c * q^m0 / k = -1, alpha = 0
-    - lemma33_C_plus:   d * alpha * c_star * q^m0 / k = 1, beta = 0
-    - lemma33_C_minus:  d * alpha * b * q^-m0 / k = -1, beta = 0
-    """
-    if p.chi == 0:
-        raise ValueError("fix_alpha_beta: chi must be nonzero")
-    q = p.base.q
-    d = p.base.q2 - 1.0 / p.base.q2
-    m0 = p.m0
-    if mode == "minus_vacuum":
-        return -p.chi * q**m0 / (d * p.b), 0j
-    if mode == "plus_vacuum":
-        return p.chi / (d * p.c_star * q**m0), 0j
-    if mode == "dual_minus":
-        return 0j, -p.chi / (d * p.c * q ** (m0 - 2))
-    if mode == "dual_plus":
-        return 0j, p.chi / (d * p.b_star * q ** (2 - m0))
-    if mode == "lemma33_B_plus":
-        return 0j, p.chi * q**m0 / (d * p.b_star)
-    if mode == "lemma33_B_minus":
-        return 0j, -p.chi / (d * p.c * q**m0)
-    if mode == "lemma33_C_plus":
-        return p.chi / (d * p.c_star * q**m0), 0j
-    if mode == "lemma33_C_minus":
-        return -p.chi * q**m0 / (d * p.b), 0j
-    raise ValueError(f"fix_alpha_beta: unknown mode {mode!r}; choose one of {FIX_MODES}")
 
 
 def _series_denominator_params(p: ModelParams) -> list[tuple[str, complex]]:

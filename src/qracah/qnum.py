@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["QBase", "bfun", "qnumber", "qpoch", "qpoch_many", "phi43"]
+__all__ = ["QBase", "qnumber", "qpoch", "phi43"]
 
 # Below this magnitude 1/x is no longer a finite binary64 number.
 _INVERSION_FLOOR = 1e-300
@@ -18,13 +18,6 @@ _TERMINATION_TOL = 1e-8
 
 # Relative tolerance below which a denominator factor counts as vanishing.
 _DENOMINATOR_TOL = 1e-13
-
-
-def bfun(x: complex) -> complex:
-    """Inversion-antisymmetric combination x - 1/x."""
-    if abs(x) < _INVERSION_FLOOR:
-        raise ValueError("bfun: argument too close to 0, 1/x would overflow")
-    return x - 1.0 / x
 
 
 @dataclass(frozen=True)
@@ -75,14 +68,6 @@ def qpoch(a: complex, qq: complex, n: int) -> complex:
     for _ in range(n):
         out *= 1.0 - a * p
         p *= qq
-    return out
-
-
-def qpoch_many(params: list[complex] | tuple[complex, ...], qq: complex, n: int) -> complex:
-    """Product of q-shifted factorials sharing the base and the order."""
-    out = 1.0 + 0j
-    for a in params:
-        out *= qpoch(a, qq, n)
     return out
 
 

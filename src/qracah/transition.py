@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leonard import GAUGE_THETA, GAUGE_THETA_STAR, EigenFamily, TridiagonalRealization, build, coeff
+from .leonard import GAUGE_THETA, EigenFamily, build, coeff
 from .model import GenericityError, ModelParams, spectrum
-from .qnum import bfun, phi43, qpoch
+from .qnum import phi43, qpoch
 
 __all__ = [
     "TransitionData",
@@ -28,8 +28,6 @@ __all__ = [
     "verify_recurrences",
     "orthogonality_residuals",
     "racah_from_scalar_products",
-    "NORMALIZER_KINDS",
-    "bethe_normalizer",
 ]
 
 _DEN_TOL = 1e-12
@@ -163,25 +161,18 @@ def build_transition(p: ModelParams) -> TransitionData:
     return TransitionData(R=R, k_seq=k_seq, k_seq_dual=k_seq_dual, nu0=nu0, P=P, Pinv=Pinv)
 
 
-def _coeff_matrix(kind: str, p: ModelParams) -> np.ndarray:
-    D = p.dim
-    out = np.zeros((D, D), dtype=complex)
-    for col in range(D):
-        for row in range(max(0, col - 1), min(D, col + 2)):
-            out[row, col] = coeff(kind, row, col, p)
-    return out
-
-
 def verify_recurrences(td: TransitionData, p: ModelParams) -> tuple[float, float]:
     """Residuals of the three-term recurrence in M and the q-difference
     relation in N over the whole table, each relative to the largest
-    eigenvalue-weighted table entry on its own side."""
+    eigenvalue-weighted table entry on its own side.  The coefficients are
+    the tridiagonal generators of the two gauges of :func:`build`."""
     sp = spectrum(p)
     R = td.R
     lhs_rec = R * sp.theta_star[None, :]
-    rec = np.max(np.abs(lhs_rec - _coeff_matrix("Astar", p) @ R)) / np.max(np.abs(lhs_rec))
+    Astar_tri = build(p, GAUGE_THETA).Astar_mat
+    rec = np.max(np.abs(lhs_rec - Astar_tri @ R)) / np.max(np.abs(lhs_rec))
     lhs_qd = sp.theta[:, None] * R
-    qd = np.max(np.abs(lhs_qd - R @ _coeff_matrix("A", p).T)) / np.max(np.abs(lhs_qd))
+    qd = np.max(np.abs(lhs_qd - R @ build(p).A_mat.T)) / np.max(np.abs(lhs_qd))
     return float(rec), float(qd)
 
 
@@ -223,85 +214,3 @@ def racah_from_scalar_products(fam: EigenFamily, M: int, N: int, form: str = "ra
     if abs(den) <= 1e-14 * max(1.0, scale):
         raise ValueError("racah_from_scalar_products: vanishing scalar product in denominator")
     return num / den
-
-
-NORMALIZER_KINDS = (
-    "minus_hom",
-    "plus_hom",
-    "dual_minus_hom",
-    "dual_plus_hom",
-    "minus_inhom",
-    "plus_inhom",
-    "dual_minus_inhom",
-    "dual_plus_inhom",
-)
-
-
-def _hom_normalizer(kind: str, roots, real: TridiagonalRealization) -> complex:
-    p = real.params
-    q = p.base.q
-    out = 1.0 + 0j
-    for k, u in enumerate(roots, start=1):
-        if abs(u) < 1e-150:
-            raise ValueError("bethe_normalizer: zero root")
-        bu = bfun(u * u)
-        if kind == "minus_hom":
-            factor = q * u * bu * coeff("Astar", k, k - 1, p)
-        elif kind == "plus_hom":
-            factor = -(1.0 / q) * (1.0 / u) * bu * coeff("A", k, k - 1, p)
-        elif kind == "dual_minus_hom":
-            factor = (1.0 / q) * u * bu * coeff("Astar_dual", k, k - 1, p, xi=real.xi)
-        else:  # dual_plus_hom
-            factor = -q * (1.0 / u) * bu * coeff("A_dual", k, k - 1, p, xi_star=real.xi_star)
-        if factor == 0:
-            raise ValueError("bethe_normalizer: vanishing factor in the product")
-        out /= factor
-    return out
-
-
-def bethe_normalizer(
-    kind: str,
-    roots,
-    td: TransitionData,
-    real: TridiagonalRealization,
-    index: int,
-) -> complex:
-    """Normalization scalar attached to an on-shell Bethe root set.
-
-    The four ``*_hom`` kinds take a level-``index`` root set (one factor per
-    root, so ``index`` must equal ``len(roots)``).  The four ``*_inhom``
-    kinds take a full-size root set (two_s roots), combine the matching
-    homogeneous product with a transition-matrix entry at ``index``, and for
-    the dual kinds a ratio of the gauge scales.
-    """
-    p = real.params
-    n = p.two_s
-    if kind not in NORMALIZER_KINDS:
-        raise ValueError(f"bethe_normalizer: unknown kind {kind!r}")
-    if kind.endswith("_hom"):
-        if index != len(roots):
-            raise ValueError("bethe_normalizer: level index must equal the root count")
-        if not 0 <= index <= n:
-            raise ValueError(f"bethe_normalizer: index {index} outside 0..{n}")
-        return _hom_normalizer(kind, roots, real)
-    if len(roots) != n:
-        raise ValueError("bethe_normalizer: inhomogeneous kinds need two_s roots")
-    if not 0 <= index <= n:
-        raise ValueError(f"bethe_normalizer: index {index} outside 0..{n}")
-    if kind == "minus_inhom":
-        return _hom_normalizer("plus_hom", roots, real) * td.Pinv[n, index]
-    if kind == "plus_inhom":
-        return _hom_normalizer("minus_hom", roots, real) * td.P[n, index]
-    if kind == "dual_minus_inhom":
-        return (
-            _hom_normalizer("dual_plus_hom", roots, real)
-            * td.P[index, n]
-            * real.xi[index]
-            / real.xi_star[n]
-        )
-    return (
-        _hom_normalizer("dual_minus_hom", roots, real)
-        * td.Pinv[index, n]
-        * real.xi_star[index]
-        / real.xi[n]
-    )

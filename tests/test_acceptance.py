@@ -367,7 +367,6 @@ def test_criterion_11_verify_determinism(tmp_path, capsys):
         "b_star": [b_star.real, b_star.imag],
         "c_star": [c_star.real, c_star.imag],
         "zeta": [1.1, 0.2],
-        "m0": 0,
     }
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(config))

@@ -26,7 +26,6 @@ from qracah.bethe import (
     dual_eigenvalue_functional,
     eigenvalue_from_roots,
     exchange_fh,
-    gamma_eps,
     etabar,
     hom_eigenvalue_functional,
     lambda12,
@@ -132,21 +131,28 @@ def test_exchange_fh_value_against_direct_product():
     assert abs(h - h_ref) < 1e-14 * max(1, abs(h_ref))
 
 
-def test_gamma_eps_zero_and_branch_swap():
-    rng = np.random.default_rng(7)
-    base_p = draw_params(1, rng)
-    from dataclasses import replace
-
-    a = 0.37 - 0.21j
-    p = replace(base_p, alpha=a, beta=a)
-    m = 2
-    u0 = complex(base_p.base.q) ** m
-    assert abs(gamma_eps(1, u0, m, p)) < 1e-12
-    assert abs(gamma_eps(-1, u0, m, p)) < 1e-12
-    p2 = replace(base_p, alpha=0.5 + 0.1j, beta=-0.2 + 0.9j)
-    p2_swapped = replace(base_p, alpha=p2.beta, beta=p2.alpha)
-    u = _rand_point(rng)
-    assert abs(gamma_eps(1, u, 3, p2) - gamma_eps(-1, u, 3, p2_swapped)) < 1e-13
+@pytest.mark.parametrize("L", [1, 2, 5])
+def test_pair_products_match_scalar_exchange_loop(L):
+    # the batched per-root products over the other roots of a row against a
+    # plain loop over the public pair couplings, several rows at once
+    rng = np.random.default_rng(100 + L)
+    p = draw_params(2, rng)
+    q = p.base.q
+    U = np.array([[_rand_point(rng) for _ in range(L)] for _ in range(4)])
+    with np.errstate(all="ignore"):
+        F, H, den = bethe._pair_products(U, q)
+    assert F.shape == H.shape == den.shape == U.shape
+    for s, row in enumerate(U):
+        for i, u in enumerate(row):
+            f_ref = h_ref = den_ref = 1.0 + 0j
+            for j, v in enumerate(row):
+                if j != i:
+                    f, h = exchange_fh(u, v, p)
+                    f_ref *= f
+                    h_ref *= h
+                    den_ref *= _bf(u / v) * _bf(q * u * v)
+            for got, want in ((F[s, i], f_ref), (H[s, i], h_ref), (den[s, i], den_ref)):
+                assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_etabar_parity_and_coefficients():

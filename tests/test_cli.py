@@ -34,8 +34,6 @@ def _base_config():
         "b_star": [b_star.real, b_star.imag],
         "c_star": [c_star.real, c_star.imag],
         "zeta": [1.1, 0.2],
-        "m0": 0,
-        "chi": [1.0, 0.0],
         "tolerances": {
             "identity_tol": 1e-8,
             "bethe_tol": 1e-10,
@@ -60,14 +58,11 @@ def test_parse_roundtrip_defaults():
     data = _base_config()
     del data["tolerances"]
     del data["output"]
-    del data["chi"]
-    del data["m0"]
     cfg = parse_config(data)
     assert cfg.identity_tol == 1e-8
-    assert cfg.bethe_tol == 1e-10
+    assert cfg.solver.tol == 1e-10
     assert cfg.output_format == "json"
     assert cfg.params.two_s == 2
-    assert cfg.params.chi == 1.0 + 0j
 
 
 def test_parse_errors_name_the_path():
@@ -85,6 +80,13 @@ def test_parse_errors_name_the_path():
     data["solver"] = {"starts": 400, "max_iter": 200, "seed": 42}
     with pytest.raises(ConfigError, match="unknown config key 'solver'"):
         parse_config(data)
+
+    # the offset and scale keys of specs before 3.0 changed no number
+    for key, value in (("m0", 0), ("chi", [1.0, 0.0])):
+        data = _base_config()
+        data[key] = value
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config(data)
 
     data = _base_config()
     data["two_s"] = 2.5
@@ -170,7 +172,7 @@ def fast_cfg(tmp_path_factory):
 def test_verify_report_schema_and_pass(fast_cfg):
     rep = run_verify(fast_cfg)
     assert set(rep) == {"instance", "checks", "bethe", "racah", "pass", "versions"}
-    assert rep["versions"] == {"spec": "2.0"}
+    assert rep["versions"] == {"spec": "3.0"}
     assert rep["pass"] is True
     names = [c["name"] for c in rep["checks"]]
     for expected in ("aw1", "aw2", "pinv_p_identity", "recurrence",
@@ -216,7 +218,7 @@ def test_bethe_rows_cover_spectrum(fast_cfg):
     matched = sorted(r["matched_index"] for r in rows if r["matched_index"] is not None)
     assert matched == [0, 1, 2]
     for r in rows:
-        assert r["residual"] < fast_cfg.bethe_tol
+        assert r["residual"] < fast_cfg.solver.tol
         assert len(r["roots"]) == 2
         assert len(r["roots"][0]) == 2
 

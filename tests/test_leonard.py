@@ -70,13 +70,6 @@ class TestCoeff:
         for row, col in ((1, 0), (0, 1), (1, 1), (2, 1)):
             assert coeff("A", row, col, p) == coeff("Astar", row, col, swapped)
 
-    def test_dual_rescaling(self):
-        p = _params(2)
-        xi = np.array([1.0 + 0j, 2.0 - 1.0j, 0.3 + 0.4j])
-        got = coeff("Astar_dual", 2, 1, p, xi=xi)
-        want = coeff("Astar", 2, 1, p) * xi[2] / xi[1]
-        assert abs(got - want) <= 1e-14 * abs(want)
-
     def test_out_of_band_rejected(self):
         p = _params(2)
         with pytest.raises(ValueError, match="tridiagonal position"):
@@ -203,33 +196,3 @@ class TestEigenFamily:
         vals[1] += 0.37  # not an eigenvalue anymore
         with pytest.raises(ValueError, match="rank-deficient"):
             eigen_family(real.A_mat, vals)
-
-
-class TestCovectorRecurrence:
-    def test_dual_coefficients_reproduce_left_action(self):
-        # covectors scaled by random xi in the theta gauge: their action under
-        # the second generator is governed by the dual-rescaled coefficients
-        p = _params(3)
-        real = build(p, GAUGE_THETA)
-        D = p.dim
-        xi = RNG.standard_normal(D) + 1j * RNG.standard_normal(D)
-        rows = xi[:, None] * np.eye(D)  # covector M is xi[M] * e_M
-        for M in range(D):
-            lhs = rows[M] @ real.Astar_mat
-            rhs = np.zeros(D, dtype=complex)
-            for Mp in range(max(0, M - 1), min(D, M + 2)):
-                rhs += coeff("Astar_dual", M, Mp, p, xi=xi) * rows[Mp]
-            assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(lhs))
-
-    def test_dual_coefficients_star_side(self):
-        p = _params(2)
-        real = build(p, GAUGE_THETA_STAR)
-        D = p.dim
-        xi_star = RNG.standard_normal(D) + 1j * RNG.standard_normal(D)
-        rows = xi_star[:, None] * np.eye(D)
-        for N in range(D):
-            lhs = rows[N] @ real.A_mat
-            rhs = np.zeros(D, dtype=complex)
-            for Np in range(max(0, N - 1), min(D, N + 2)):
-                rhs += coeff("A_dual", N, Np, p, xi_star=xi_star) * rows[Np]
-            assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(lhs))

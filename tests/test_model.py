@@ -1,4 +1,4 @@
-"""Tests for parameter validation, structure constants, spectra, and gauge fixes."""
+"""Tests for parameter validation, structure constants, spectra, and genericity."""
 
 import cmath
 
@@ -7,10 +7,8 @@ import pytest
 
 from conftest import draw_params
 from qracah.model import (
-    FIX_MODES,
     GenericityError,
     ModelParams,
-    fix_alpha_beta,
     spectrum,
     structure_constants,
     validate_genericity,
@@ -111,42 +109,6 @@ class TestSpectrum:
         p = _simple_params(base=QBase(1j + 1e-12))
         with pytest.raises(GenericityError, match="coincide"):
             spectrum(p)
-
-
-class TestFixAlphaBeta:
-    def test_minus_vacuum_fixed_value(self):
-        p = ModelParams(base=QBase(2.0), two_s=1, b=1.0, c=1.0, b_star=1.0,
-                        c_star=1.0, zeta=0.7 + 0.3j, m0=0, chi=1.0)
-        alpha, beta = fix_alpha_beta(p, "minus_vacuum")
-        assert beta == 0
-        assert abs(alpha + 4.0 / 15.0) <= ATOL
-
-    @pytest.mark.parametrize("mode", FIX_MODES)
-    def test_defining_condition(self, mode):
-        p = draw_params(2, np.random.default_rng(hash(mode) % 2**32))
-        p = ModelParams(base=p.base, two_s=p.two_s, b=p.b, c=p.c, b_star=p.b_star,
-                        c_star=p.c_star, zeta=p.zeta, m0=3, chi=0.8 - 0.6j)
-        alpha, beta = fix_alpha_beta(p, mode)
-        q = p.base.q
-        d = p.base.q2 - 1.0 / p.base.q2
-        cond = {
-            "minus_vacuum": (d * alpha * p.b * q**-p.m0 / p.chi, -1.0),
-            "plus_vacuum": (d * alpha * p.c_star * q**p.m0 / p.chi, 1.0),
-            "dual_minus": (d * beta * p.c * q ** (p.m0 - 2) / p.chi, -1.0),
-            "dual_plus": (d * beta * p.b_star * q ** (2 - p.m0) / p.chi, 1.0),
-            "lemma33_B_plus": (d * beta * p.b_star * q**-p.m0 / p.chi, 1.0),
-            "lemma33_B_minus": (d * beta * p.c * q**p.m0 / p.chi, -1.0),
-            "lemma33_C_plus": (d * alpha * p.c_star * q**p.m0 / p.chi, 1.0),
-            "lemma33_C_minus": (d * alpha * p.b * q**-p.m0 / p.chi, -1.0),
-        }[mode]
-        lhs, want = cond
-        assert abs(lhs - want) <= 1e-14 * abs(want)
-        # exactly one weight is pinned per mode
-        assert (alpha == 0) != (beta == 0)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            fix_alpha_beta(_simple_params(), "nope")
 
 
 class TestValidateGenericity:

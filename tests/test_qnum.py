@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qracah.qnum import QBase, bfun, phi43, qnumber, qpoch, qpoch_many
+from qracah.qnum import QBase, phi43, qnumber, qpoch
 
 RNG = np.random.default_rng(0)
 RTOL = 1e-12
@@ -16,25 +16,6 @@ def _rand_c(lo=0.3, hi=2.0):
     r = np.exp(RNG.uniform(np.log(lo), np.log(hi)))
     phi = RNG.uniform(0.0, 2.0 * np.pi)
     return complex(r * np.cos(phi), r * np.sin(phi))
-
-
-class TestBfun:
-    def test_fixed_values(self):
-        assert bfun(1.0) == 0.0
-        assert bfun(2.0) == pytest.approx(1.5)
-        assert bfun(1j) == pytest.approx(2j)
-
-    def test_inversion_antisymmetry(self):
-        # b(1/x) = -b(x) on random points
-        for _ in range(50):
-            x = _rand_c()
-            assert abs(bfun(1.0 / x) + bfun(x)) <= RTOL * max(1.0, abs(bfun(x)))
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            bfun(0.0)
-        with pytest.raises(ValueError):
-            bfun(1e-310)
 
 
 class TestQBase:
@@ -93,13 +74,6 @@ class TestQPoch:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             qpoch(0.5, 0.5, -1)
-
-    def test_multi_argument_form(self):
-        params = [0.2 + 0.1j, 1.3 - 0.4j]
-        qq = 0.6 + 0.2j
-        want = qpoch(params[0], qq, 3) * qpoch(params[1], qq, 3)
-        assert qpoch_many(params, qq, 3) == pytest.approx(want)
-
 
 def _phi43_oracle(numer, denom, qq, z, n):
     """Independent term-by-term evaluation at 40 significant digits."""

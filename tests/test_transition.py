@@ -7,8 +7,6 @@ from conftest import draw_params
 from qracah.leonard import build, coeff, eigen_family
 from qracah.model import spectrum
 from qracah.transition import (
-    NORMALIZER_KINDS,
-    bethe_normalizer,
     build_transition,
     normalizers,
     orthogonality_residuals,
@@ -170,56 +168,3 @@ class TestScalarProductRoute:
         _, fam = self._family(p)
         with pytest.raises(ValueError, match="unknown form"):
             racah_from_scalar_products(fam, 0, 0, "rac3")
-
-
-class TestBetheNormalizer:
-    def _setup(self, two_s=2):
-        p = _params(two_s)
-        return p, build_transition(p), build(p)
-
-    def test_empty_product_is_one(self):
-        p, td, real = self._setup()
-        for kind in ("minus_hom", "plus_hom", "dual_minus_hom", "dual_plus_hom"):
-            assert bethe_normalizer(kind, [], td, real, 0) == 1.0
-
-    def test_definitional_inverse(self):
-        p, td, real = self._setup()
-        q = p.base.q
-        roots = [0.9 + 0.4j, 1.2 - 0.3j]
-        got = bethe_normalizer("minus_hom", roots, td, real, 2)
-        want = 1.0 + 0j
-        for k, u in enumerate(roots, start=1):
-            want /= q * u * (u * u - 1.0 / (u * u)) * coeff("Astar", k, k - 1, p)
-        assert abs(got - want) <= 1e-13 * abs(want)
-
-    def test_inhom_combines_transition_entry(self):
-        p, td, real = self._setup()
-        roots = [0.9 + 0.4j, 1.2 - 0.3j]
-        got = bethe_normalizer("minus_inhom", roots, td, real, 1)
-        want = bethe_normalizer("plus_hom", roots, td, real, 2) * td.Pinv[2, 1]
-        assert abs(got - want) <= 1e-13 * abs(want)
-
-    def test_zero_root_rejected(self):
-        p, td, real = self._setup()
-        with pytest.raises(ValueError, match="zero root"):
-            bethe_normalizer("minus_hom", [0.0], td, real, 1)
-
-    def test_unit_root_rejected(self):
-        # b(u^2) = 0 at u = 1 makes the factor vanish
-        p, td, real = self._setup()
-        with pytest.raises(ValueError, match="vanishing factor"):
-            bethe_normalizer("minus_hom", [1.0], td, real, 1)
-
-    def test_level_mismatch_rejected(self):
-        p, td, real = self._setup()
-        with pytest.raises(ValueError, match="level index"):
-            bethe_normalizer("minus_hom", [0.9 + 0.4j], td, real, 2)
-        with pytest.raises(ValueError, match="two_s roots"):
-            bethe_normalizer("minus_inhom", [0.9 + 0.4j], td, real, 1)
-
-    def test_all_kinds_finite(self):
-        p, td, real = self._setup()
-        roots = [0.9 + 0.4j, 1.2 - 0.3j]
-        for kind in NORMALIZER_KINDS:
-            val = bethe_normalizer(kind, roots, td, real, 2 if kind.endswith("_hom") else 1)
-            assert np.isfinite(val.real) and np.isfinite(val.imag) and val != 0
