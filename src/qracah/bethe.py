@@ -10,18 +10,20 @@ functional whose on-shell value is probe-independent, the inhomogeneous
 kinds through closed-form symmetric functions of the roots.
 
 The solver uses Baxter's TQ relation, which is linear in the coefficients
-of the polynomial Q whose zeros are the roots.  For each target spectrum
-entry (entry L of a homogeneous level-L system, every entry of an
-inhomogeneous one) it fits Q by one least-squares solve at that eigenvalue,
-takes the zeros of Q, inverts them to Bethe roots, and polishes them with a
-few Newton steps.  A root set passes only when it satisfies the Bethe
-equations to tolerance and its reconstructed eigenvalue matches the
-closed-form spectrum; neither check uses the fit.  Every step is
-deterministic, so repeated runs return byte-identical results.
+of the polynomial Q whose zeros are the roots.  The target spectrum entries
+of a system (entry L of a homogeneous level-L system, every entry of an
+inhomogeneous one) form one batch: it fits Q by one least-squares solve at
+each target eigenvalue, takes the zeros of every Q at once, inverts them to
+Bethe roots, and polishes all root sets together with a few Newton steps.
+A root set passes only when it satisfies the Bethe equations to tolerance
+and its reconstructed eigenvalue matches the closed-form spectrum; neither
+check uses the fit.  Every step is deterministic, so repeated runs return
+byte-identical results.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,7 +317,7 @@ def _scaled_norm(E: np.ndarray, scale: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         r = np.abs(E) / scale
     r = np.where(np.isfinite(r), r, np.inf)
-    return r.max(axis=1)
+    return r.max(axis=1, initial=0.0)
 
 
 def residual(sys: BetheSystem, roots, i: int) -> complex:
@@ -438,17 +440,23 @@ def _closed_form_eigenvalue(kind: str, roots: np.ndarray, p: ModelParams) -> com
 _PROBE_TOL = 1e-8
 
 
+@functools.cache
+def _probe_candidates() -> tuple[complex, ...]:
+    """Fixed, seeded sequence of 500 candidate probe points with |u| in
+    [0.6, 1.7]; drawn once, on first use."""
+    rng = np.random.default_rng(716213)
+    log_r, a = rng.uniform([np.log(0.6), 0.0], [np.log(1.7), 2.0 * np.pi], size=(500, 2)).T
+    r = np.exp(log_r)
+    return tuple((r * np.cos(a) + 1j * (r * np.sin(a))).tolist())
+
+
 def _probe_points(roots: np.ndarray, p: ModelParams, count: int = 3) -> list[complex]:
     """Deterministic pole-avoiding probe points in the sampling annulus."""
     q = p.base.q
-    rng = np.random.default_rng(716213)
     out: list[complex] = []
-    for _ in range(500):
+    for u in _probe_candidates():
         if len(out) == count:
             break
-        r = float(np.exp(rng.uniform(np.log(0.6), np.log(1.7))))
-        a = float(rng.uniform(0.0, 2.0 * np.pi))
-        u = complex(r * np.cos(a), r * np.sin(a))
         ok = all(abs(_b(x)) > 1e-3 for x in (u * u, q * u * u, q * q * u * u))
         for v in roots:
             if not ok:
@@ -530,31 +538,42 @@ def _tq_coefficients(kind: str, u: np.ndarray, p: ModelParams, sc: StructureCons
     return A, D, C, tail / d2
 
 
-def _tq_roots(kind: str, lam: complex, L: int, p: ModelParams,
+def _tq_roots(kind: str, lams: np.ndarray, L: int, p: ModelParams,
               sc: StructureConstants) -> np.ndarray:
-    """Roots of the monic Q(W) fitted to the TQ relation at eigenvalue lam.
+    """Roots of the monic Q(W) fitted to the TQ relation at each eigenvalue
+    in lams, one row of L roots per eigenvalue.
 
-    One least-squares solve over 4L+8 sample points with rows and columns
-    scaled; each W root is inverted to one of its four u representatives
-    (u, -u, 1/(q*u), -1/(q*u)), all of which solve the Bethe equations.
+    The sample points, TQ coefficients and powers of W are shared by all
+    rows; each eigenvalue gets its own least-squares solve over 4L+8 sample
+    points with rows and columns scaled.  Each W root is inverted to one of
+    its four u representatives (u, -u, 1/(q*u), -1/(q*u)), all of which
+    solve the Bethe equations.
     """
+    S = len(lams)
     if L == 0:
-        return np.empty(0, dtype=complex)
+        return np.empty((S, 0), dtype=complex)
     q = p.base.q
     u = _sample_points(4 * L + 8)
     powers = np.arange(L + 1)
     with np.errstate(all="ignore"):
         A, D, C, T = _tq_coefficients(kind, u, p, sc)
-        basis = (A[:, None] * _w(u / q, q)[:, None] ** powers
-                 + D[:, None] * _w(q * u, q)[:, None] ** powers
-                 + (T - lam)[:, None] * _w(u, q)[:, None] ** powers)
-        M, rhs = basis[:, :L], -(basis[:, L] + C)
-        row = np.maximum(np.abs(M).max(axis=1), np.abs(rhs))
-        ok = np.isfinite(row) & (row > 0)  # drops a sample point on a pole
-        M, rhs = M[ok] / row[ok, None], rhs[ok] / row[ok]
-        col = np.linalg.norm(M, axis=0)
-        coef = np.linalg.lstsq(M / col, rhs, rcond=None)[0] / col
-    w = np.roots(np.concatenate(([1.0], coef[::-1])))
+        Wk = _w(u, q)[:, None] ** powers
+        base = (A[:, None] * _w(u / q, q)[:, None] ** powers
+                + D[:, None] * _w(q * u, q)[:, None] ** powers)
+        basis = base + (T - lams[:, None])[:, :, None] * Wk
+        M, rhs = basis[:, :, :L], -(basis[:, :, L] + C)
+        row = np.maximum(np.abs(M).max(axis=2), np.abs(rhs))
+        ok = np.isfinite(row) & (row > 0)  # zeroes the rows of a sample point on a pole
+        M = np.where(ok[:, :, None], M / row[:, :, None], 0.0)
+        rhs = np.where(ok, rhs / row, 0.0)
+        col = np.linalg.norm(M, axis=1)
+        # one lstsq per row: a single batched solve loses accuracy near tolerance
+        coef = np.array([np.linalg.lstsq(m / c, r, rcond=None)[0]
+                         for m, c, r in zip(M, col, rhs)]) / col
+    companion = np.zeros((S, L, L), dtype=complex)
+    companion[:, 0, :] = -coef[:, ::-1]
+    companion[:, np.arange(1, L), np.arange(L - 1)] = 1.0
+    w = np.linalg.eigvals(companion)
     # y + 1/y = w with y = q*u**2; take the root with |y| >= 1, free of
     # cancellation (the other root is 1/y, the representative 1/(q*u))
     r = np.sqrt(0.25 * w * w - 1.0)
@@ -596,36 +615,40 @@ def _newton_step(J: np.ndarray, E: np.ndarray) -> np.ndarray:
     return delta
 
 
-def _canonical_roots(u: np.ndarray) -> np.ndarray:
-    flip = (u.real < 0) | ((u.real == 0) & (u.imag < 0))
-    v = np.where(flip, -u, u)
-    order = np.lexsort((v.imag, v.real))
-    return v[order]
+def _canonical_roots(U: np.ndarray) -> np.ndarray:
+    """Each row with every root moved to the right half plane, then sorted."""
+    flip = (U.real < 0) | ((U.real == 0) & (U.imag < 0))
+    V = np.where(flip, -U, U)
+    return np.take_along_axis(V, np.lexsort((V.imag, V.real)), axis=-1)
 
 
-def _scaled_residual(kind: str, roots: np.ndarray, p: ModelParams) -> float:
-    if roots.size == 0:
-        return 0.0
-    E, scale = _residual_batch(kind, roots[None, :], p)
-    return float(_scaled_norm(E, scale)[0])
+def _scaled_residual(kind: str, U: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Scaled Bethe residual of each row of U."""
+    return _scaled_norm(*_residual_batch(kind, U, p))
 
 
-def _polish(kind: str, roots: np.ndarray, p: ModelParams, tol: float):
-    """Canonical roots and their scaled residual after at most _POLISH_STEPS
-    Newton steps; a step is kept only when it lowers the residual."""
-    res = _scaled_residual(kind, roots, p)
+def _polish(kind: str, U: np.ndarray, p: ModelParams, tol: float):
+    """Canonical roots of each row of U and their scaled residuals after at
+    most _POLISH_STEPS Newton steps.  A row takes steps while its residual is
+    above tol, keeps a step only when it lowers that residual, and stops at
+    the first step that does not."""
+    U = U.copy()
+    res = _scaled_residual(kind, U, p)
+    live = res > tol
     for _ in range(_POLISH_STEPS):
-        if res <= tol:
+        rows = np.flatnonzero(live)
+        if rows.size == 0:
             break
-        U = roots[None, :]
-        E, _ = _residual_batch(kind, U, p)
-        trial = (U + _newton_step(_jacobian(kind, U, p, _FD_STEP), E))[0]
+        V = U[rows]
+        E, _ = _residual_batch(kind, V, p)
+        trial = V + _newton_step(_jacobian(kind, V, p, _FD_STEP), E)
         r = _scaled_residual(kind, trial, p)
-        if not r < res:
-            break
-        roots, res = trial, r
-    roots = _canonical_roots(roots)
-    return roots, _scaled_residual(kind, roots, p)
+        better = r < res[rows]
+        U[rows[better]] = trial[better]
+        res[rows[better]] = r[better]
+        live[rows] = better & (r > tol)
+    U = _canonical_roots(U)
+    return U, _scaled_residual(kind, U, p)
 
 
 def _match(lam: complex, targets: np.ndarray) -> tuple[int, float]:
@@ -634,65 +657,65 @@ def _match(lam: complex, targets: np.ndarray) -> tuple[int, float]:
     return idx, float(d[idx])
 
 
-def _solution(sys: BetheSystem, roots: np.ndarray, res: float, targets: np.ndarray,
-              cfg: SolverConfig) -> BetheSolution:
-    """Admissibility and eigenvalue match of one on-shell root set."""
+def _solutions(sys: BetheSystem, U: np.ndarray, res: np.ndarray, targets: np.ndarray,
+               cfg: SolverConfig) -> list[BetheSolution]:
+    """Admissibility and eigenvalue match of each on-shell root set, one per
+    row of U."""
     L = sys.level
-    sym = symmetrize_roots(roots, sys.params)
-    sym = sym[np.lexsort((sym.imag, sym.real))]
-    adm = L == 0 or bool(
-        np.min(np.abs(roots)) > cfg.dedup_tol
-        and np.min(np.abs(_b(roots**2))) > cfg.dedup_tol
+    sym = symmetrize_roots(U, sys.params)
+    sym = np.take_along_axis(sym, np.lexsort((sym.imag, sym.real)), axis=-1)
+    gaps = np.abs(sym[:, :, None] - sym[:, None, :])
+    gaps[:, np.arange(L), np.arange(L)] = np.inf
+    adm = (
+        (np.abs(U).min(axis=1, initial=np.inf) > cfg.dedup_tol)
+        & (np.abs(_b(U**2)).min(axis=1, initial=np.inf) > cfg.dedup_tol)
+        & (gaps.min(axis=(1, 2), initial=np.inf)
+           > cfg.dedup_tol * np.maximum(1.0, np.abs(sym).max(axis=1, initial=0.0)))
     )
-    if adm and L > 1:
-        gaps = np.abs(sym[:, None] - sym[None, :])[np.triu_indices(L, 1)]
-        adm = bool(np.min(gaps) > cfg.dedup_tol * max(1.0, float(np.max(np.abs(sym)))))
-    lam = None
-    idx = None
-    err = np.inf
-    if adm:
-        try:
-            lam = eigenvalue_from_roots(sys, roots)
-        except ValueError:
-            adm = False
-        else:
-            idx, err = _match(lam, targets)
-            if err > cfg.match_tol:
-                idx = None
-    return BetheSolution(
-        roots=roots,
-        residual_max=res,
-        symmetrized=sym,
-        admissible=adm,
-        reconstructed_eigenvalue=lam,
-        matched_index=idx,
-        match_error=err,
-    )
+    out = []
+    for roots, r, sy, ok in zip(U, res, sym, adm):
+        lam = None
+        idx = None
+        err = np.inf
+        if ok:
+            try:
+                lam = eigenvalue_from_roots(sys, roots)
+            except ValueError:
+                ok = False
+            else:
+                idx, err = _match(lam, targets)
+                if err > cfg.match_tol:
+                    idx = None
+        out.append(BetheSolution(
+            roots=roots,
+            residual_max=float(r),
+            symmetrized=sy,
+            admissible=bool(ok),
+            reconstructed_eigenvalue=lam,
+            matched_index=idx,
+            match_error=err,
+        ))
+    return out
 
 
 def solve(sys: BetheSystem, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
-    """On-shell root sets, one linear TQ solve per target spectrum entry.
+    """On-shell root sets, one linear TQ fit per target spectrum entry.
 
     A homogeneous system at level L targets entry L; an inhomogeneous one
-    targets every entry.  Each solve fits Q to the TQ relation at the target
-    eigenvalue, then polishes the roots.  Only root sets whose Bethe residual
-    is within ``cfg.tol`` are returned, in target order, each with its
+    targets every entry.  All targets are fitted as one batch: Q is fitted
+    to the TQ relation at each target eigenvalue, then the roots of all
+    targets are polished together.  Only root sets whose Bethe residual is
+    within ``cfg.tol`` are returned, in target order, each with its
     admissibility and the spectrum entry its roots reproduce through
     ``eigenvalue_from_roots``.  The result is deterministic.
     """
     p = sys.params
-    L = sys.level
     targets = getattr(spectrum(p), TARGET_SPECTRUM[sys.kind])
-    sc = structure_constants(p)
-    out = []
-    for index in ([L] if sys.kind in HOM_KINDS else range(p.dim)):
-        roots = _tq_roots(sys.kind, targets[index], L, p, sc)
-        if not np.isfinite(roots).all():
-            continue
-        roots, res = _polish(sys.kind, roots, p, cfg.tol)
-        if res <= cfg.tol:
-            out.append(_solution(sys, roots, res, targets, cfg))
-    return out
+    lams = targets[[sys.level]] if sys.kind in HOM_KINDS else targets
+    U = _tq_roots(sys.kind, lams, sys.level, p, structure_constants(p))
+    U, res = _polish(sys.kind, U[np.isfinite(U).all(axis=1)], p, cfg.tol)
+    on_shell = res <= cfg.tol
+    return _solutions(sys, U[on_shell], res[on_shell], targets, cfg)
 
 
 def coverage(kind: str, p: ModelParams, cfg: SolverConfig = SolverConfig()) -> CoverageReport:

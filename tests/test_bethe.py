@@ -469,16 +469,17 @@ def test_default_solver_covers_every_index_of_every_kind(two_s):
 
 def test_tq_fit_at_a_wrong_eigenvalue_is_off_shell():
     # a homogeneous level-L system reproduces only entry L: fitting Q at any
-    # other entry of the spectrum must not give Bethe roots
+    # other entry of the spectrum must not give Bethe roots.  Every entry is
+    # fitted in one batch, one row of roots per entry.
     rng = np.random.default_rng(26)
     p = draw_params(3, rng)
     sc = structure_constants(p)
     for kind in bethe.HOM_KINDS:
         targets = getattr(spectrum(p), bethe.TARGET_SPECTRUM[kind])
         for level in (1, 2, 3):
-            for index in range(p.dim):
-                roots = bethe._tq_roots(kind, targets[index], level, p, sc)
-                res = bethe._scaled_residual(kind, roots, p)
+            roots = bethe._tq_roots(kind, targets, level, p, sc)
+            assert roots.shape == (p.dim, level)
+            for index, res in enumerate(bethe._scaled_residual(kind, roots, p)):
                 if index == level:
                     assert res < 1e-9
                 else:
@@ -490,3 +491,89 @@ def test_coverage_rejects_unknown_kind():
     p = draw_params(1, rng)
     with pytest.raises(ValueError):
         coverage("sideways", p, SolverConfig())
+
+
+def _reference_probe_points(roots, p, count=3):
+    # the candidate loop drawing from a fresh seeded generator on every call
+    q = p.base.q
+    rng = np.random.default_rng(716213)
+    seen, out = [], []
+    for _ in range(500):
+        r = float(np.exp(rng.uniform(np.log(0.6), np.log(1.7))))
+        a = float(rng.uniform(0.0, 2.0 * np.pi))
+        u = complex(r * np.cos(a), r * np.sin(a))
+        seen.append(u)
+        ok = all(abs(_bf(x)) > 1e-3 for x in (u * u, q * u * u, q * q * u * u))
+        ok = ok and all(abs(_bf(u / v)) > 1e-3 and abs(_bf(q * u * v)) > 1e-3 for v in roots)
+        if ok and len(out) < count:
+            out.append(u)
+    return seen, out
+
+
+def test_probe_points_are_the_seeded_sequence():
+    rng = np.random.default_rng(27)
+    p = draw_params(2, rng)
+    q = p.base.q
+    seen, _ = _reference_probe_points([], p)
+    assert np.array_equal(bethe._probe_candidates(), np.array(seen))
+    on_shell = solve(BetheSystem("hom_minus", 2, p))[0].roots
+    # roots on the poles of the first two candidates force two rejections
+    blocking = np.array([seen[0], 1.0 / (q * seen[1])])
+    assert _reference_probe_points(blocking, p)[1][0] not in seen[:2]
+    for roots in (np.empty(0, dtype=complex), on_shell, blocking):
+        _, ref = _reference_probe_points(roots, p)
+        assert bethe._probe_points(roots, p) == ref
+
+
+@pytest.mark.parametrize("two_s", [2, 4])
+def test_batching_does_not_change_any_target(two_s):
+    # solve's pipeline on a batch holding target i alone against row i of
+    # the batch holding every target; with the fitted roots moved off shell
+    # by a relative 1e-7, every row also goes through the Newton polish
+    cfg = SolverConfig()
+
+    def batch(system, index, shift):
+        p = system.params
+        targets = getattr(spectrum(p), bethe.TARGET_SPECTRUM[system.kind])
+        U = bethe._tq_roots(system.kind, targets[index], system.level, p, structure_constants(p))
+        U = U * (1.0 + shift * np.exp(1j * np.arange(system.level)))
+        U, res = bethe._polish(system.kind, U, p, cfg.tol)
+        return bethe._solutions(system, U, res, targets, cfg)
+
+    for p in draw_many(two_s, 3, seed=2000 + two_s):
+        for kind in bethe.INHOM_KINDS:
+            system = BetheSystem(kind, two_s, p)
+            for shift in (0.0, 1e-7):
+                full = batch(system, np.arange(p.dim), shift)
+                for i, row in enumerate(full):
+                    (alone,) = batch(system, [i], shift)
+                    assert alone.admissible == row.admissible
+                    assert alone.matched_index == row.matched_index
+                    scale = np.max(np.abs(row.symmetrized))
+                    assert np.max(np.abs(alone.symmetrized - row.symmetrized)) <= 1e-10 * scale
+                    assert (alone.residual_max <= cfg.tol) == (row.residual_max <= cfg.tol)
+
+
+def test_newton_step_rows_are_independent():
+    # a singular row sends the whole stack to the per-row fallback; every
+    # row must still get the step it gets alone
+    rng = np.random.default_rng(28)
+    J = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+    J[2, :, 0] = 0.0
+    E = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    delta = bethe._newton_step(J, E)
+    for s in range(4):
+        alone = bethe._newton_step(J[s:s + 1], E[s:s + 1])[0]
+        assert np.allclose(delta[s], alone, rtol=1e-12, atol=0)
+
+
+def test_coverage_floor_two_s_8():
+    # near-tolerance indices sit at two_s 8; a faster solver must lose none
+    hits = total = 0
+    for p in draw_many(8, 12, seed=1008):
+        for kind in bethe.KINDS:
+            entries = coverage(kind, p, SolverConfig()).entries
+            total += len(entries)
+            hits += sum(e.hit for e in entries)
+    assert total == 648
+    assert hits >= 619
