@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["QBase", "qnumber", "qpoch", "phi43"]
 
 # Below this magnitude 1/x is no longer a finite binary64 number.
@@ -71,59 +73,66 @@ def qpoch(a: complex, qq: complex, n: int) -> complex:
     return out
 
 
-def _termination_order(numer, qq, terms: int) -> int | None:
-    """Smallest n < terms with some numerator parameter equal to qq**-n."""
-    p = 1.0 + 0j
-    for k in range(terms):
-        for a in numer:
-            ap = a * p
-            if abs(ap - 1.0) <= _TERMINATION_TOL * max(1.0, abs(ap)):
-                return k
-        p *= qq
-    return None
-
-
-def phi43(numer, denom, qq: complex, z: complex, terms: int) -> complex:
+def phi43(numer, denom, qq: complex, z: complex, terms: int) -> complex | np.ndarray:
     """Terminating basic hypergeometric sum with 4 numerator and 3 denominator
     parameters.
 
     Evaluates sum_{k=0}^{n} z**k * prod_i (a_i; qq)_k /
     ((qq; qq)_k * prod_j (b_j; qq)_k) where n is the termination order: the
-    smallest n with a_i = qq**-n for some numerator parameter a_i.  Terms are
-    accumulated in ascending k with running products.
+    smallest n < ``terms`` with a_i = qq**-n for some numerator parameter a_i.
+    The numerator parameters may be arrays; they broadcast to a common shape
+    and the result has that shape, one sum per entry, each with its own n.
+    Scalar parameters give a Python complex.  Terms are accumulated in
+    ascending k with running products.
 
-    Raises ValueError when no numerator parameter has the terminating form
-    within ``terms`` scan steps, or when a denominator factor vanishes within
-    the first n+1 terms.
+    Raises ValueError when some entry has no numerator parameter of the
+    terminating form within ``terms`` scan steps, or when a denominator factor
+    vanishes at an order below some entry's termination order.
     """
-    numer = [complex(a) for a in numer]
-    denom = [complex(b) for b in denom]
     if len(numer) != 4 or len(denom) != 3:
         raise ValueError("phi43: expected 4 numerator and 3 denominator parameters")
-    n = _termination_order(numer, qq, terms)
-    if n is None:
+    numer = [np.asarray(a, dtype=complex) for a in numer]
+    denom = [complex(b) for b in denom]
+    powers = [1.0 + 0j]  # qq**k for k <= terms
+    for _ in range(terms):
+        powers.append(powers[-1] * qq)
+    # One pass over every numerator parameter: the termination scan and the
+    # factor table 1 - a*qq**k, zeroed from each parameter's first hit on so
+    # that every entry's terms past its own order vanish exactly.
+    ap = np.array(powers[:terms])[:, None] * np.concatenate([a.ravel() for a in numer])
+    table = 1.0 - ap
+    hit = np.abs(table) <= _TERMINATION_TOL * np.maximum(1.0, np.abs(ap))
+    live = ~np.logical_or.accumulate(hit, axis=0)
+    table[~live] = 0.0
+    first = live.sum(axis=0)  # each parameter's first hit, or terms if none
+    # order has an axis even for scalars: their sum takes the array arithmetic
+    factors, order, at = [], np.full(1, terms), 0
+    for a in numer:
+        factors.append(table[:, at:at + a.size].reshape((terms,) + a.shape))
+        order = np.minimum(order, first[at:at + a.size].reshape(a.shape))
+        at += a.size
+    n_max = int(order.max())
+    if n_max == terms:
         raise ValueError(
             "phi43: no numerator parameter of the form qq**-n found "
             f"within {terms} scan steps (non-terminating input)"
         )
-    total = 1.0 + 0j
-    term = 1.0 + 0j
-    p = 1.0 + 0j  # qq**k
-    pq = qq       # qq**(k+1)
-    for _ in range(n):
-        for a in numer:
-            term *= 1.0 - a * p
+    total = np.ones(order.shape, dtype=complex)
+    term = np.ones(order.shape, dtype=complex)
+    for k in range(n_max):
+        p = powers[k]
+        scale = z
         for b in denom:
             d = 1.0 - b * p
             if abs(d) <= _DENOMINATOR_TOL * max(1.0, abs(b * p)):
                 raise ValueError("phi43: denominator q-shifted factorial factor vanishes")
-            term /= d
-        d = 1.0 - pq
-        if abs(d) <= _DENOMINATOR_TOL * max(1.0, abs(pq)):
+            scale /= d
+        d = 1.0 - powers[k + 1]
+        if abs(d) <= _DENOMINATOR_TOL * max(1.0, abs(powers[k + 1])):
             raise ValueError("phi43: base q-shifted factorial factor vanishes")
-        term /= d
-        term *= z
+        scale /= d
+        for f in factors:
+            term = term * f[k]
+        term = term * scale
         total += term
-        p *= qq
-        pq *= qq
-    return total
+    return complex(total[0]) if all(a.ndim == 0 for a in numer) else total

@@ -46,13 +46,11 @@ class TransitionData:
     Pinv: np.ndarray
 
 
-def racah(M: int, N: int, p: ModelParams) -> complex:
-    """Series-route value R_M at the N-th second eigenvalue."""
+def _racah_params(p: ModelParams, M, N) -> tuple[list, list]:
+    """Numerator and denominator parameters of the series at indices M, N,
+    which may be integer arrays that broadcast against each other."""
     n = p.two_s
-    if not (0 <= M <= n and 0 <= N <= n):
-        raise ValueError(f"racah: indices ({M}, {N}) outside 0..{n}")
     q = p.base.q
-    q2 = p.base.q2
     z2 = p.zeta**2
     numer = [
         q ** (-2 * M),
@@ -65,17 +63,25 @@ def racah(M: int, N: int, p: ModelParams) -> complex:
         -(p.b_star / p.c) * q ** (n + 1) / z2,
         q ** (-2 * n),
     ]
-    return phi43(numer, denom, q2, q2, terms=min(M, N) + 1)
+    return numer, denom
+
+
+def racah(M: int, N: int, p: ModelParams) -> complex:
+    """Series-route value R_M at the N-th second eigenvalue."""
+    n = p.two_s
+    if not (0 <= M <= n and 0 <= N <= n):
+        raise ValueError(f"racah: indices ({M}, {N}) outside 0..{n}")
+    # one-entry index arrays: the same arithmetic as the racah_matrix entry
+    numer, denom = _racah_params(p, np.array([M]), np.array([N]))
+    return complex(phi43(numer, denom, p.base.q2, p.base.q2, terms=min(M, N) + 1)[0])
 
 
 def racah_matrix(p: ModelParams) -> np.ndarray:
-    """Full series-route table, R[M, N] for 0 <= M, N <= two_s."""
-    D = p.dim
-    R = np.empty((D, D), dtype=complex)
-    for M in range(D):
-        for N in range(D):
-            R[M, N] = racah(M, N, p)
-    return R
+    """Full series-route table, R[M, N] for 0 <= M, N <= two_s, summed as one
+    broadcast series over the rows (M) and columns (N)."""
+    idx = np.arange(p.dim)
+    numer, denom = _racah_params(p, idx[:, None], idx[None, :])
+    return phi43(numer, denom, p.base.q2, p.base.q2, terms=p.dim)
 
 
 def racah_by_recurrence(p: ModelParams) -> np.ndarray:
@@ -192,8 +198,11 @@ def orthogonality_residuals(td: TransitionData) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def racah_from_scalar_products(fam: EigenFamily, M: int, N: int, form: str = "rac1") -> complex:
+def racah_from_scalar_products(fam: EigenFamily, M, N, form: str = "rac1") -> complex | np.ndarray:
     """Double-ratio route through eigenvector scalar products.
+
+    ``M`` and ``N`` may be integer arrays that broadcast together; one
+    vanishing denominator refuses the whole call.
 
     ``fam`` is the eigen family of the tridiagonal generator in the gauge
     where the second generator is diagonal, so standard basis vectors play
@@ -210,7 +219,8 @@ def racah_from_scalar_products(fam: EigenFamily, M: int, N: int, form: str = "ra
         den = v[0, M] * v[N, 0]
     else:
         raise ValueError(f"racah_from_scalar_products: unknown form {form!r}")
-    scale = max(abs(num), abs(den))
-    if abs(den) <= 1e-14 * max(1.0, scale):
+    # |den| <= 1e-14 * max(1, |num|, |den|); the |den| term can never decide
+    size = abs(den)
+    if np.count_nonzero((size <= 1e-14) | (size <= 1e-14 * abs(num))):
         raise ValueError("racah_from_scalar_products: vanishing scalar product in denominator")
     return num / den

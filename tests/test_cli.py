@@ -18,7 +18,12 @@ from qracah.cli import (
     run_verify,
 )
 
-from conftest import cli_env
+from qracah.bethe import KINDS
+from qracah.leonard import build, eigen_family
+from qracah.model import spectrum
+from qracah.transition import racah_from_scalar_products
+
+from conftest import cli_env, draw_many
 
 
 def _base_config():
@@ -190,6 +195,47 @@ def test_verify_report_schema_and_pass(fast_cfg):
     assert len(kinds) == 6
     # racah table has one row per (M, N)
     assert len(rep["racah"]) == 9
+
+
+@pytest.fixture(scope="module")
+def refused_rac1_path(tmp_path_factory):
+    """Config of draw_many(16, 12, 1016)[0], whose rac1 double ratios meet a
+    vanishing scalar product while rac2 computes."""
+    p = draw_many(16, 12, 1016)[0]
+    data = {key: [complex(v).real, complex(v).imag] for key, v in (
+        ("q", p.base.q), ("b", p.b), ("c", p.c), ("b_star", p.b_star),
+        ("c_star", p.c_star), ("zeta", p.zeta))}
+    data["two_s"] = p.two_s
+    path = tmp_path_factory.mktemp("refused") / "cfg.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _assert_rac1_refusal_reported(rep):
+    by_name = {c["name"]: c for c in rep["checks"]}
+    assert by_name["racah_series_vs_rac1"] == {
+        "name": "racah_series_vs_rac1", "residual": None, "threshold": 1e-8, "pass": False}
+    assert by_name["racah_series_vs_rac2"]["residual"] is not None
+    assert rep["pass"] is False
+    assert len(rep["racah"]) == 17 * 17
+    assert all(r["double_ratio"] is None and r["series"] is not None for r in rep["racah"])
+    assert {r["kind"] for r in rep["bethe"]} == set(KINDS)
+
+
+def test_verify_reports_a_refused_double_ratio_route(refused_rac1_path):
+    cfg = load_config(refused_rac1_path)
+    fam = eigen_family(build(cfg.params).A_mat, spectrum(cfg.params).theta)
+    idx = np.arange(cfg.params.dim)
+    with pytest.raises(ValueError, match="vanishing scalar product"):
+        racah_from_scalar_products(fam, idx[:, None], idx[None, :], "rac1")
+    _assert_rac1_refusal_reported(run_verify(cfg))
+
+
+def test_main_emits_the_report_when_a_route_refuses(refused_rac1_path, capsys):
+    assert main(["verify", refused_rac1_path]) == 1
+    out = capsys.readouterr()
+    assert "numerical failure" not in out.err
+    _assert_rac1_refusal_reported(json.loads(out.out))
 
 
 def test_racah_routes_agree(fast_cfg):

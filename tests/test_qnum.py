@@ -144,3 +144,69 @@ class TestPhi43:
         qq = 0.6 + 0.1j
         with pytest.raises(ValueError, match="denominator"):
             phi43([qq**-3, 0.4, 0.5, 0.6], [qq**-2, 0.8, 0.9], qq, 0.2, 4)
+
+
+class TestPhi43Broadcast:
+    """Array parameters: one sum per broadcast entry, with the scalar
+    kernel's value, order and refusals."""
+
+    @staticmethod
+    def _draw(shapes):
+        # numerator 0 and 2 carry per-entry termination orders 0..4, off by
+        # 1e-10 relative so that no factor vanishes exactly at an entry's order
+        qq = _rand_c(0.45, 0.85)
+        orders = [RNG.integers(0, 5, size=shapes[0]), RNG.integers(0, 5, size=shapes[2])]
+        rand = [np.vectorize(lambda _: _rand_c(), otypes=[complex])(np.empty(s))
+                for s in (shapes[1], shapes[3])]
+        near = 1.0 + 1e-10
+        numer = [near * qq ** -orders[0], rand[0], near * qq ** -orders[1], rand[1]]
+        denom = [_rand_c(1.2, 2.2) for _ in range(3)]
+        return numer, denom, qq, _rand_c(0.3, 0.9)
+
+    @pytest.mark.parametrize("shapes", [
+        ((4, 1), (4, 1), (1, 3), (1, 3)),
+        ((5,), (), (), (5,)),
+        ((2, 1, 3), (1, 4, 1), (4, 3), ()),
+    ])
+    def test_entries_equal_scalar_calls(self, shapes):
+        for _ in range(4):
+            numer, denom, qq, z = self._draw(shapes)
+            got = phi43(numer, denom, qq, z, 6)
+            assert isinstance(got, np.ndarray)
+            assert got.shape == np.broadcast_shapes(*(np.shape(a) for a in numer))
+            parts = np.broadcast_arrays(*numer)
+            for idx in np.ndindex(got.shape):
+                one = phi43([a[idx] for a in parts], denom, qq, z, 6)
+                assert isinstance(one, complex)
+                assert abs(got[idx] - one) <= 1e-14 * abs(one)
+                n = min(round(-cmath.log(a[idx]).real / cmath.log(qq).real)
+                        for a in (parts[0], parts[2]))
+                want = _phi43_oracle([a[idx] for a in parts], denom, qq, z, n)
+                assert abs(one - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_vanishing_denominator_raises_only_past_an_entry_order(self):
+        # b1 = qq**-2 makes the factor at order 2 vanish: it enters every
+        # term past k = 2, so it refuses exactly when some entry's order is 3
+        qq = 0.6 + 0.1j
+        denom = [qq**-2, 0.8, 0.9]
+        low = [qq ** -np.array([0, 1, 2, 2]), 0.4, 0.5, 0.6]
+        got = phi43(low, denom, qq, 0.2, 4)
+        for i, a in enumerate(low[0]):
+            one = phi43([a, 0.4, 0.5, 0.6], denom, qq, 0.2, 4)
+            assert abs(got[i] - one) <= 1e-14 * abs(one)
+        high = [qq ** -np.array([0, 1, 3, 2]), 0.4, 0.5, 0.6]
+        with pytest.raises(ValueError, match="denominator"):
+            phi43(high, denom, qq, 0.2, 4)
+
+    def test_one_non_terminating_entry_raises(self):
+        qq = 0.55 - 0.2j
+        numer = [np.array([qq**-2, 0.3, qq**-1]), 0.4, 0.5, 0.6]
+        with pytest.raises(ValueError, match="terminat"):
+            phi43(numer, [0.7, 0.8, 0.9], qq, 0.2, 4)
+        # the same entry terminates once another parameter does
+        numer[3] = np.array([0.6, qq**-3, 0.6])
+        assert phi43(numer, [0.7, 0.8, 0.9], qq, 0.2, 4).shape == (3,)
+
+    def test_no_scan_steps_is_non_terminating(self):
+        with pytest.raises(ValueError, match="terminat"):
+            phi43([np.ones(2), 0.4, 0.5, 0.6], [0.7, 0.8, 0.9], 0.5, 0.2, 0)

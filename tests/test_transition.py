@@ -1,9 +1,12 @@
 """Tests for the polynomial table, transition pair, and normalizers."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from conftest import draw_params
+from conftest import draw_many, draw_params
 from qracah.leonard import build, coeff, eigen_family
 from qracah.model import spectrum
 from qracah.transition import (
@@ -26,6 +29,15 @@ def _params(two_s=2):
     return draw_params(two_s, RNG)
 
 
+def _bench_reference():
+    """The benchmark's adaptive-precision mpmath table, imported by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("qracah_bench_reference", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
 class TestRacahSeries:
     def test_first_row_and_column_are_one(self):
         p = _params(3)
@@ -45,6 +57,31 @@ class TestRacahSeries:
     def test_index_range(self):
         with pytest.raises(ValueError, match="outside"):
             racah(3, 0, _params(2))
+
+    def test_entry_equals_table(self):
+        for two_s in (1, 2, 3, 4):
+            p, = draw_many(two_s, 1, 4100 + two_s)
+            R = racah_matrix(p)
+            for M in range(p.dim):
+                for N in range(p.dim):
+                    assert abs(racah(M, N, p) - R[M, N]) <= 1e-14 * abs(R[M, N])
+
+
+class TestSeriesOracle:
+    """Every series entry against the benchmark's mpmath reference."""
+
+    @pytest.mark.parametrize("two_s", [1, 2, 3, 4])
+    def test_every_entry_keeps_ten_digits(self, two_s):
+        ref = _bench_reference()
+        for p in draw_many(two_s, 6, 4000 + two_s):
+            digits = ref.entry_digits(racah_matrix(p), ref.racah_reference(p))
+            assert digits.min() >= 10.0
+
+    def test_median_entry_keeps_fourteen_digits_at_two_s_8(self):
+        ref = _bench_reference()
+        for p in draw_many(8, 6, 4008):
+            digits = ref.entry_digits(racah_matrix(p), ref.racah_reference(p))
+            assert np.median(digits) >= 14.0
 
 
 class TestRecurrenceRoute:
@@ -162,6 +199,34 @@ class TestScalarProductRoute:
                     a = racah_from_scalar_products(fam, M, N, form)
                     b = racah_from_scalar_products(scaled, M, N, form)
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+    def test_index_arrays_equal_scalar_calls(self):
+        for two_s in (1, 2, 3, 4):
+            p, = draw_many(two_s, 1, 4200 + two_s)
+            _, fam = self._family(p)
+            idx = np.arange(p.dim)
+            for form in ("rac1", "rac2"):
+                table = racah_from_scalar_products(fam, idx[:, None], idx[None, :], form)
+                assert table.shape == (p.dim, p.dim)
+                for M in range(p.dim):
+                    for N in range(p.dim):
+                        one = racah_from_scalar_products(fam, M, N, form)
+                        assert abs(table[M, N] - one) <= 1e-14 * abs(one)
+
+    def test_one_vanishing_entry_refuses_the_array_call(self):
+        p, = draw_many(3, 1, 4303)
+        _, fam = self._family(p)
+        left = fam.left.copy()
+        left[0, 2] = 0.0  # zeroes the rac1 denominator of every entry (M, 2)
+        bad = type(fam)(values=fam.values, right=fam.right, left=left,
+                        residuals=fam.residuals)
+        idx = np.arange(p.dim)
+        with pytest.raises(ValueError, match="vanishing scalar product"):
+            racah_from_scalar_products(bad, 1, 2, "rac1")
+        with pytest.raises(ValueError, match="vanishing scalar product"):
+            racah_from_scalar_products(bad, idx[:, None], idx[None, :], "rac1")
+        racah_from_scalar_products(bad, idx[:, None], idx[None, :2], "rac1")
+        racah_from_scalar_products(bad, idx[:, None], idx[None, :], "rac2")
 
     def test_unknown_form(self):
         p = _params(1)
