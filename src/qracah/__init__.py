@@ -54,6 +54,7 @@ from .bethe import (
     residual,
     solve,
     symmetrize_roots,
+    sweep,
 )
 
 __version__ = "0.1.0"
@@ -72,6 +73,6 @@ __all__ = [
     "CoverageEntry", "CoverageReport", "PoleError", "SolverConfig",
     "coverage", "dual_eigenvalue_functional", "eigenvalue_from_roots",
     "etabar", "exchange_fh", "hom_eigenvalue_functional",
-    "lambda12", "residual", "solve", "symmetrize_roots",
+    "lambda12", "residual", "solve", "sweep", "symmetrize_roots",
     "__version__",
 ]

@@ -10,14 +10,18 @@ functional whose on-shell value is probe-independent, the inhomogeneous
 kinds through closed-form symmetric functions of the roots.
 
 The solver uses Baxter's TQ relation, which is linear in the coefficients
-of the polynomial Q whose zeros are the roots.  The target spectrum entries
-of a system (entry L of a homogeneous level-L system, every entry of an
-inhomogeneous one) form one batch: it fits Q by one least-squares solve at
-each target eigenvalue, takes the zeros of every Q at once, inverts them to
-Bethe roots, and polishes all root sets together with a few Newton steps.
-A root set passes only when it satisfies the Bethe equations to tolerance
-and its reconstructed eigenvalue matches the closed-form spectrum; neither
-check uses the fit.  Every step is deterministic, so repeated runs return
+of the polynomial Q whose zeros are the roots.  Each system targets spectrum
+entries: entry L at homogeneous level L, every entry for an inhomogeneous
+kind.  All targets with the same root count L form one batch, across kinds:
+at L = two_s that is both homogeneous kinds and all four inhomogeneous ones.
+A batch shares one set of sample points, fits Q by one least-squares solve
+per target, takes the zeros of every Q at once, inverts them to Bethe roots,
+and polishes all root sets together with a few Newton steps.  The kind of a
+row only selects its factors, each computed as for that kind alone, so a
+row's result does not depend on the batch it is in.  A root set passes
+only when it satisfies the Bethe equations to tolerance and its
+reconstructed eigenvalue matches the closed-form spectrum; neither check
+uses the fit.  Every step is deterministic, so repeated runs return
 byte-identical results.
 """
 
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, StructureConstants, spectrum, structure_constants
+from .model import ModelParams, Spectrum, StructureConstants, spectrum, structure_constants
 from .qnum import qnumber
 
 __all__ = [
@@ -51,6 +55,7 @@ __all__ = [
     "dual_eigenvalue_functional",
     "symmetrize_roots",
     "coverage",
+    "sweep",
 ]
 
 KINDS = (
@@ -64,15 +69,10 @@ KINDS = (
 HOM_KINDS = KINDS[:2]
 INHOM_KINDS = KINDS[2:]
 
-# sign epsilon entering the vacuum eigenvalue pair for each kind
-_KIND_EPS = {
-    "hom_minus": -1,
-    "hom_plus": 1,
-    "inhom_plus": 1,
-    "inhom_minus": -1,
-    "dual_inhom_plus": 1,
-    "dual_inhom_minus": -1,
-}
+# per kind, indexed like KINDS: the sign eps entering its vacuum eigenvalue
+# pair, and its family (0 homogeneous, 1 direct and 2 dual inhomogeneous)
+_EPS = (-1, 1, 1, -1, 1, -1)
+_FAMILY = (0, 0, 1, 1, 2, 2)
 
 # which eigenvalue sequence an on-shell root set reproduces
 TARGET_SPECTRUM = {
@@ -132,8 +132,9 @@ class BetheSystem:
 
 @dataclass
 class BetheSolution:
-    """One on-shell root set with its diagnostics."""
+    """One on-shell root set of a system, with its diagnostics."""
 
+    system: BetheSystem
     roots: np.ndarray
     residual_max: float
     symmetrized: np.ndarray
@@ -169,32 +170,35 @@ def _b(x):
     return x - 1.0 / x
 
 
-def _lam1(eps: int, u, p: ModelParams):
+def _sel(eps, plus, minus):
+    """The eps = +1 value or the eps = -1 one, per element when eps is an
+    array of signs.  Callers compute both with literal powers, never with an
+    array of exponents, so each element keeps the bits of its kind alone."""
+    if isinstance(eps, np.ndarray):
+        return np.where(eps == 1, plus, minus)
+    return plus if eps == 1 else minus
+
+
+def _lam1(eps, u, p: ModelParams):
     q = p.base.q
     n = p.two_s
-    pref = q ** (-(n + 1)) * u ** (-eps)
+    pref = q ** (-(n + 1)) * _sel(eps, u ** -1, u ** 1)
     f1 = q ** (n + 1) * u / p.zeta - p.zeta / u
     f2 = q ** (n + 1) * u * p.zeta - 1.0 / (p.zeta * u)
     f3 = u * p.c_star * q ** (-n) + p.b * q**n / u
-    if eps == 1:
-        f4 = u + (p.b_star / p.b) / u
-    else:
-        f4 = u * (p.c / p.c_star) + 1.0 / u
+    f4 = _sel(eps, u + (p.b_star / p.b) / u, u * (p.c / p.c_star) + 1.0 / u)
     return pref * f1 * f2 * f3 * f4
 
 
-def _lam2(eps: int, u, p: ModelParams):
+def _lam2(eps, u, p: ModelParams):
     q = p.base.q
     n = p.two_s
     u2 = u * u
-    pref = _b(u2) * q ** (-(n + 1)) / (u**eps * _b(q * u2))
+    pref = _b(u2) * q ** (-(n + 1)) / (_sel(eps, u ** 1, u ** -1) * _b(q * u2))
     f1 = q ** (n - 1) * p.zeta / u - u / p.zeta
     f2 = q ** (n - 1) / (p.zeta * u) - u * p.zeta
     f3 = q * q * u * p.b * q**n + p.c_star * q ** (-n) / u
-    if eps == 1:
-        f4 = q * q * u * (p.b_star / p.b) + 1.0 / u
-    else:
-        f4 = q * q * u + (p.c / p.c_star) / u
+    f4 = _sel(eps, q * q * u * (p.b_star / p.b) + 1.0 / u, q * q * u + (p.c / p.c_star) / u)
     return pref * f1 * f2 * f3 * f4
 
 
@@ -269,48 +273,40 @@ def _pair_products(U: np.ndarray, q) -> np.ndarray:
     return np.where(np.eye(U.shape[1], dtype=bool), 1.0, pairs).prod(axis=-1)
 
 
-def _nu(kind: str, p: ModelParams) -> complex:
-    """Weight of the inhomogeneity term of an inhomogeneous kind."""
+def _nu(p: ModelParams) -> np.ndarray:
+    """Weight of the inhomogeneity term of each kind, indexed like KINDS."""
     q = p.base.q
     n = p.two_s
-    return {
-        "inhom_plus": q ** (-1 - 2 * n) * p.c_star,
-        "inhom_minus": q ** (1 + 2 * n) * p.b,
-        "dual_inhom_plus": q ** (1 + 2 * n) * p.b_star,
-        "dual_inhom_minus": q ** (-1 - 2 * n) * p.c,
-    }[kind]
+    return np.array([0.0, 0.0, q ** (-1 - 2 * n) * p.c_star, q ** (1 + 2 * n) * p.b,
+                     q ** (1 + 2 * n) * p.b_star, q ** (-1 - 2 * n) * p.c])
 
 
-def _residual_terms(kind: str, U: np.ndarray, p: ModelParams) -> list[np.ndarray]:
+def _residual_batch(kind, U: np.ndarray, p: ModelParams):
+    """Bethe residual of each row of U, with the largest term magnitude of
+    each equation.  kind names the kind of every row, or is an array of
+    per-row indices into KINDS."""
+    k = np.full(len(U), KINDS.index(kind)) if isinstance(kind, str) else kind
     q = p.base.q
-    eps = _KIND_EPS[kind]
-    F, H, den = _pair_products(U, q)
-    bU = _b(U * U)
-    ratio = bU / _b(q * U * U)
-    if kind in HOM_KINDS:
-        return [-ratio * F * _lam1(eps, U, p), H * _lam2(eps, U, p)]
-    inh = _inh_product(U, p) / den
-    nu = _nu(kind, p)
-    if kind in ("inhom_plus", "inhom_minus"):
-        t1 = ratio * U**eps * F * _lam1(eps, U, p)
-        t2 = -((q * q * U**3) ** (-eps)) * H * _lam2(eps, U, p)
-        t3 = nu * U ** (-2 * eps) * bU / _b(q) * inh
-        return [t1, t2, t3]
-    t1 = ratio * U ** (-eps) * F * _lam1(eps, U, p)
-    t2 = -((q * q * U**3) ** eps) * H * _lam2(eps, U, p)
-    t3 = nu * bU / _b(q) * inh
-    return [t1, t2, t3]
-
-
-def _residual_batch(kind: str, U: np.ndarray, p: ModelParams):
+    eps, fam = np.array(_EPS)[k][:, None], np.array(_FAMILY)[k][:, None]
+    hom = fam == 0
+    # U**eps in a direct kind's first term, U**-eps in a dual one's; the
+    # second term carries the opposite power of q*q*U**3
+    up = (eps == 1) != (fam == 2)
     with np.errstate(all="ignore"):
-        terms = _residual_terms(kind, U, p)
-        E = terms[0]
-        scale = np.abs(terms[0])
-        for t in terms[1:]:
-            E = E + t
-            scale = np.maximum(scale, np.abs(t))
-    return E, scale
+        F, H, den = _pair_products(U, q)
+        bU = _b(U * U)
+        ratio = bU / _b(q * U * U)
+        l1, l2 = _lam1(eps, U, p), _lam2(eps, U, p)
+        t1 = np.where(hom, -ratio, ratio * np.where(up, U ** 1, U ** -1)) * F * l1
+        P = q * q * U**3
+        t2 = np.where(hom, H * l2, -np.where(up, P ** -1, P ** 1) * H * l2)
+        E, scale = t1 + t2, np.maximum(np.abs(t1), np.abs(t2))
+        if hom.all():
+            return E, scale
+        inh = _inh_product(U, p) / den
+        nu = _nu(p)[k][:, None]
+        t3 = np.where(fam == 2, nu, nu * _sel(eps, U ** -2, U ** 2)) * bU / _b(q) * inh
+        return np.where(hom, E, E + t3), np.where(hom, scale, np.maximum(scale, np.abs(t3)))
 
 
 def _scaled_norm(E: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -479,11 +475,13 @@ def eigenvalue_from_roots(sys: BetheSystem, roots) -> complex:
     roots = np.asarray(roots, dtype=complex)
     if roots.shape != (sys.level,):
         raise ValueError(f"eigenvalue_from_roots: expected {sys.level} roots")
-    p = sys.params
-    if sys.kind in INHOM_KINDS:
-        return _closed_form_eigenvalue(sys.kind, roots, p)
-    sc = structure_constants(p)
-    eps = _KIND_EPS[sys.kind]
+    return _eigenvalue(sys.kind, roots, sys.params, structure_constants(sys.params))
+
+
+def _eigenvalue(kind: str, roots: np.ndarray, p: ModelParams, sc: StructureConstants) -> complex:
+    if kind in INHOM_KINDS:
+        return _closed_form_eigenvalue(kind, roots, p)
+    eps = _EPS[KINDS.index(kind)]
     vals = [hom_eigenvalue_functional(eps, u, roots, p, sc) for u in _probe_points(roots, p)]
     spread = max(abs(a - b) for a in vals for b in vals)
     if spread > _PROBE_TOL * max(1.0, abs(vals[0])):
@@ -519,7 +517,7 @@ def _sample_points(count: int) -> np.ndarray:
 def _tq_coefficients(kind: str, u: np.ndarray, p: ModelParams, sc: StructureConstants):
     """(A, D, C, T) of the kind's TQ relation at the points u."""
     q = p.base.q
-    eps = _KIND_EPS[kind]
+    eps = _EPS[KINDS.index(kind)]
     b2 = _b(u * u)
     l1 = _lam1(eps, u, p) / (b2 * _b(q * u * u))
     d2 = b2 * _b(q * q * u * u)
@@ -530,7 +528,7 @@ def _tq_coefficients(kind: str, u: np.ndarray, p: ModelParams, sc: StructureCons
         A, D = u ** (3 * eps) * l1, q ** (-2 * eps) * u ** (-eps) * l2
     else:
         A, D = u ** (-eps) * l1, q ** (2 * eps) * u ** (3 * eps) * l2
-    C = 0.0 if kind in HOM_KINDS else -_nu(kind, p) * _inh_product(u, p)
+    C = 0.0 if kind in HOM_KINDS else -_nu(p)[KINDS.index(kind)] * _inh_product(u, p)
     if TARGET_SPECTRUM[kind] == "theta":
         tail = q * u * _etabar(u, sc, q) + _etabar(1.0 / u, sc, q) / (q * u)
     else:
@@ -538,16 +536,17 @@ def _tq_coefficients(kind: str, u: np.ndarray, p: ModelParams, sc: StructureCons
     return A, D, C, tail / d2
 
 
-def _tq_roots(kind: str, lams: np.ndarray, L: int, p: ModelParams,
+def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
               sc: StructureConstants) -> np.ndarray:
     """Roots of the monic Q(W) fitted to the TQ relation at each eigenvalue
-    in lams, one row of L roots per eigenvalue.
+    in lams, one row of L roots per eigenvalue; row s belongs to the kind
+    KINDS[k[s]].
 
-    The sample points, TQ coefficients and powers of W are shared by all
-    rows; each eigenvalue gets its own least-squares solve over 4L+8 sample
-    points with rows and columns scaled.  Each W root is inverted to one of
-    its four u representatives (u, -u, 1/(q*u), -1/(q*u)), all of which
-    solve the Bethe equations.
+    The sample points and powers of W are shared by all rows, and the TQ
+    coefficients by the rows of a kind; each eigenvalue gets its own
+    least-squares solve over 4L+8 sample points with rows and columns
+    scaled.  Each W root is inverted to one of its four u representatives
+    (u, -u, 1/(q*u), -1/(q*u)), all of which solve the Bethe equations.
     """
     S = len(lams)
     if L == 0:
@@ -555,11 +554,17 @@ def _tq_roots(kind: str, lams: np.ndarray, L: int, p: ModelParams,
     q = p.base.q
     u = _sample_points(4 * L + 8)
     powers = np.arange(L + 1)
+    kinds, of_row = np.unique(k, return_inverse=True)
     with np.errstate(all="ignore"):
-        A, D, C, T = _tq_coefficients(kind, u, p, sc)
         Wk = _w(u, q)[:, None] ** powers
-        base = (A[:, None] * _w(u / q, q)[:, None] ** powers
-                + D[:, None] * _w(q * u, q)[:, None] ** powers)
+        Wm, Wp = _w(u / q, q)[:, None] ** powers, _w(q * u, q)[:, None] ** powers
+        base, C, T = [], [], []
+        for kind in kinds:
+            A, D, c, t = _tq_coefficients(KINDS[kind], u, p, sc)
+            base.append(A[:, None] * Wm + D[:, None] * Wp)
+            C.append(np.broadcast_to(c, u.shape))
+            T.append(t)
+        base, C, T = np.array(base)[of_row], np.array(C)[of_row], np.array(T)[of_row]
         basis = base + (T - lams[:, None])[:, :, None] * Wk
         M, rhs = basis[:, :, :L], -(basis[:, :, L] + C)
         row = np.maximum(np.abs(M).max(axis=2), np.abs(rhs))
@@ -581,7 +586,7 @@ def _tq_roots(kind: str, lams: np.ndarray, L: int, p: ModelParams,
     return np.sqrt(y / q)
 
 
-def _jacobian(kind: str, U: np.ndarray, p: ModelParams, fd: float) -> np.ndarray:
+def _jacobian(kind, U: np.ndarray, p: ModelParams, fd: float) -> np.ndarray:
     S, L = U.shape
     J = np.empty((S, L, L), dtype=complex)
     for k in range(L):
@@ -622,33 +627,40 @@ def _canonical_roots(U: np.ndarray) -> np.ndarray:
     return np.take_along_axis(V, np.lexsort((V.imag, V.real)), axis=-1)
 
 
-def _scaled_residual(kind: str, U: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Scaled Bethe residual of each row of U."""
+def _scaled_residual(kind, U: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Scaled Bethe residual of each row of U; kind as in _residual_batch."""
     return _scaled_norm(*_residual_batch(kind, U, p))
 
 
-def _polish(kind: str, U: np.ndarray, p: ModelParams, tol: float):
+def _polish(k: np.ndarray, U: np.ndarray, p: ModelParams, tol: float):
     """Canonical roots of each row of U and their scaled residuals after at
-    most _POLISH_STEPS Newton steps.  A row takes steps while its residual is
-    above tol, keeps a step only when it lowers that residual, and stops at
-    the first step that does not."""
-    U = U.copy()
-    res = _scaled_residual(kind, U, p)
+    most _POLISH_STEPS Newton steps; row s belongs to the kind KINDS[k[s]].
+    A row takes steps while its residual is above tol, keeps a step only
+    when it lowers that residual, and stops at the first step that does not.
+    The residual is evaluated on the canonical roots, and again only for the
+    rows that moved; the steps start from the fitted roots."""
+    C = _canonical_roots(U)
+    res = _scaled_residual(k, C, p)
     live = res > tol
+    moved = np.zeros_like(live)
+    U = U.copy()
     for _ in range(_POLISH_STEPS):
         rows = np.flatnonzero(live)
         if rows.size == 0:
             break
         V = U[rows]
-        E, _ = _residual_batch(kind, V, p)
-        trial = V + _newton_step(_jacobian(kind, V, p, _FD_STEP), E)
-        r = _scaled_residual(kind, trial, p)
+        E, _ = _residual_batch(k[rows], V, p)
+        trial = V + _newton_step(_jacobian(k[rows], V, p, _FD_STEP), E)
+        r = _scaled_residual(k[rows], trial, p)
         better = r < res[rows]
         U[rows[better]] = trial[better]
         res[rows[better]] = r[better]
+        moved[rows[better]] = True
         live[rows] = better & (r > tol)
-    U = _canonical_roots(U)
-    return U, _scaled_residual(kind, U, p)
+    if moved.any():
+        C[moved] = _canonical_roots(U[moved])
+        res[moved] = _scaled_residual(k[moved], C[moved], p)
+    return C, res
 
 
 def _match(lam: complex, targets: np.ndarray) -> tuple[int, float]:
@@ -657,12 +669,12 @@ def _match(lam: complex, targets: np.ndarray) -> tuple[int, float]:
     return idx, float(d[idx])
 
 
-def _solutions(sys: BetheSystem, U: np.ndarray, res: np.ndarray, targets: np.ndarray,
-               cfg: SolverConfig) -> list[BetheSolution]:
+def _solutions(systems: list[BetheSystem], U: np.ndarray, res: np.ndarray, p: ModelParams,
+               sp: Spectrum, sc: StructureConstants, cfg: SolverConfig) -> list[BetheSolution]:
     """Admissibility and eigenvalue match of each on-shell root set, one per
-    row of U."""
-    L = sys.level
-    sym = symmetrize_roots(U, sys.params)
+    row of U; row s solves systems[s]."""
+    L = U.shape[1]
+    sym = symmetrize_roots(U, p)
     sym = np.take_along_axis(sym, np.lexsort((sym.imag, sym.real)), axis=-1)
     gaps = np.abs(sym[:, :, None] - sym[:, None, :])
     gaps[:, np.arange(L), np.arange(L)] = np.inf
@@ -673,20 +685,21 @@ def _solutions(sys: BetheSystem, U: np.ndarray, res: np.ndarray, targets: np.nda
            > cfg.dedup_tol * np.maximum(1.0, np.abs(sym).max(axis=1, initial=0.0)))
     )
     out = []
-    for roots, r, sy, ok in zip(U, res, sym, adm):
+    for sys, roots, r, sy, ok in zip(systems, U, res, sym, adm):
         lam = None
         idx = None
         err = np.inf
         if ok:
             try:
-                lam = eigenvalue_from_roots(sys, roots)
+                lam = _eigenvalue(sys.kind, roots, p, sc)
             except ValueError:
                 ok = False
             else:
-                idx, err = _match(lam, targets)
+                idx, err = _match(lam, getattr(sp, TARGET_SPECTRUM[sys.kind]))
                 if err > cfg.match_tol:
                     idx = None
         out.append(BetheSolution(
+            system=sys,
             roots=roots,
             residual_max=float(r),
             symmetrized=sy,
@@ -698,46 +711,72 @@ def _solutions(sys: BetheSystem, U: np.ndarray, res: np.ndarray, targets: np.nda
     return out
 
 
-def solve(sys: BetheSystem, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
+def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     """On-shell root sets, one linear TQ fit per target spectrum entry.
 
-    A homogeneous system at level L targets entry L; an inhomogeneous one
-    targets every entry.  All targets are fitted as one batch: Q is fitted
-    to the TQ relation at each target eigenvalue, then the roots of all
-    targets are polished together.  Only root sets whose Bethe residual is
-    within ``cfg.tol`` are returned, in target order, each with its
+    ``sys`` is one BetheSystem or a sequence of systems with one parameter
+    set.  A homogeneous system at level L targets entry L; an inhomogeneous
+    one targets every entry.  The targets of all systems with the same root
+    count form one batch: Q is fitted to the TQ relation at each target
+    eigenvalue, then the roots of all targets are polished together.  Only
+    root sets whose Bethe residual is within ``cfg.tol`` are returned, by
+    level, then in system and target order, each with its system, its
     admissibility and the spectrum entry its roots reproduce through
-    ``eigenvalue_from_roots``.  The result is deterministic.
+    ``eigenvalue_from_roots``.  The result is deterministic, and a root set
+    does not depend on the other systems solved with it.
     """
-    p = sys.params
-    targets = getattr(spectrum(p), TARGET_SPECTRUM[sys.kind])
-    lams = targets[[sys.level]] if sys.kind in HOM_KINDS else targets
-    U = _tq_roots(sys.kind, lams, sys.level, p, structure_constants(p))
-    U, res = _polish(sys.kind, U[np.isfinite(U).all(axis=1)], p, cfg.tol)
-    on_shell = res <= cfg.tol
-    return _solutions(sys, U[on_shell], res[on_shell], targets, cfg)
+    systems = [sys] if isinstance(sys, BetheSystem) else list(sys)
+    p = systems[0].params
+    if any(s.params != p for s in systems):
+        raise ValueError("solve: the systems must share one parameter set")
+    sp, sc = spectrum(p), structure_constants(p)
+    out: list[BetheSolution] = []
+    for L in sorted({s.level for s in systems}):
+        rows, lams = [], []
+        for s in systems:
+            if s.level == L:
+                targets = getattr(sp, TARGET_SPECTRUM[s.kind])
+                lams.append(targets[[L]] if s.kind in HOM_KINDS else targets)
+                rows += [s] * len(lams[-1])
+        k = np.array([KINDS.index(s.kind) for s in rows])
+        U = _tq_roots(k, np.concatenate(lams), L, p, sc)
+        fit = np.flatnonzero(np.isfinite(U).all(axis=1))
+        U, res = _polish(k[fit], U[fit], p, cfg.tol)
+        on_shell = res <= cfg.tol
+        out += _solutions([rows[i] for i in fit[on_shell]], U[on_shell], res[on_shell],
+                          p, sp, sc, cfg)
+    return out
 
 
 def coverage(kind: str, p: ModelParams, cfg: SolverConfig = SolverConfig()) -> CoverageReport:
-    """Spectrum coverage sweep for one system kind.
+    """Spectrum coverage sweep for one system kind; see ``sweep``."""
+    if kind not in KINDS:
+        raise ValueError(f"coverage: unknown kind {kind!r}")
+    return sweep(p, cfg, (kind,))[0]
+
+
+def sweep(p: ModelParams, cfg: SolverConfig = SolverConfig(),
+          kinds: tuple[str, ...] = KINDS) -> list[CoverageReport]:
+    """Spectrum coverage of each kind in ``kinds``, from one ``solve`` call.
 
     Homogeneous kinds solve every level and ask the level-L solution to
     reproduce the L-th eigenvalue; inhomogeneous kinds solve once at full
-    size and ask the solution set to cover every index.  Misses are
-    reported, not raised.
+    size and ask the solution set to cover every index.  Each report equals
+    the kind's sweep alone.  Misses are reported, not raised.
     """
-    if kind not in KINDS:
-        raise ValueError(f"coverage: unknown kind {kind!r}")
-    if kind in HOM_KINDS:
-        found = [(L, solve(BetheSystem(kind, L, p), cfg)) for L in range(p.two_s + 1)]
-    else:
-        sols = solve(BetheSystem(kind, p.two_s, p), cfg)
-        found = [(index, sols) for index in range(p.dim)]
-    entries: list[CoverageEntry] = []
-    for index, sols in found:
-        hits = [s for s in sols if s.admissible and s.matched_index == index]
-        best = min(hits, key=lambda s: s.match_error, default=None)
-        entries.append(
-            CoverageEntry(index, best is not None, best.match_error if best else np.inf, best)
-        )
-    return CoverageReport(kind=kind, entries=entries)
+    n = p.two_s
+    sols = solve([BetheSystem(kind, L, p) for kind in kinds
+                  for L in (range(n + 1) if kind in HOM_KINDS else (n,))], cfg)
+    reports = []
+    for kind in kinds:
+        entries: list[CoverageEntry] = []
+        for index in range(p.dim):
+            hits = [s for s in sols if s.system.kind == kind and s.admissible
+                    and s.matched_index == index
+                    and (kind in INHOM_KINDS or s.system.level == index)]
+            best = min(hits, key=lambda s: s.match_error, default=None)
+            entries.append(
+                CoverageEntry(index, best is not None, best.match_error if best else np.inf, best)
+            )
+        reports.append(CoverageReport(kind=kind, entries=entries))
+    return reports

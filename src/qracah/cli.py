@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bethe import KINDS, SolverConfig, BetheSystem, coverage, solve
+from .bethe import KINDS, SolverConfig, BetheSystem, solve, sweep
 from .leonard import build, eigen_family, verify_aw, verify_cayley_hamilton
 from .model import (
     GenericityError,
@@ -311,8 +311,8 @@ def run_verify(cfg: RunConfig) -> dict:
             })
 
     bethe_rows = []
-    for kind in KINDS:
-        rep = coverage(kind, p, cfg.solver)
+    for rep in sweep(p, cfg.solver):
+        kind = rep.kind
         worst = 0.0
         for e in rep.entries:
             worst = max(worst, e.match_error if e.hit else np.inf)

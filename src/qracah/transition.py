@@ -202,7 +202,8 @@ def racah_from_scalar_products(fam: EigenFamily, M, N, form: str = "rac1") -> co
     """Double-ratio route through eigenvector scalar products.
 
     ``M`` and ``N`` may be integer arrays that broadcast together; one
-    vanishing denominator refuses the whole call.
+    vanishing denominator refuses the whole call, naming the first such
+    (M, N) in row-major order and its |den|.
 
     ``fam`` is the eigen family of the tridiagonal generator in the gauge
     where the second generator is diagonal, so standard basis vectors play
@@ -221,6 +222,9 @@ def racah_from_scalar_products(fam: EigenFamily, M, N, form: str = "rac1") -> co
         raise ValueError(f"racah_from_scalar_products: unknown form {form!r}")
     # |den| <= 1e-14 * max(1, |num|, |den|); the |den| term can never decide
     size = abs(den)
-    if np.count_nonzero((size <= 1e-14) | (size <= 1e-14 * abs(num))):
-        raise ValueError("racah_from_scalar_products: vanishing scalar product in denominator")
+    bad = (size <= 1e-14) | (size <= 1e-14 * abs(num))
+    if np.count_nonzero(bad):
+        m, n, s = next(t for t, b in zip(np.broadcast(M, N, size), bad.flat) if b)
+        raise ValueError("racah_from_scalar_products: vanishing scalar product in denominator "
+                         f"at (M, N) = ({m}, {n}), |den| = {s:.3e}")
     return num / den

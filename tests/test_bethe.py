@@ -469,21 +469,24 @@ def test_default_solver_covers_every_index_of_every_kind(two_s):
 
 def test_tq_fit_at_a_wrong_eigenvalue_is_off_shell():
     # a homogeneous level-L system reproduces only entry L: fitting Q at any
-    # other entry of the spectrum must not give Bethe roots.  Every entry is
-    # fitted in one batch, one row of roots per entry.
+    # other entry of the spectrum must not give Bethe roots.  Every entry of
+    # both homogeneous kinds is fitted in one batch, one row of roots per
+    # entry.
     rng = np.random.default_rng(26)
     p = draw_params(3, rng)
     sc = structure_constants(p)
-    for kind in bethe.HOM_KINDS:
-        targets = getattr(spectrum(p), bethe.TARGET_SPECTRUM[kind])
-        for level in (1, 2, 3):
-            roots = bethe._tq_roots(kind, targets, level, p, sc)
-            assert roots.shape == (p.dim, level)
-            for index, res in enumerate(bethe._scaled_residual(kind, roots, p)):
-                if index == level:
-                    assert res < 1e-9
-                else:
-                    assert res > 1e-3, (kind, level, index, res)
+    k = np.repeat([bethe.KINDS.index(kind) for kind in bethe.HOM_KINDS], p.dim)
+    targets = np.concatenate([getattr(spectrum(p), bethe.TARGET_SPECTRUM[kind])
+                              for kind in bethe.HOM_KINDS])
+    for level in (1, 2, 3):
+        roots = bethe._tq_roots(k, targets, level, p, sc)
+        assert roots.shape == (2 * p.dim, level)
+        for row, res in enumerate(bethe._scaled_residual(k, roots, p)):
+            kind, index = bethe.KINDS[k[row]], row % p.dim
+            if index == level:
+                assert res < 1e-9
+            else:
+                assert res > 1e-3, (kind, level, index, res)
 
 
 def test_coverage_rejects_unknown_kind():
@@ -534,11 +537,13 @@ def test_batching_does_not_change_any_target(two_s):
 
     def batch(system, index, shift):
         p = system.params
-        targets = getattr(spectrum(p), bethe.TARGET_SPECTRUM[system.kind])
-        U = bethe._tq_roots(system.kind, targets[index], system.level, p, structure_constants(p))
+        sp, sc = spectrum(p), structure_constants(p)
+        targets = getattr(sp, bethe.TARGET_SPECTRUM[system.kind])[index]
+        k = np.full(len(targets), bethe.KINDS.index(system.kind))
+        U = bethe._tq_roots(k, targets, system.level, p, sc)
         U = U * (1.0 + shift * np.exp(1j * np.arange(system.level)))
-        U, res = bethe._polish(system.kind, U, p, cfg.tol)
-        return bethe._solutions(system, U, res, targets, cfg)
+        U, res = bethe._polish(k, U, p, cfg.tol)
+        return bethe._solutions([system] * len(U), U, res, p, sp, sc, cfg)
 
     for p in draw_many(two_s, 3, seed=2000 + two_s):
         for kind in bethe.INHOM_KINDS:
@@ -552,6 +557,49 @@ def test_batching_does_not_change_any_target(two_s):
                     scale = np.max(np.abs(row.symmetrized))
                     assert np.max(np.abs(alone.symmetrized - row.symmetrized)) <= 1e-10 * scale
                     assert (alone.residual_max <= cfg.tol) == (row.residual_max <= cfg.tol)
+
+
+def _reference_residual(kind, U, p):
+    # the per-kind branches that the batched residual replaces, with each
+    # kind's literal powers
+    q = p.base.q
+    eps = 1 if kind in ("hom_plus", "inhom_plus", "dual_inhom_plus") else -1
+    F, H, den = bethe._pair_products(U, q)
+    bU = _bf(U * U)
+    ratio = bU / _bf(q * U * U)
+    l1, l2 = bethe._lam1(eps, U, p), bethe._lam2(eps, U, p)
+    if kind in bethe.HOM_KINDS:
+        terms = [-ratio * F * l1, H * l2]
+    else:
+        nu = bethe._nu(p)[bethe.KINDS.index(kind)]
+        inh = bethe._inh_product(U, p) / den
+        if kind.startswith("inhom"):
+            terms = [ratio * U**eps * F * l1, -((q * q * U**3) ** (-eps)) * H * l2,
+                     nu * U ** (-2 * eps) * bU / _bf(q) * inh]
+        else:
+            terms = [ratio * U ** (-eps) * F * l1, -((q * q * U**3) ** eps) * H * l2,
+                     nu * bU / _bf(q) * inh]
+    E, scale = terms[0], np.abs(terms[0])
+    for t in terms[1:]:
+        E, scale = E + t, np.maximum(scale, np.abs(t))
+    return E, scale
+
+
+@pytest.mark.parametrize("two_s", [2, 4, 8])
+def test_mixed_kind_residual_matches_each_kind_alone(two_s):
+    # rows of all six kinds, shuffled into one batch, against each kind's
+    # residual alone: equal bit for bit, and so is the term scale
+    rng = np.random.default_rng(29)
+    p = draw_params(two_s, rng)
+    k = rng.permutation(np.repeat(np.arange(len(bethe.KINDS)), 5))
+    U = np.exp(rng.uniform(np.log(0.6), np.log(1.6), (len(k), two_s))
+               + 1j * rng.uniform(0, 2 * np.pi, (len(k), two_s)))
+    E, scale = bethe._residual_batch(k, U, p)
+    with np.errstate(all="ignore"):
+        for i, kind in enumerate(bethe.KINDS):
+            E_ref, scale_ref = _reference_residual(kind, U[k == i], p)
+            assert E[k == i].tobytes() == E_ref.tobytes(), kind
+            assert scale[k == i].tobytes() == scale_ref.tobytes(), kind
 
 
 def test_newton_step_rows_are_independent():
@@ -577,3 +625,55 @@ def test_coverage_floor_two_s_8():
             hits += sum(e.hit for e in entries)
     assert total == 648
     assert hits >= 619
+
+
+@pytest.mark.parametrize("two_s, seed", [(10, 3010), (12, 3012)])
+def test_coverage_floor_past_two_s_8(two_s, seed):
+    # counts measured at the first batched solver; a change may only raise them
+    floor, total = {10: (309, 396), 12: (294, 468)}[two_s]
+    hits = count = 0
+    for p in draw_many(two_s, 6, seed=seed):
+        for rep in bethe.sweep(p, SolverConfig()):
+            count += len(rep.entries)
+            hits += sum(e.hit for e in rep.entries)
+    assert count == total
+    assert hits >= floor
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x).tobytes()
+
+
+def _assert_same_solution(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.system == b.system
+        for field in ("roots", "symmetrized", "residual_max", "reconstructed_eigenvalue",
+                      "match_error"):
+            assert _bits(getattr(a, field)) == _bits(getattr(b, field)), field
+        assert (a.admissible, a.matched_index) == (b.admissible, b.matched_index)
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 6, 8])
+def test_sweep_rows_do_not_depend_on_their_batch(two_s):
+    # one solve over every system of every kind against each system solved
+    # alone, and the all-kinds sweep against each kind's coverage alone: every
+    # root set and coverage entry must agree bit for bit
+    for p in draw_many(two_s, 2, seed=4000 + two_s):
+        n = p.two_s
+        systems = [BetheSystem(kind, L, p) for kind in bethe.KINDS
+                   for L in (range(n + 1) if kind in bethe.HOM_KINDS else (n,))]
+        together = solve(systems)
+        for system in systems:
+            alone = solve(system)
+            mine = [s for s in together if s.system == system]
+            assert len(mine) == len(alone), system
+            for a, b in zip(mine, alone):
+                _assert_same_solution(a, b)
+        for rep in bethe.sweep(p):
+            alone = coverage(rep.kind, p).entries
+            assert [e.index for e in rep.entries] == [e.index for e in alone]
+            for a, b in zip(rep.entries, alone):
+                assert a.hit == b.hit
+                assert _bits(a.match_error) == _bits(b.match_error)
+                _assert_same_solution(a.solution, b.solution)

@@ -197,17 +197,21 @@ def test_verify_report_schema_and_pass(fast_cfg):
     assert len(rep["racah"]) == 9
 
 
-@pytest.fixture(scope="module")
-def refused_rac1_path(tmp_path_factory):
-    """Config of draw_many(16, 12, 1016)[0], whose rac1 double ratios meet a
-    vanishing scalar product while rac2 computes."""
-    p = draw_many(16, 12, 1016)[0]
+def _draw_config(p):
+    """Config of a parameter draw, with default tolerances."""
     data = {key: [complex(v).real, complex(v).imag] for key, v in (
         ("q", p.base.q), ("b", p.b), ("c", p.c), ("b_star", p.b_star),
         ("c_star", p.c_star), ("zeta", p.zeta))}
     data["two_s"] = p.two_s
+    return data
+
+
+@pytest.fixture(scope="module")
+def refused_rac1_path(tmp_path_factory):
+    """Config of draw_many(16, 12, 1016)[0], whose rac1 double ratios meet a
+    vanishing scalar product while rac2 computes."""
     path = tmp_path_factory.mktemp("refused") / "cfg.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(_draw_config(draw_many(16, 12, 1016)[0])))
     return str(path)
 
 
@@ -236,6 +240,20 @@ def test_main_emits_the_report_when_a_route_refuses(refused_rac1_path, capsys):
     out = capsys.readouterr()
     assert "numerical failure" not in out.err
     _assert_rac1_refusal_reported(json.loads(out.out))
+
+
+def test_racah_double_ratio_refusal_names_the_entry(refused_rac1_path, capsys):
+    # the first entry in row-major order whose rac1 denominator vanishes,
+    # found by a scalar loop
+    p = load_config(refused_rac1_path).params
+    w = eigen_family(build(p).A_mat, spectrum(p).theta).left
+    first = next((M, N) for M in range(len(w)) for N in range(len(w))
+                 if abs(w[0, N] * w[M, 0]) <= 1e-14 * max(1.0, abs(w[M, N] * w[0, 0])))
+    assert main(["racah", refused_rac1_path, "--route", "double-ratio"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "vanishing scalar product" in out.err
+    assert f"at (M, N) = {first}, |den| = {abs(w[0, first[1]] * w[first[0], 0]):.3e}" in out.err
 
 
 def test_racah_routes_agree(fast_cfg):
@@ -322,3 +340,11 @@ def test_output_path_writes_file(tmp_path):
     assert main(["spectrum", cfgfile]) == 0
     body = json.loads(out.read_text())
     assert "theta" in body
+
+
+def test_verify_frontier_floor_two_s_8():
+    # draws that pass verify at two_s 8, measured at the first batched
+    # solver; a change may only raise the count
+    passed = sum(run_verify(parse_config(_draw_config(p)))["pass"]
+                 for p in draw_many(8, 12, 1008))
+    assert passed >= 8
