@@ -190,6 +190,11 @@ def _ser_vec(v) -> list[list[float]]:
     return [_ser(z) for z in np.asarray(v, dtype=complex)]
 
 
+def _ser_table(R: np.ndarray) -> list[list[list[float]]]:
+    """table[M][N] == _ser(R[M, N]), from one ``tolist`` per part."""
+    return [[list(z) for z in zip(*parts)] for parts in zip(R.real.tolist(), R.imag.tolist())]
+
+
 def _instance_block(cfg: RunConfig) -> dict:
     p = cfg.params
     return {
@@ -299,16 +304,12 @@ def run_verify(cfg: RunConfig) -> dict:
         checks.append(_check(f"racah_series_vs_{form}", gap, tol))
     rr1 = ratio_tables.get("rac1")
 
-    racah_rows = []
-    for M in range(dim):
-        for N in range(dim):
-            racah_rows.append({
-                "M": M,
-                "N": N,
-                "series": _ser(R[M, N]),
-                "double_ratio": None if rr1 is None else _ser(rr1[M, N]),
-                "recurrence_residual": float(abs(R[M, N] - Rrec[M, N]) / scale),
-            })
+    series = _ser_table(R)
+    ratio = None if rr1 is None else _ser_table(rr1)
+    racah_rows = [{"M": M, "N": N, "series": series[M][N],
+                   "double_ratio": None if ratio is None else ratio[M][N],
+                   "recurrence_residual": float(abs(R[M, N] - Rrec[M, N]) / scale)}
+                  for M in range(dim) for N in range(dim)]
 
     bethe_rows = []
     for rep in sweep(p, cfg.solver):
@@ -354,11 +355,9 @@ def run_racah_table(cfg: RunConfig, route: str) -> list[dict]:
         R = _double_ratio_table(fam, p.dim, "rac1")
     else:
         raise ConfigError(f"unknown route {route!r}; choose series, recurrence, double-ratio")
-    rows = []
-    for M in range(p.dim):
-        for N in range(p.dim):
-            rows.append({"M": M, "N": N, "value": _ser(R[M, N])})
-    return rows
+    table = _ser_table(R)
+    return [{"M": M, "N": N, "value": table[M][N]}
+            for M in range(p.dim) for N in range(p.dim)]
 
 
 def run_bethe(cfg: RunConfig, kind: str, level: int) -> list[dict]:

@@ -9,7 +9,9 @@ image of basis vector ``col``.
 Eigenvectors are recovered by shifted solves against the analytically known
 eigenvalues (regularized inverse iteration with a pinned component), not by
 a general-purpose eigensolver, so agreement between the extracted family and
-the closed-form spectrum is itself a check.
+the closed-form spectrum is itself a check.  The input must be tridiagonal:
+all right and left shifted systems are solved together, as one stack of
+banded systems factored by LU with partial pivoting.
 """
 
 from __future__ import annotations
@@ -102,18 +104,12 @@ def _sup_entry(M: int, q: complex, n: int, b, c, bs, cs, zeta) -> complex:
     return num / den
 
 
-def _tri_entry(row: int, col: int, q, n, b, c, bs, cs, zeta) -> complex:
-    if row == col + 1:
-        return _sub_entry(row, q, n, b, c, bs, cs, zeta)
-    if row == col - 1:
-        return _sup_entry(col, q, n, b, c, bs, cs, zeta)
-    # diagonal: fixed by the constant row-sum against the top eigenvalue
-    top = bs + cs
-    return (
-        top
-        - _sup_entry(row + 1, q, n, b, c, bs, cs, zeta)
-        - _sub_entry(row, q, n, b, c, bs, cs, zeta)
-    )
+def _kind_args(kind: str, p: ModelParams) -> tuple:
+    if kind == "Astar":
+        return p.b, p.c, p.b_star, p.c_star, p.zeta
+    if kind == "A":
+        return p.b_star, p.c_star, p.b, p.c, 1.0 / p.zeta
+    raise ValueError(f"coeff: unknown kind {kind!r}; choose one of {COEFF_KINDS}")
 
 
 def coeff(kind: str, row: int, col: int, p: ModelParams) -> complex:
@@ -129,28 +125,42 @@ def coeff(kind: str, row: int, col: int, p: ModelParams) -> complex:
         raise ValueError(f"coeff: indices ({row}, {col}) outside 0..{n}")
     if abs(row - col) > 1:
         raise ValueError(f"coeff: ({row}, {col}) is not a tridiagonal position")
-    q = p.base.q
-    if kind == "Astar":
-        return _tri_entry(row, col, q, n, p.b, p.c, p.b_star, p.c_star, p.zeta)
-    if kind == "A":
-        return _tri_entry(row, col, q, n, p.b_star, p.c_star, p.b, p.c, 1.0 / p.zeta)
-    raise ValueError(f"coeff: unknown kind {kind!r}; choose one of {COEFF_KINDS}")
+    q, args = p.base.q, _kind_args(kind, p)
+    if row == col + 1:
+        return _sub_entry(row, q, n, *args)
+    if row == col - 1:
+        return _sup_entry(col, q, n, *args)
+    # diagonal: fixed by the constant row-sum against the top eigenvalue
+    return args[2] + args[3] - _sup_entry(row + 1, q, n, *args) - _sub_entry(row, q, n, *args)
+
+
+def _diagonals(kind: str, p: ModelParams) -> tuple[list, list, list]:
+    """sub[M] = coeff(kind, M, M-1, p), diag[M] = coeff(kind, M, M, p) and
+    sup[M] = coeff(kind, M-1, M, p) bit for bit, M = 0..two_s (sub[0] = sup[0]
+    = 0), with each coupling evaluated once and reused by the diagonal."""
+    q, n = p.base.q, p.two_s
+    args = _kind_args(kind, p)
+    sub, sup = [0j], [0j]
+    for M in range(1, n + 1):
+        sup.append(_sup_entry(M, q, n, *args))
+        sub.append(_sub_entry(M, q, n, *args))
+    top = args[2] + args[3]
+    diag = [top - s - d for s, d in zip(sup[1:] + [0j], sub)]
+    return sub, diag, sup
 
 
 def build(p: ModelParams, gauge: str = GAUGE_THETA_STAR) -> TridiagonalRealization:
     """Matrix realization of the generator pair in the requested gauge."""
     sp = spectrum(p)
-    D = p.dim
-    tri = np.zeros((D, D), dtype=complex)
     if gauge == GAUGE_THETA_STAR:
         kind = "A"
     elif gauge == GAUGE_THETA:
         kind = "Astar"
     else:
         raise ValueError(f"build: unknown gauge {gauge!r}")
-    for col in range(D):
-        for row in range(max(0, col - 1), min(D, col + 2)):
-            tri[row, col] = coeff(kind, row, col, p)
+    sub, diag, sup = _diagonals(kind, p)
+    tri, i = np.diag(np.array(diag, dtype=complex)), np.arange(1, p.dim)
+    tri[i, i - 1], tri[i - 1, i] = sub[1:], sup[1:]
     if gauge == GAUGE_THETA_STAR:
         A_mat, Astar_mat = tri, np.diag(sp.theta_star)
     else:
@@ -205,70 +215,100 @@ def verify_cayley_hamilton(real: TridiagonalRealization) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _null_vector(B: np.ndarray, scale: float) -> tuple[np.ndarray, float]:
-    """Approximate null vector of a nominally rank-deficient matrix.
+def _band_lu(lo: np.ndarray, dg: np.ndarray, up: np.ndarray) -> tuple:
+    """LU with partial pivoting (LAPACK gttrf) of tridiagonal matrices B stacked
+    on axis 1: lo[i] = B[i, i-1], dg[i] = B[i, i], up[i] = B[i, i+1].  U gains
+    the fill-in superdiagonal up2; a zero pivot gives non-finite factors."""
+    lo, dg, up = lo.copy(), dg.copy(), up.copy()
+    up2 = np.zeros_like(dg)
+    swap = np.zeros(dg.shape, dtype=bool)
+    for i in range(dg.shape[0] - 1):
+        s = swap[i] = np.abs(lo[i + 1]) > np.abs(dg[i])  # rows i, i+1 exchange
+        piv = np.where(s, lo[i + 1], dg[i])
+        fact = np.where(s, dg[i], lo[i + 1]) / piv
+        u1 = np.where(s, dg[i + 1], up[i])
+        dg[i + 1] = np.where(s, up[i], dg[i + 1]) - fact * u1
+        dg[i], lo[i + 1], up[i] = piv, fact, u1
+        up2[i] = np.where(s, up[i + 1], 0.0)
+        up[i + 1] = np.where(s, -fact * up[i + 1], up[i + 1])
+    return lo, dg, up, up2, swap
 
-    Regularized inverse iteration from a fixed start; the returned vector is
-    pinned so its largest-magnitude component is exactly 1 (ties broken by
-    lowest index).  Also returns the relative residual max|B x| / scale.
-    """
-    D = B.shape[0]
-    eye = np.eye(D)
-    best_x = None
-    best_r = np.inf
-    for delta in (1e-13 * scale, 1e-10 * scale, 1e-7 * scale):
-        x = np.ones(D, dtype=complex)
-        Breg = B + delta * eye
-        for _ in range(3):
-            try:
-                y = np.linalg.solve(Breg, x)
-            except np.linalg.LinAlgError:
-                break
-            ny = np.max(np.abs(y))
-            if not np.isfinite(ny) or ny == 0.0:
-                break
-            x = y / ny
-            r = float(np.max(np.abs(B @ x)) / scale)
-            if r < best_r:
-                best_r = r
-                best_x = x.copy()
-            if r <= 1e-13:
-                break
-        if best_r <= 1e-13:
-            break
-    if best_x is None:
-        raise ValueError("eigen_family: shifted solve failed to produce a vector")
-    pin = int(np.argmax(np.abs(best_x)))
-    return best_x / best_x[pin], best_r
+
+def _band_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve with the factors of :func:`_band_lu` (LAPACK gttrs)."""
+    lo, dg, up, up2, swap = factors
+    D = dg.shape[0]
+    x = np.concatenate((b, np.zeros((2,) + b.shape[1:])))
+    for i in range(D - 1):
+        head = np.where(swap[i], x[i + 1], x[i])
+        x[i + 1] = np.where(swap[i], x[i], x[i + 1]) - lo[i + 1] * head
+        x[i] = head
+    for i in range(D - 1, -1, -1):
+        x[i] = (x[i] - up[i] * x[i + 1] - up2[i] * x[i + 2]) / dg[i]
+    return x[:D]
 
 
 def eigen_family(matrix: np.ndarray, values: np.ndarray, tol: float = 1e-6) -> EigenFamily:
-    """Right and left eigenvector families for the given eigenvalue list.
+    """Right and left eigenvector families of a tridiagonal matrix for the
+    given eigenvalue list: regularized inverse iteration on every shifted
+    system (T - lambda_k I for a right vector, its transpose for a left one),
+    all solved as one stack of banded LU factorizations per regularization.
+    Each vector is pinned so its largest-magnitude component is exactly 1
+    (ties broken by lowest index).
 
-    Raises ValueError when a shifted system is not rank-deficient within
-    ``tol`` (the supplied value is not an eigenvalue of the matrix).
+    Raises ValueError on an entry outside the band, or when a shifted system
+    is not rank-deficient within ``tol`` (the value is not an eigenvalue).
     """
     matrix = np.asarray(matrix, dtype=complex)
     values = np.asarray(values, dtype=complex)
     D = matrix.shape[0]
+    i, j = np.nonzero(np.triu(matrix, 2) + np.tril(matrix, -2))
+    if i.size:
+        raise ValueError(f"eigen_family: entry ({i[0]}, {j[0]}) lies outside the tridiagonal band")
     scale = max(_maxabs(matrix), float(np.max(np.abs(values))), 1e-300)
-    right = np.zeros((D, D), dtype=complex)
-    left = np.zeros((D, D), dtype=complex)
-    residuals = np.zeros(D)
-    eye = np.eye(D)
-    for k, lam in enumerate(values):
-        B = matrix - lam * eye
-        v, _ = _null_vector(B, scale)
-        w, _ = _null_vector(B.T, scale)
-        r_right = np.max(np.abs(matrix @ v - lam * v)) / scale
-        r_left = np.max(np.abs(w @ matrix - lam * w)) / scale
-        res = float(max(r_right, r_left))
-        if res > tol:
-            raise ValueError(
-                f"eigen_family: shifted system at value index {k} is not "
-                f"rank-deficient within tolerance (residual {res:.3e})"
-            )
-        right[:, k] = v
-        left[k, :] = w
-        residuals[k] = res
+    sub, sup = np.diagonal(matrix, -1), np.diagonal(matrix, 1)
+    # systems 0..D-1 are T - lambda_k I, systems D..2D-1 their transposes
+    lo = np.repeat(np.stack([np.append(0, sub), np.append(0, sup)], 1), D, 1)
+    up = np.repeat(np.stack([np.append(sup, 0), np.append(sub, 0)], 1), D, 1)
+    dg = np.diagonal(matrix)[:, None] - np.concatenate((values, values))
+    best = np.zeros((D, 2 * D), dtype=complex)
+    best_r = np.full(2 * D, np.inf)
+    with np.errstate(all="ignore"):
+        for delta in (1e-13 * scale, 1e-10 * scale, 1e-7 * scale):
+            rows = np.flatnonzero(best_r > 1e-13)
+            if not rows.size:
+                break
+            b_lo, b_dg, b_up = lo[:, rows], dg[:, rows], up[:, rows]
+            factors = _band_lu(b_lo, b_dg + delta, b_up)
+            x = np.ones((D, rows.size), dtype=complex)
+            live = np.ones(rows.size, dtype=bool)
+            for _ in range(3):
+                y = _band_solve(factors, x)
+                ny = np.max(np.abs(y), axis=0)
+                live &= np.isfinite(ny) & (ny != 0.0)
+                x = np.where(live, y / ny, x)
+                bx = b_dg * x
+                bx[1:] += b_lo[1:] * x[:-1]
+                bx[:-1] += b_up[:-1] * x[1:]
+                r = np.max(np.abs(bx), axis=0) / scale
+                keep = live & (r < best_r[rows])
+                best[:, rows[keep]] = x[:, keep]
+                best_r[rows[keep]] = r[keep]
+                live &= r > 1e-13
+                if not live.any():
+                    break
+    if np.isinf(best_r).any():
+        raise ValueError("eigen_family: shifted solve failed to produce a vector")
+    cols = np.arange(2 * D)
+    pin = np.argmax(np.abs(best), axis=0)
+    best = best / best[pin, cols]
+    best[pin, cols] = 1.0
+    right, left = best[:, :D], best[:, D:].T
+    r_right = np.max(np.abs(matrix @ right - right * values), axis=0) / scale
+    r_left = np.max(np.abs(left @ matrix - values[:, None] * left), axis=1) / scale
+    residuals = np.maximum(r_right, r_left)
+    bad = np.flatnonzero(residuals > tol)
+    if bad.size:
+        raise ValueError(f"eigen_family: shifted system at value index {bad[0]} is not "
+                         f"rank-deficient within tolerance (residual {residuals[bad[0]]:.3e})")
     return EigenFamily(values=values, right=right, left=left, residuals=residuals)

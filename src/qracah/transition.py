@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leonard import GAUGE_THETA, EigenFamily, build, coeff
+from .leonard import GAUGE_THETA, EigenFamily, _diagonals, build
 from .model import GenericityError, ModelParams, spectrum
 from .qnum import phi43, qpoch
 
@@ -96,14 +96,14 @@ def racah_by_recurrence(p: ModelParams) -> np.ndarray:
     R = np.ones((D, D), dtype=complex)
     if D == 1:
         return R
+    sub, diag, sup = _diagonals("Astar", p)
     for M in range(D - 1):
-        up = coeff("Astar", M, M + 1, p)
+        up = sup[M + 1]
         if abs(up) <= _DEN_TOL:
             raise GenericityError("racah_by_recurrence: vanishing up-coupling")
-        diag = coeff("Astar", M, M, p)
-        rhs = (sp.theta_star - diag) * R[M]
+        rhs = (sp.theta_star - diag[M]) * R[M]
         if M > 0:
-            rhs = rhs - coeff("Astar", M, M - 1, p) * R[M - 1]
+            rhs = rhs - sub[M] * R[M - 1]
         R[M + 1] = rhs / up
     return R
 

@@ -1,7 +1,10 @@
-"""Shared helpers: seeded generic parameter draws used across the suite, and
-the environment for running the CLI in a child process."""
+"""Shared helpers: seeded generic parameter draws used across the suite, the
+benchmark's mpmath reference, and the environment for running the CLI in a
+child process."""
 
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -41,6 +44,15 @@ def draw_params(two_s, rng, margin=1e-2, qmod=(1.06, 1.22)):
 def draw_many(two_s, n, seed, **kw):
     rng = np.random.default_rng(seed)
     return [draw_params(two_s, rng, **kw) for _ in range(n)]
+
+
+def bench_reference():
+    """The benchmark's adaptive-precision mpmath table, imported by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("qracah_bench_reference", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def cli_env():

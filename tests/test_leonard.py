@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import draw_params
+from conftest import bench_reference, draw_many, draw_params
 from qracah.leonard import (
     GAUGE_THETA,
     GAUGE_THETA_STAR,
@@ -17,6 +17,7 @@ from qracah.leonard import (
 )
 from qracah.model import ModelParams, spectrum, structure_constants
 from qracah.qnum import QBase
+from qracah.transition import racah_by_recurrence, racah_from_scalar_products
 
 RNG = np.random.default_rng(2)
 AW_TOL = 1e-10
@@ -196,3 +197,103 @@ class TestEigenFamily:
         vals[1] += 0.37  # not an eigenvalue anymore
         with pytest.raises(ValueError, match="rank-deficient"):
             eigen_family(real.A_mat, vals)
+
+
+def _dense_null_vector(B, scale):
+    """Reference copy of the dense one-system-at-a-time inverse iteration
+    that the banded kernel replaced."""
+    D = B.shape[0]
+    eye = np.eye(D)
+    best_x, best_r = None, np.inf
+    for delta in (1e-13 * scale, 1e-10 * scale, 1e-7 * scale):
+        x = np.ones(D, dtype=complex)
+        Breg = B + delta * eye
+        for _ in range(3):
+            try:
+                y = np.linalg.solve(Breg, x)
+            except np.linalg.LinAlgError:
+                break
+            ny = np.max(np.abs(y))
+            if not np.isfinite(ny) or ny == 0.0:
+                break
+            x = y / ny
+            r = float(np.max(np.abs(B @ x)) / scale)
+            if r < best_r:
+                best_r, best_x = r, x.copy()
+            if r <= 1e-13:
+                break
+        if best_r <= 1e-13:
+            break
+    pin = int(np.argmax(np.abs(best_x)))
+    return best_x / best_x[pin]
+
+
+def _dense_family(matrix, values):
+    scale = max(np.max(np.abs(matrix)), float(np.max(np.abs(values))), 1e-300)
+    eye = np.eye(matrix.shape[0])
+    right = np.stack([_dense_null_vector(matrix - lam * eye, scale) for lam in values], 1)
+    left = np.stack([_dense_null_vector((matrix - lam * eye).T, scale) for lam in values])
+    return EigenFamily(values=values, right=right, left=left, residuals=np.zeros(len(values)))
+
+
+def _ratio_table(fam, dim, form):
+    idx = np.arange(dim)
+    try:
+        return racah_from_scalar_products(fam, idx[:, None], idx[None, :], form)
+    except ValueError:
+        return None
+
+
+class TestBandedKernel:
+    @pytest.mark.parametrize("two_s", range(1, 13))
+    def test_tables_match_the_dense_family(self, two_s):
+        # the tables agree to 1e-10 normwise; where the two differ by more
+        # (ill-conditioned draws, e.g. two_s 9, draw 3: 1.6e-9), the banded
+        # table must be the closer one to the mpmath reference
+        for p in draw_many(two_s, 4, 4400 + two_s):
+            A, theta = build(p).A_mat, spectrum(p).theta
+            banded, dense = eigen_family(A, theta), _dense_family(A, theta)
+            for form in ("rac1", "rac2"):
+                got, want = _ratio_table(banded, p.dim, form), _ratio_table(dense, p.dim, form)
+                assert (got is None) == (want is None)
+                if want is None:
+                    continue
+                scale = np.max(np.abs(want))
+                if np.max(np.abs(got - want)) > 1e-10 * scale:
+                    exact = bench_reference().racah_reference(p)
+                    assert np.max(np.abs(got - exact)) <= np.max(np.abs(want - exact))
+
+    def test_entry_outside_the_band_rejected(self):
+        p = _params(3)
+        A = build(p).A_mat.copy()
+        A[0, 2] = 1e-3
+        with pytest.raises(ValueError, match=r"entry \(0, 2\) lies outside the tridiagonal band"):
+            eigen_family(A, spectrum(p).theta)
+
+
+def _recurrence_by_coeff(p):
+    """racah_by_recurrence with every coefficient taken from coeff."""
+    D = p.dim
+    sp = spectrum(p)
+    R = np.ones((D, D), dtype=complex)
+    for M in range(D - 1):
+        rhs = (sp.theta_star - coeff("Astar", M, M, p)) * R[M]
+        if M > 0:
+            rhs = rhs - coeff("Astar", M, M - 1, p) * R[M - 1]
+        R[M + 1] = rhs / coeff("Astar", M, M + 1, p)
+    return R
+
+
+class TestCouplingsOnePass:
+    @pytest.mark.parametrize("two_s", range(1, 33))
+    def test_build_and_recurrence_equal_coeff_bitwise(self, two_s):
+        p, = draw_many(two_s, 1, 4500 + two_s)
+        for gauge, kind in ((GAUGE_THETA_STAR, "A"), (GAUGE_THETA, "Astar")):
+            real = build(p, gauge)
+            tri = real.A_mat if gauge == GAUGE_THETA_STAR else real.Astar_mat
+            want = np.zeros((p.dim, p.dim), dtype=complex)
+            for row in range(p.dim):
+                for col in range(max(0, row - 1), min(p.dim, row + 2)):
+                    want[row, col] = coeff(kind, row, col, p)
+            assert tri.tobytes() == want.tobytes()
+        assert racah_by_recurrence(p).tobytes() == _recurrence_by_coeff(p).tobytes()

@@ -1,12 +1,9 @@
 """Tests for the polynomial table, transition pair, and normalizers."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from conftest import draw_many, draw_params
+from conftest import bench_reference, draw_many, draw_params
 from qracah.leonard import build, coeff, eigen_family
 from qracah.model import spectrum
 from qracah.transition import (
@@ -27,15 +24,6 @@ CROSS_TOL = 1e-8
 
 def _params(two_s=2):
     return draw_params(two_s, RNG)
-
-
-def _bench_reference():
-    """The benchmark's adaptive-precision mpmath table, imported by path."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("qracah_bench_reference", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
 
 
 class TestRacahSeries:
@@ -72,16 +60,43 @@ class TestSeriesOracle:
 
     @pytest.mark.parametrize("two_s", [1, 2, 3, 4])
     def test_every_entry_keeps_ten_digits(self, two_s):
-        ref = _bench_reference()
+        ref = bench_reference()
         for p in draw_many(two_s, 6, 4000 + two_s):
             digits = ref.entry_digits(racah_matrix(p), ref.racah_reference(p))
             assert digits.min() >= 10.0
 
     def test_median_entry_keeps_fourteen_digits_at_two_s_8(self):
-        ref = _bench_reference()
+        ref = bench_reference()
         for p in draw_many(8, 6, 4008):
             digits = ref.entry_digits(racah_matrix(p), ref.racah_reference(p))
             assert np.median(digits) >= 14.0
+
+
+class TestDoubleRatioOracle:
+    """Every double-ratio entry, both forms, against the benchmark's mpmath
+    reference: the entrywise cross-route check of the eigen family."""
+
+    @staticmethod
+    def _tables(p):
+        fam = eigen_family(build(p).A_mat, spectrum(p).theta)
+        idx = np.arange(p.dim)
+        return [racah_from_scalar_products(fam, idx[:, None], idx[None, :], form)
+                for form in ("rac1", "rac2")]
+
+    @pytest.mark.parametrize("two_s", [1, 2, 3, 4])
+    def test_every_entry_keeps_ten_digits(self, two_s):
+        ref = bench_reference()
+        for p in draw_many(two_s, 6, 4000 + two_s):
+            want = ref.racah_reference(p)
+            for table in self._tables(p):
+                assert ref.entry_digits(table, want).min() >= 10.0
+
+    def test_median_entry_keeps_nine_and_a_half_digits_at_two_s_8(self):
+        ref = bench_reference()
+        for p in draw_many(8, 6, 4008):
+            want = ref.racah_reference(p)
+            for table in self._tables(p):
+                assert np.median(ref.entry_digits(table, want)) >= 9.5
 
 
 class TestRecurrenceRoute:
