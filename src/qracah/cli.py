@@ -16,6 +16,7 @@ identical configs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -261,8 +262,13 @@ def run_verify(cfg: RunConfig) -> dict:
     checks.append(_check("cayley_hamilton_A", chA, tol))
     checks.append(_check("cayley_hamilton_Astar", chAstar, tol))
 
-    fam = eigen_family(real.A_mat, sp.theta)
-    checks.append(_check("eigenvector_residual_A", float(np.max(fam.residuals)), tol))
+    try:
+        fam = eigen_family(real.A_mat, sp.theta)
+    except ValueError:  # the iteration refused: failed checks, not a crash
+        fam, eig_res = None, np.nan
+    else:
+        eig_res = float(np.max(fam.residuals))
+    checks.append(_check("eigenvector_residual_A", eig_res, tol))
 
     td = build_transition(p)
     dim = p.dim
@@ -295,12 +301,14 @@ def run_verify(cfg: RunConfig) -> dict:
                          float(np.max(np.abs(R - Rrec))) / scale, tol))
     ratio_tables = {}
     for form in ("rac1", "rac2"):
-        try:
-            ratio_tables[form] = _double_ratio_table(fam, dim, form)
-        except ValueError:  # the route refused: a failed check, not a crash
-            gap = np.nan
-        else:
-            gap = float(np.max(np.abs(R - ratio_tables[form]))) / scale
+        gap = np.nan  # no family, or the route refused: a failed check
+        if fam is not None:
+            try:
+                ratio_tables[form] = _double_ratio_table(fam, dim, form)
+            except ValueError:
+                pass
+            else:
+                gap = float(np.max(np.abs(R - ratio_tables[form]))) / scale
         checks.append(_check(f"racah_series_vs_{form}", gap, tol))
     rr1 = ratio_tables.get("rac1")
 
@@ -409,14 +417,83 @@ def _json_payload(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+# Table rows are written column by column.  With ``indent`` set, ``json``
+# encodes in pure Python, one generator step per row, key and number.  Here
+# each column of numbers is rendered by one C-level ``repr`` of its list, and
+# the rows fill one template; the bytes equal ``json.dumps(rows, indent=2)``.
+
+# ``json``'s words for the reprs ``nan``, ``inf`` (so ``-inf`` too) and ``None``;
+# no digit string holds these letters
+_JSON_WORDS = (("nan", "NaN"), ("inf", "Infinity"), ("None", "null"))
+
+
+def _columns(rows: list[dict]) -> list[tuple[str, list[list]]]:
+    """Each field of records that share their keys, with its columns: one for
+    an int or float field, the real and imaginary parts for an ``[re, im]``
+    field, none for a field that is null in every row."""
+    fields = []
+    for key, first in rows[0].items():
+        col = [r[key] for r in rows]
+        if isinstance(first, list):
+            fields.append((key, [[v[0] for v in col], [v[1] for v in col]]))
+        elif first is None and all(v is None for v in col):
+            fields.append((key, []))
+        else:
+            fields.append((key, [col]))
+    return fields
+
+
+def _reprs(column: list, words=()) -> list[str]:
+    """``repr`` of each int, Python float or None in ``column``, from one
+    ``repr`` of the list, with each ``(old, new)`` of ``words`` replaced.
+
+    A numpy scalar, which numpy 2 prints as ``np.float64(...)``, or a nested
+    value raises ``ValueError``."""
+    text = repr(column)[1:-1]
+    for old, new in words:
+        text = text.replace(old, new)
+    cells = text.split(", ")
+    if "(" in text or len(cells) != len(column):
+        raise ValueError("table column holds a value that is not a Python number")
+    return cells
+
+
+def _json_table(rows: list[dict], depth: int = 0) -> str:
+    """``json.dumps(rows, indent=2)`` of non-empty records that share their
+    keys and field shapes, written as if nested ``depth`` levels deep."""
+    pad = "  " * depth
+    fields = _columns(rows)
+    lines = []
+    for key, cols in fields:
+        if len(cols) == 2:
+            value = f"[\n{pad}      %s,\n{pad}      %s\n{pad}    ]"
+        else:
+            value = "%s" if cols else "null"
+        lines.append(f'{pad}    "{key}": {value}')
+    template = f"{pad}  {{\n" + ",\n".join(lines) + f"\n{pad}  }}"
+    cells = [_reprs(col, _JSON_WORDS) for _, cols in fields for col in cols]
+    return ("[\n" + ",\n".join(template % row for row in zip(*cells))
+            + f"\n{pad}]")
+
+
+def _racah_json(rows: list[dict]) -> str:
+    return _json_table(rows) + "\n"
+
+
+def _verify_json(report: dict) -> str:
+    """The verify report as ``_json_payload`` writes it, with its ``racah``
+    rows written by ``_json_table`` and spliced in."""
+    text = json.dumps({**report, "racah": None}, indent=2)
+    return text.replace('"racah": null',
+                        '"racah": ' + _json_table(report["racah"], depth=1), 1) + "\n"
+
+
 def _racah_csv(rows: list[dict]) -> str:
-    lines = ["M,N,re,im"]
-    for r in rows:
-        re_, im_ = r["value"]
-        lines.append(f"{r['M']},{r['N']},{re_!r},{im_!r}")
-    return "\n".join(lines) + "\n"
+    cells = [_reprs(col) for _, cols in _columns(rows) for col in cols]
+    return "M,N,re,im\n" + "".join("%s,%s,%s,%s\n" % row for row in zip(*cells))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qracah",
@@ -454,14 +531,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "verify":
             report = run_verify(cfg)
-            _emit(_json_payload(report), cfg)
+            _emit(_verify_json(report), cfg)
             return 0 if report["pass"] else 1
         if args.command == "racah":
             rows = run_racah_table(cfg, args.route)
             if cfg.output_format == "csv":
                 _emit(_racah_csv(rows), cfg)
             else:
-                _emit(_json_payload(rows), cfg)
+                _emit(_racah_json(rows), cfg)
             return 0
         if args.command == "bethe":
             rows = run_bethe(cfg, args.kind, args.level)

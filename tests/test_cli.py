@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qracah.cli as cli
 from qracah.cli import (
     ConfigError,
     load_config,
@@ -24,6 +26,8 @@ from qracah.model import spectrum
 from qracah.transition import racah_from_scalar_products
 
 from conftest import cli_env, draw_many
+
+SHIPPED_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "generic_two_s2.json")
 
 
 def _base_config():
@@ -242,6 +246,39 @@ def test_main_emits_the_report_when_a_route_refuses(refused_rac1_path, capsys):
     _assert_rac1_refusal_reported(json.loads(out.out))
 
 
+@pytest.fixture(scope="module")
+def refused_family_path(tmp_path_factory):
+    """Config of draw_many(8, 5, 85)[1], on which eigen_family refuses: a
+    shifted system is not rank-deficient within its tolerance."""
+    path = tmp_path_factory.mktemp("refused_family") / "cfg.json"
+    path.write_text(json.dumps(_draw_config(draw_many(8, 5, 85)[1])))
+    return str(path)
+
+
+def _assert_family_refusal_reported(rep):
+    by_name = {c["name"]: c for c in rep["checks"]}
+    for name in ("eigenvector_residual_A", "racah_series_vs_rac1", "racah_series_vs_rac2"):
+        assert by_name[name] == {"name": name, "residual": None, "threshold": 1e-8, "pass": False}
+    assert rep["pass"] is False
+    assert len(rep["racah"]) == 9 * 9
+    assert all(r["double_ratio"] is None and r["series"] is not None for r in rep["racah"])
+    assert {r["kind"] for r in rep["bethe"]} == set(KINDS)
+
+
+def test_verify_reports_a_refused_eigen_family(refused_family_path):
+    cfg = load_config(refused_family_path)
+    with pytest.raises(ValueError, match="not rank-deficient"):
+        eigen_family(build(cfg.params).A_mat, spectrum(cfg.params).theta)
+    _assert_family_refusal_reported(run_verify(cfg))
+
+
+def test_main_emits_the_report_when_the_eigen_family_refuses(refused_family_path, capsys):
+    assert main(["verify", refused_family_path]) == 1
+    out = capsys.readouterr()
+    assert "numerical failure" not in out.err
+    _assert_family_refusal_reported(json.loads(out.out))
+
+
 def test_racah_double_ratio_refusal_names_the_entry(refused_rac1_path, capsys):
     # the first entry in row-major order whose rac1 denominator vanishes,
     # found by a scalar loop
@@ -348,3 +385,148 @@ def test_verify_frontier_floor_two_s_8():
     passed = sum(run_verify(parse_config(_draw_config(p)))["pass"]
                  for p in draw_many(8, 12, 1008))
     assert passed >= 8
+
+
+# ---------------------------------------------------------------------------
+# the column-by-column table writer: bytes equal json.dumps(indent=2)
+
+
+def _main_recorded(monkeypatch, capsys, runner, argv):
+    """main(argv) with cli.<runner> recorded: the exit code, stdout, and what
+    the runner returned to main (None when it raised)."""
+    returned = [None]
+    run = getattr(cli, runner)
+
+    def recorded(*args):
+        returned[0] = run(*args)
+        return returned[0]
+
+    monkeypatch.setattr(cli, runner, recorded)
+    rc = main(argv)
+    return rc, capsys.readouterr().out, returned[0]
+
+
+def _dumps(obj):
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 8, 16, 32])
+def test_racah_json_bytes_equal_json_dumps(two_s, tmp_path, monkeypatch, capsys):
+    path = _write(tmp_path, _draw_config(draw_many(two_s, 1, 9100 + two_s)[0]))
+    refused = 0
+    for route in ("series", "recurrence", "double-ratio"):
+        rc, out, rows = _main_recorded(
+            monkeypatch, capsys, "run_racah_table", ["racah", path, "--route", route])
+        if rows is None:  # the double ratios meet a vanishing scalar product
+            assert (route, rc, out) == ("double-ratio", 1, "")
+            refused += 1
+            continue
+        assert rc == 0
+        assert len(rows) == (two_s + 1) ** 2
+        assert out == _dumps(rows)
+    # these draws refuse from two_s 16 on
+    assert refused == (two_s >= 16)
+
+
+# (two_s, count, seed, index) of draw_many draws; None is the shipped config.
+# The last two are the draws on which eigen_family and the rac1 route refuse.
+_VERIFY_DRAWS = ([None] + [(n, 3, 9000 + n, i) for n in (1, 2, 3, 4, 8) for i in range(3)]
+                 + [(8, 5, 85, 1), (16, 12, 1016, 0)])
+
+
+@pytest.mark.parametrize("draw", _VERIFY_DRAWS, ids=str)
+def test_verify_json_bytes_equal_json_dumps(draw, tmp_path, monkeypatch, capsys):
+    if draw is None:
+        path = SHIPPED_CONFIG
+    else:
+        two_s, count, seed, index = draw
+        path = _write(tmp_path, _draw_config(draw_many(two_s, count, seed)[index]))
+    rc, out, report = _main_recorded(monkeypatch, capsys, "run_verify", ["verify", path])
+    assert rc == (0 if report["pass"] else 1)
+    assert out == _dumps(report)
+
+
+# every float repr format switch: non-finite, signed zero, subnormal, the
+# exponent form from 1e16 up and below 1e-4, and the fixed form between
+_EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324,
+                1e16, -1e16, 9999999999999998.0, 1e-5, 1e-4, 0.1, 1.0, -1.5,
+                123456.789, 1.7976931348623157e308, 2.2250738585072014e-308]
+
+
+def _edge_table():
+    vals = _EDGE_FLOATS
+    return [{"M": k, "N": 1000 + k, "value": [vals[k], vals[-1 - k]]} for k in range(len(vals))]
+
+
+def test_racah_json_of_edge_floats_equals_json_dumps():
+    rows = _edge_table()
+    assert cli._racah_json(rows) == _dumps(rows)
+    assert cli._racah_json(rows[:1]) == _dumps(rows[:1])
+
+
+@pytest.mark.parametrize("double_ratio", ["pairs", "null"])
+def test_verify_json_of_edge_floats_equals_json_dumps(double_ratio):
+    vals = _EDGE_FLOATS
+    racah_rows = [{"M": k, "N": k // 2, "series": [vals[k], vals[-1 - k]],
+                   "double_ratio": [vals[-1 - k], vals[k]] if double_ratio == "pairs" else None,
+                   "recurrence_residual": vals[k]} for k in range(len(vals))]
+    report = {
+        "instance": {"q": [1.1, 0.0], "two_s": 3, "tolerances": {"identity_tol": 1e-8}},
+        "checks": [{"name": "racah", "residual": None, "threshold": 1e-8, "pass": False}],
+        "bethe": [{"kind": "hom_minus", "roots": [[1e16, -0.0]], "match_error": None}],
+        "racah": racah_rows,
+        "pass": False,
+        "versions": {"spec": "3.0"},
+    }
+    assert cli._verify_json(report) == _dumps(report)
+
+
+def test_table_writer_refuses_what_is_not_a_python_number():
+    nested = [{"M": 0, "N": 0, "value": [[1.0, 2.0], 3.0]},
+              {"M": 0, "N": 1, "value": [[1.0, 2.0], 3.0]}]
+    with pytest.raises(ValueError, match="not a Python number"):
+        cli._racah_json(nested)
+    numpy_scalars = [{"M": 0, "N": 0, "value": [np.float64(0.5), np.float64(1.0)]}]
+    if repr(np.float64(0.5)) != "0.5":  # numpy 2 prints np.float64(0.5)
+        with pytest.raises(ValueError, match="not a Python number"):
+            cli._racah_json(numpy_scalars)
+    else:
+        assert cli._racah_json(numpy_scalars) == _dumps(numpy_scalars)
+
+
+def _racah_csv_by_rows(rows):
+    """The CSV writer of specs up to 3.0: one f-string per row."""
+    lines = ["M,N,re,im"]
+    for r in rows:
+        re_, im_ = r["value"]
+        lines.append(f"{r['M']},{r['N']},{re_!r},{im_!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_racah_csv_equals_the_row_by_row_writer(fast_cfg):
+    rows = _edge_table()
+    assert cli._racah_csv(rows) == _racah_csv_by_rows(rows)
+    assert "nan" in cli._racah_csv(rows) and "NaN" not in cli._racah_csv(rows)
+    for route in ("series", "recurrence", "double-ratio"):
+        rows = run_racah_table(fast_cfg, route)
+        assert cli._racah_csv(rows) == _racah_csv_by_rows(rows)
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    cfgfile = _write(tmp_path, _base_config())
+    commands = [["racah", cfgfile, "--route", "series"], ["spectrum", cfgfile],
+                ["bethe", cfgfile, "--kind", "hom_minus", "--level", "1"],
+                ["racah", cfgfile, "--route", "double-ratio"]]
+    in_process = []
+    for argv in commands:
+        assert main(argv) == 0
+        in_process.append(capsys.readouterr().out.encode())
+    separate = [_run_cli(argv, tmp_path) for argv in commands]
+    assert [p.returncode for p in separate] == [0] * len(commands)
+    assert in_process == [p.stdout for p in separate]
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["racah", cfgfile, "--route", "bisection"])
+    assert exc.value.code == 2
+    assert main(["spectrum", cfgfile]) == 0
+    assert capsys.readouterr().out.encode() == in_process[1]
