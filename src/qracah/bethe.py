@@ -5,9 +5,11 @@ Six system kinds are supported.  The two homogeneous kinds carry one
 equation per root at any level 0..two_s; the four inhomogeneous kinds (two
 direct, two dual) always carry two_s roots and an extra inhomogeneity term.
 On-shell root sets reproduce entries of the eigenvalue sequences: the
-homogeneous kinds through a probe-point evaluation of an eigenvalue
-functional whose on-shell value is probe-independent, the inhomogeneous
-kinds through closed-form symmetric functions of the roots.
+homogeneous kinds through the TQ relation below solved for the eigenvalue
+at probe points, whose on-shell value is probe-independent, the
+inhomogeneous kinds through closed-form symmetric functions of the roots.
+The public eigenvalue functionals are that same relation at one probe
+point; its coefficients are written once, in ``_tq_coefficients``.
 
 The solver uses Baxter's TQ relation, which is linear in the coefficients
 of the polynomial Q whose zeros are the roots.  Each system targets spectrum
@@ -361,6 +363,28 @@ def symmetrize_roots(roots: np.ndarray, p: ModelParams) -> np.ndarray:
     return _w(np.asarray(roots, dtype=complex), q) / (q + 1.0 / q)
 
 
+def _functional(kind: str, u: complex, roots, p: ModelParams, sc: StructureConstants) -> complex:
+    """The kind's TQ relation solved for its eigenvalue at one probe point u,
+    T + A*prod f + D*prod h + C/prod den over the roots v.
+
+    Since W(x) - W(y) = b(x/y)*b(q*x*y), the product of f(u, v) is
+    Q(u/q)/Q(u), that of h(u, v) is Q(q*u)/Q(u), and that of
+    b(u/v)*b(q*u*v) is Q(u) itself; the last is formed only for the
+    inhomogeneous kinds, whose C is nonzero.
+    """
+    q = p.base.q
+    A, D, C, T = _tq_coefficients(kind, u, p, sc)
+    inhom = kind in INHOM_KINDS
+    pf = ph = den = 1.0 + 0j
+    # Python complex roots: numpy scalar arithmetic is several times slower
+    for v in np.asarray(roots, dtype=complex).tolist():
+        pf *= _f(u, v, q)
+        ph *= _h(u, v, q)
+        if inhom:
+            den *= _b(u / v) * _b(q * u * v)
+    return complex(T + A * pf + D * ph + C / den)
+
+
 def hom_eigenvalue_functional(eps: int, u: complex, roots, p: ModelParams,
                               sc: StructureConstants | None = None) -> complex:
     """Probe-point eigenvalue functional for the homogeneous kinds.
@@ -369,24 +393,10 @@ def hom_eigenvalue_functional(eps: int, u: complex, roots, p: ModelParams,
     the value is independent of the probe u and equals the L-th entry of
     the matching eigenvalue sequence; off-shell it varies with u.
     """
-    if sc is None:
-        sc = structure_constants(p)
-    q = p.base.q
-    pf = 1.0 + 0j
-    ph = 1.0 + 0j
-    for v in np.asarray(roots, dtype=complex):
-        pf *= _f(u, v, q)
-        ph *= _h(u, v, q)
-    b2 = _b(u * u)
-    core = u**eps * (
-        _lam1(eps, u, p) * pf / (b2 * _b(q * u * u))
-        + _lam2(eps, u, p) * ph / (b2 * _b(q * q * u * u))
-    )
-    if eps == -1:
-        tail = q * u * _etabar(u, sc, q) + _etabar(1.0 / u, sc, q) / (q * u)
-    else:
-        tail = q * u * _etabar(1.0 / u, sc, q) + _etabar(u, sc, q) / (q * u)
-    return complex(core + tail / (b2 * _b(q * q * u * u)))
+    if eps not in (-1, 1):
+        raise ValueError("hom_eigenvalue_functional: eps must be +1 or -1")
+    kind = "hom_plus" if eps == 1 else "hom_minus"
+    return _functional(kind, u, roots, p, sc or structure_constants(p))
 
 
 def dual_eigenvalue_functional(u: complex, roots, p: ModelParams,
@@ -396,24 +406,7 @@ def dual_eigenvalue_functional(u: complex, roots, p: ModelParams,
     Independent route to the same eigenvalue as the closed-form
     reconstruction; on-shell the two agree and the value is probe-free.
     """
-    if sc is None:
-        sc = structure_constants(p)
-    q = p.base.q
-    n = p.two_s
-    delta = p.b_star * q ** (2 * n)
-    pf = 1.0 + 0j
-    ph = 1.0 + 0j
-    den = 1.0 + 0j
-    for v in np.asarray(roots, dtype=complex):
-        pf *= _f(u, v, q)
-        ph *= _h(u, v, q)
-        den *= _b(u / v) * _b(q * u * v)
-    b2 = _b(u * u)
-    t1 = (1.0 / u) * _lam1(1, u, p) * pf / (b2 * _b(q * u * u))
-    t2 = q * q * u**3 * _lam2(1, u, p) * ph / (b2 * _b(q * q * u * u))
-    t3 = -q * delta * _inh_product(u, p) / den
-    t4 = (q * u * _etabar(u, sc, q) + _etabar(1.0 / u, sc, q) / (q * u)) / (b2 * _b(q * q * u * u))
-    return complex(t1 + t2 + t3 + t4)
+    return _functional("dual_inhom_plus", u, roots, p, sc or structure_constants(p))
 
 
 def _closed_form_eigenvalue(kind: str, roots: np.ndarray, p: ModelParams) -> complex:
@@ -434,6 +427,7 @@ def _closed_form_eigenvalue(kind: str, roots: np.ndarray, p: ModelParams) -> com
 
 # relative spread allowed between the probe-point values of an on-shell set
 _PROBE_TOL = 1e-8
+_PROBE_COUNT = 3
 
 
 @functools.cache
@@ -446,12 +440,12 @@ def _probe_candidates() -> tuple[complex, ...]:
     return tuple((r * np.cos(a) + 1j * (r * np.sin(a))).tolist())
 
 
-def _probe_points(roots: np.ndarray, p: ModelParams, count: int = 3) -> list[complex]:
+def _probe_points(roots: np.ndarray, p: ModelParams) -> list[complex]:
     """Deterministic pole-avoiding probe points in the sampling annulus."""
     q = p.base.q
     out: list[complex] = []
     for u in _probe_candidates():
-        if len(out) == count:
+        if len(out) == _PROBE_COUNT:
             break
         ok = all(abs(_b(x)) > 1e-3 for x in (u * u, q * u * u, q * q * u * u))
         for v in roots:
@@ -460,7 +454,7 @@ def _probe_points(roots: np.ndarray, p: ModelParams, count: int = 3) -> list[com
             ok = abs(_b(u / v)) > 1e-3 and abs(_b(q * u * v)) > 1e-3
         if ok:
             out.append(u)
-    if len(out) < count:
+    if len(out) < _PROBE_COUNT:
         raise ValueError("eigenvalue_from_roots: could not place probe points")
     return out
 
@@ -481,8 +475,7 @@ def eigenvalue_from_roots(sys: BetheSystem, roots) -> complex:
 def _eigenvalue(kind: str, roots: np.ndarray, p: ModelParams, sc: StructureConstants) -> complex:
     if kind in INHOM_KINDS:
         return _closed_form_eigenvalue(kind, roots, p)
-    eps = _EPS[KINDS.index(kind)]
-    vals = [hom_eigenvalue_functional(eps, u, roots, p, sc) for u in _probe_points(roots, p)]
+    vals = [_functional(kind, u, roots, p, sc) for u in _probe_points(roots, p)]
     spread = max(abs(a - b) for a in vals for b in vals)
     if spread > _PROBE_TOL * max(1.0, abs(vals[0])):
         raise ValueError(

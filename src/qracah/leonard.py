@@ -40,6 +40,8 @@ GAUGE_THETA = "theta_basis"
 COEFF_KINDS = ("Astar", "A")
 
 _DEN_TOL = 1e-12
+# largest scaled residual of an eigen family vector
+_FAMILY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,7 @@ def _band_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
     return x[:D]
 
 
-def eigen_family(matrix: np.ndarray, values: np.ndarray, tol: float = 1e-6) -> EigenFamily:
+def eigen_family(matrix: np.ndarray, values: np.ndarray) -> EigenFamily:
     """Right and left eigenvector families of a tridiagonal matrix for the
     given eigenvalue list: regularized inverse iteration on every shifted
     system (T - lambda_k I for a right vector, its transpose for a left one),
@@ -257,7 +259,8 @@ def eigen_family(matrix: np.ndarray, values: np.ndarray, tol: float = 1e-6) -> E
     (ties broken by lowest index).
 
     Raises ValueError on an entry outside the band, or when a shifted system
-    is not rank-deficient within ``tol`` (the value is not an eigenvalue).
+    is not rank-deficient within ``_FAMILY_TOL`` (the value is not an
+    eigenvalue).
     """
     matrix = np.asarray(matrix, dtype=complex)
     values = np.asarray(values, dtype=complex)
@@ -307,7 +310,7 @@ def eigen_family(matrix: np.ndarray, values: np.ndarray, tol: float = 1e-6) -> E
     r_right = np.max(np.abs(matrix @ right - right * values), axis=0) / scale
     r_left = np.max(np.abs(left @ matrix - values[:, None] * left), axis=1) / scale
     residuals = np.maximum(r_right, r_left)
-    bad = np.flatnonzero(residuals > tol)
+    bad = np.flatnonzero(residuals > _FAMILY_TOL)
     if bad.size:
         raise ValueError(f"eigen_family: shifted system at value index {bad[0]} is not "
                          f"rank-deficient within tolerance (residual {residuals[bad[0]]:.3e})")

@@ -30,6 +30,8 @@ class GenericityError(ValueError):
 
 
 _COUPLING_REL_TOL = 1e-10
+# relative gap below which two eigenvalues of a sequence count as coinciding
+_DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class ModelParams:
     b_star: complex
     c_star: complex
     zeta: complex
-    degeneracy_tol: float = 1e-8
 
     def __post_init__(self):
         if not isinstance(self.two_s, int) or self.two_s < 1:
@@ -118,7 +119,7 @@ def spectrum(p: ModelParams) -> Spectrum:
         diff = np.abs(vals[:, None] - vals[None, :])
         diff[np.diag_indices(p.dim)] = np.inf
         i, j = np.unravel_index(np.argmin(diff), diff.shape)
-        if diff[i, j] <= p.degeneracy_tol * max(1.0, scale):
+        if diff[i, j] <= _DEGENERACY_TOL * max(1.0, scale):
             raise GenericityError(
                 f"spectrum: {name}[{i}] and {name}[{j}] numerically coincide "
                 f"(gap {diff[i, j]:.3e})"

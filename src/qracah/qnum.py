@@ -6,7 +6,7 @@ primitives are verified downstream as residuals, never as exact equalities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class QBase:
     """
 
     q: complex
-    q2: complex = 0j
+    q2: complex = field(init=False)
 
     def __post_init__(self):
         q = complex(self.q)

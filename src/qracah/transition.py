@@ -109,8 +109,12 @@ def racah_by_recurrence(p: ModelParams) -> np.ndarray:
 
 
 def _k_sequence(q, two_s: int, b, c, bs, cs, zeta) -> np.ndarray:
+    """One normalization sequence, entry N holding q-shifted factorials of
+    order N.  It is built as one running product of the per-order ratios,
+    orders 0..two_s-1, so no factorial is formed on its own: at two_s = 32
+    the numerator and denominator factorials can each overflow while their
+    quotient is finite."""
     q2 = q * q
-    D = two_s + 1
     num_params = (
         -(bs / c) * q ** (two_s + 1) / zeta**2,
         -(b / cs) * q ** (two_s + 1) * zeta**2,
@@ -118,6 +122,7 @@ def _k_sequence(q, two_s: int, b, c, bs, cs, zeta) -> np.ndarray:
         q ** (-2 * two_s),
     )
     den_params = (
+        q2,
         -(bs / b) * q ** (1 - two_s) / zeta**2,
         -(c / cs) * q ** (1 - two_s) * zeta**2,
         (bs / cs) * q ** (2 * two_s + 2),
@@ -125,19 +130,15 @@ def _k_sequence(q, two_s: int, b, c, bs, cs, zeta) -> np.ndarray:
     pref_den = 1.0 - bs / cs
     if abs(pref_den) <= _DEN_TOL:
         raise GenericityError("normalizers: coupling ratio bs/cs is numerically 1")
-    out = np.empty(D, dtype=complex)
-    ratio = b / c
-    for N in range(D):
-        num = 1.0 + 0j
-        for a in num_params:
-            num *= qpoch(a, q2, N)
-        den = qpoch(q2, q2, N)
-        for a in den_params:
-            den *= qpoch(a, q2, N)
-        if abs(den) <= _DEN_TOL:
-            raise GenericityError("normalizers: vanishing denominator factor")
-        out[N] = num / den * (1.0 - (bs / cs) * q ** (4 * N)) / (ratio**N * pref_den)
-    return out
+    powers = q2 ** np.arange(two_s)
+    den = np.array([1.0 - a * powers for a in den_params])
+    if np.any(np.abs(den) <= _DEN_TOL):
+        raise GenericityError("normalizers: vanishing denominator factor")
+    num = np.prod([1.0 - a * powers for a in num_params], axis=0)
+    steps = num / (den.prod(axis=0) * (b / c))
+    N = np.arange(two_s + 1)
+    running = np.concatenate(([1.0 + 0j], np.cumprod(steps)))
+    return running * (1.0 - (bs / cs) * q ** (4 * N)) / pref_den
 
 
 def normalizers(p: ModelParams) -> tuple[np.ndarray, np.ndarray, complex]:

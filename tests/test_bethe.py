@@ -426,6 +426,47 @@ def test_hom_on_shell_probe_independence():
     assert spread < 1e-8 * max(1, abs(vals[0]))
 
 
+def _screened_probes(roots, p, rng):
+    q = p.base.q
+    out = []
+    while len(out) < 3:
+        u = _rand_point(rng, 0.6, 1.7)
+        if min(abs(_bf(x)) for x in (u * u, q * u * u, q * q * u * u)) < 1e-2:
+            continue
+        if any(abs(_bf(u / v)) < 1e-2 or abs(_bf(q * u * v)) < 1e-2 for v in roots):
+            continue
+        out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 6])
+def test_every_kind_functional_matches_an_independent_eigenvalue(two_s):
+    # each kind's TQ relation solved for its eigenvalue, on the solver's
+    # matched roots, against the closed-form symmetric function of the roots
+    # (inhomogeneous kinds) or the level's spectrum entry (homogeneous kinds)
+    p, = draw_many(two_s, 1, 5100 + two_s)
+    sp, sc = spectrum(p), structure_constants(p)
+    rng = np.random.default_rng(5200 + two_s)
+    for rep in bethe.sweep(p):
+        for e in rep.entries:
+            assert e.hit, f"{rep.kind}: index {e.index} not covered"
+            roots = e.solution.roots
+            if rep.kind in bethe.INHOM_KINDS:
+                ref = bethe._closed_form_eigenvalue(rep.kind, roots, p)
+            else:
+                ref = getattr(sp, bethe.TARGET_SPECTRUM[rep.kind])[e.index]
+            for u in _screened_probes(roots, p, rng):
+                lam = bethe._functional(rep.kind, u, roots, p, sc)
+                assert abs(lam - ref) <= 1e-8 * abs(ref), (rep.kind, e.index, u)
+
+
+def test_hom_functional_refuses_an_invalid_eps():
+    p = draw_params(2, np.random.default_rng(3))
+    for eps in (2, 0):
+        with pytest.raises(ValueError, match="eps must be"):
+            hom_eigenvalue_functional(eps, 1.1 + 0.3j, [], p)
+
+
 # ---------------------------------------------------------------------------
 # solver behaviour
 

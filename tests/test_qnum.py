@@ -31,6 +31,10 @@ class TestQBase:
         base = QBase(2.0 + 1.0j)
         assert base.q2 == (2.0 + 1.0j) ** 2
 
+    def test_square_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            QBase(1.1, 5.0)
+
     def test_unit_power_violations(self):
         # q = exp(i*pi/3): q^6 = 1, so q^(2k) = 1 at k = 3
         base = QBase(cmath.exp(1j * cmath.pi / 3))

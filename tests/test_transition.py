@@ -1,5 +1,8 @@
 """Tests for the polynomial table, transition pair, and normalizers."""
 
+import warnings
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -123,6 +126,45 @@ class TestNormalizers:
         total = np.sum(td.k_seq * td.R[1, :] * td.R[0, :])
         scale = np.max(np.abs(td.k_seq * td.R[1, :]))
         assert abs(total) <= 1e-10 * scale
+
+    @staticmethod
+    def _reference(q, two_s, b, c, bs, cs, zeta):
+        # each entry from its own q-shifted factorials, at 60 digits
+        q, b, c, bs, cs, zeta = (mp.mpc(x) for x in (q, b, c, bs, cs, zeta))
+        q2 = q * q
+        num = (-(bs / c) * q ** (two_s + 1) / zeta**2, -(b / cs) * q ** (two_s + 1) * zeta**2,
+               bs / cs, q ** (-2 * two_s))
+        den = (q2, -(bs / b) * q ** (1 - two_s) / zeta**2, -(c / cs) * q ** (1 - two_s) * zeta**2,
+               (bs / cs) * q ** (2 * two_s + 2))
+
+        def poch(params, N):
+            return mp.fprod(1 - a * q2**k for a in params for k in range(N))
+
+        return np.array([complex(poch(num, N) / poch(den, N) * (1 - (bs / cs) * q ** (4 * N))
+                                 / ((b / c) ** N * (1 - bs / cs))) for N in range(two_s + 1)])
+
+    @pytest.mark.parametrize("two_s", [1, 2, 4, 8, 16, 32])
+    def test_sequences_against_mpmath(self, two_s):
+        with mp.workdps(60):
+            for p in draw_many(two_s, 10, 5000 + two_s):
+                k_seq, k_seq_dual, _ = normalizers(p)
+                args = (p.base.q, two_s, p.b, p.c, p.b_star, p.c_star)
+                want = self._reference(*args, p.zeta)
+                want_dual = self._reference(*args[:2], *args[4:], *args[2:4], 1.0 / p.zeta)
+                for got, ref in ((k_seq, want), (k_seq_dual, want_dual)):
+                    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+
+    def test_finite_where_each_factorial_overflows(self):
+        # two_s = 32 draws whose numerator and denominator factorials each
+        # overflow binary64
+        rng = np.random.default_rng(951)
+        draws = [draw_params(n, rng) for n in (8, 16, 32) for _ in range(8)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for i in (17, 20, 21):
+                td = build_transition(draws[i])
+                assert np.isfinite(td.k_seq).all() and np.isfinite(td.k_seq_dual).all()
+                assert np.isfinite(orthogonality_residuals(td)).all()
 
 
 class TestTransitionPair:
