@@ -9,18 +9,22 @@ homogeneous kinds through the TQ relation below solved for the eigenvalue
 at probe points, whose on-shell value is probe-independent, the
 inhomogeneous kinds through closed-form symmetric functions of the roots.
 The public eigenvalue functionals are that same relation at one probe
-point; its coefficients are written once, in ``_tq_coefficients``.
+point; its coefficients are written once, in ``_tq_table``.
 
 The solver uses Baxter's TQ relation, which is linear in the coefficients
 of the polynomial Q whose zeros are the roots.  Each system targets spectrum
 entries: entry L at homogeneous level L, every entry for an inhomogeneous
 kind.  All targets with the same root count L form one batch, across kinds:
 at L = two_s that is both homogeneous kinds and all four inhomogeneous ones.
-A batch shares one set of sample points, fits Q by one least-squares solve
-per target, takes the zeros of every Q at once, inverts them to Bethe roots,
-and polishes all root sets together with a few Newton steps.  The kind of a
-row only selects its factors, each computed as for that kind alone, so a
-row's result does not depend on the batch it is in.  A root set passes
+A solve evaluates the TQ coefficients of every kind once, at the sample
+points of all its batches and at the leading probe candidates.  A batch
+shares one set of sample points, fits Q to every target by one stacked SVD,
+takes the zeros of every Q at once, inverts them to Bethe roots, and
+polishes all root sets together with a few Newton steps; the homogeneous
+eigenvalues are then read at the tabulated probe points.  The kind of a
+row only selects its factors, each computed as for that kind alone, and
+each least-squares matrix is factored alone, so a row's result does not
+depend on the batch it is in.  A root set passes
 only when it satisfies the Bethe equations to tolerance and its
 reconstructed eigenvalue matches the closed-form spectrum; neither check
 uses the fit.  Every step is deterministic, so repeated runs return
@@ -85,6 +89,7 @@ TARGET_SPECTRUM = {
     "dual_inhom_plus": "theta",
     "dual_inhom_minus": "theta_star",
 }
+_THETA = tuple(TARGET_SPECTRUM[kind] == "theta" for kind in KINDS)
 
 
 class PoleError(ValueError):
@@ -212,16 +217,29 @@ def _h(u, v, q):
     return _b(q * q * u * v) * _b(q * u / v) / (_b(q * u * v) * _b(u / v))
 
 
-def _inh_product(u, p: ModelParams):
-    """Product over the inhomogeneity ladder; branch-independent because the
-    factor count is even."""
+def _inh_product(u, p: ModelParams) -> np.ndarray:
+    """Product over the inhomogeneity ladder x = q**((1 - two_s)/2) * q**j,
+    j = 0..two_s, of b(x*zeta*u)*b(x*u/zeta); branch-independent because the
+    factor count is even.  The ladder is a running product of Python complex
+    numbers; every factor is evaluated at once along a leading ladder axis,
+    then multiplied in ladder order."""
     q = p.base.q
     n = p.two_s
     x = complex(q) ** ((1.0 - n) / 2.0)
-    out = np.ones_like(u) if isinstance(u, np.ndarray) else 1.0 + 0j
+    ladder = []
     for _ in range(n + 1):
-        out = out * _b(x * p.zeta * u) * _b(x * u / p.zeta)
+        ladder.append(x)
         x *= q
+    u = np.asarray(u, dtype=complex)
+    shape = (n + 1,) + (1,) * u.ndim
+    xz = np.array([x * p.zeta for x in ladder]).reshape(shape)
+    factors = np.stack([_b(xz * u), _b(np.array(ladder).reshape(shape) * u / p.zeta)], axis=1)
+    # one elementwise product per factor, not np.multiply.reduce: numpy
+    # rounds the reduction of a single point without fused multiply-adds, so
+    # that point alone would differ in its last bit from itself in an array
+    out = np.ones(u.shape, dtype=complex)
+    for f in factors.reshape((-1,) + u.shape):
+        out = out * f
     return out
 
 
@@ -373,7 +391,7 @@ def _functional(kind: str, u: complex, roots, p: ModelParams, sc: StructureConst
     inhomogeneous kinds, whose C is nonzero.
     """
     q = p.base.q
-    A, D, C, T = _tq_coefficients(kind, u, p, sc)
+    A, D, C, T = _tq_table([KINDS.index(kind)], u, p, sc)[:, 0].tolist()
     inhom = kind in INHOM_KINDS
     pf = ph = den = 1.0 + 0j
     # Python complex roots: numpy scalar arithmetic is several times slower
@@ -409,25 +427,33 @@ def dual_eigenvalue_functional(u: complex, roots, p: ModelParams,
     return _functional("dual_inhom_plus", u, roots, p, sc or structure_constants(p))
 
 
-def _closed_form_eigenvalue(kind: str, roots: np.ndarray, p: ModelParams) -> complex:
+def _closed_form_eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Closed-form eigenvalue of each row of U, a root set of the
+    inhomogeneous kind KINDS[k[s]]: pre*(const - coef*S), with S the sum of
+    W(u) = q*u**2 + 1/(q*u**2) over the roots and (pre, const, coef) fixed
+    by the kind and the parameters."""
     q = p.base.q
     n = p.two_s
     z = p.zeta**2 + 1.0 / p.zeta**2
     qn = qnumber(n, p.base)
-    r2 = roots**2
-    S = complex(np.sum(q * r2 + 1.0 / (q * r2)))
-    if kind == "inhom_plus":
-        return q ** (-2 * n) * (p.c_star * z * qn + q**n * (p.b * q**n + p.c * q**-n) - q * p.c_star * S)
-    if kind == "inhom_minus":
-        return q ** (2 * n) * (p.b * z * qn + q**-n * (p.b_star * q**n + p.c_star * q**-n) - p.b * S / q)
-    if kind == "dual_inhom_plus":
-        return q ** (2 * n) * (p.b_star * z * qn + q**-n * (p.b * q**n + p.c * q**-n) - p.b_star * S / q)
-    return q ** (-2 * n) * (p.c * z * qn + q**n * (p.b_star * q**n + p.c_star * q**-n) - q * p.c * S)
+    # rows indexed like INHOM_KINDS
+    forms = np.array([
+        (q ** (-2 * n), p.c_star * z * qn + q**n * (p.b * q**n + p.c * q**-n), q * p.c_star),
+        (q ** (2 * n), p.b * z * qn + q**-n * (p.b_star * q**n + p.c_star * q**-n), p.b / q),
+        (q ** (2 * n), p.b_star * z * qn + q**-n * (p.b * q**n + p.c * q**-n), p.b_star / q),
+        (q ** (-2 * n), p.c * z * qn + q**n * (p.b_star * q**n + p.c_star * q**-n), q * p.c),
+    ])
+    pre, const, coef = forms[k - len(HOM_KINDS)].T
+    r2 = U**2
+    return pre * (const - coef * (q * r2 + 1.0 / (q * r2)).sum(axis=1))
 
 
 # relative spread allowed between the probe-point values of an on-shell set
 _PROBE_TOL = 1e-8
 _PROBE_COUNT = 3
+# leading probe candidates whose TQ coefficients solve tabulates; a root set
+# whose probe points reach past them takes the scalar _functional path
+_PROBE_PREFIX = 16
 
 
 @functools.cache
@@ -469,20 +495,67 @@ def eigenvalue_from_roots(sys: BetheSystem, roots) -> complex:
     roots = np.asarray(roots, dtype=complex)
     if roots.shape != (sys.level,):
         raise ValueError(f"eigenvalue_from_roots: expected {sys.level} roots")
-    return _eigenvalue(sys.kind, roots, sys.params, structure_constants(sys.params))
-
-
-def _eigenvalue(kind: str, roots: np.ndarray, p: ModelParams, sc: StructureConstants) -> complex:
-    if kind in INHOM_KINDS:
-        return _closed_form_eigenvalue(kind, roots, p)
-    vals = [_functional(kind, u, roots, p, sc) for u in _probe_points(roots, p)]
-    spread = max(abs(a - b) for a in vals for b in vals)
-    if spread > _PROBE_TOL * max(1.0, abs(vals[0])):
+    p = sys.params
+    sc = structure_constants(p)
+    k = np.array([KINDS.index(sys.kind)])
+    probe = _tq_table(k, _probe_candidates()[:_PROBE_PREFIX], p, sc)
+    (lam,), (spread,) = _eigenvalues(k, roots[None, :], p, sc, probe)
+    if not spread <= _PROBE_TOL:
         raise ValueError(
             "eigenvalue_from_roots: probe dependence above tolerance "
-            f"({spread:.3e}); roots are off shell"
+            f"(relative spread {spread:.3e}); roots are off shell"
         )
-    return vals[0]
+    return complex(lam)
+
+
+def _probe_values(k: np.ndarray, U: np.ndarray, p: ModelParams, sc: StructureConstants,
+                  probe: np.ndarray) -> np.ndarray:
+    """The TQ functional of each homogeneous root set, row s of U of the kind
+    KINDS[k[s]], at its _PROBE_COUNT probe points (those of _probe_points),
+    shape (len(U), _PROBE_COUNT).
+
+    probe holds each row's (A, D, C, T) at the first _PROBE_PREFIX
+    candidates, shape (4, len(U), _PROBE_PREFIX).  A row whose probe points
+    reach past them is evaluated by _functional, NaN where no probe points
+    can be placed."""
+    q = p.base.q
+    cand = np.array(_probe_candidates()[:_PROBE_PREFIX])
+    u, v = cand[:, None], U[:, None, :]
+    with np.errstate(all="ignore"):
+        free = ((np.abs(_b(u / v)) > 1e-3) & (np.abs(_b(q * u * v)) > 1e-3)).all(axis=2)
+    for x in (cand * cand, q * cand * cand, q * q * cand * cand):
+        free &= np.abs(_b(x)) > 1e-3
+    rows = np.arange(len(U))[:, None]
+    first = np.argsort(~free, axis=1, kind="stable")[:, :_PROBE_COUNT]
+    A, D, _, T = probe[:, rows, first]
+    u = cand[first][:, :, None]
+    with np.errstate(all="ignore"):
+        vals = T + A * _f(u, v, q).prod(axis=2) + D * _h(u, v, q).prod(axis=2)
+    for s in np.flatnonzero(~free[rows, first].all(axis=1)):
+        try:
+            vals[s] = [_functional(KINDS[k[s]], x, U[s], p, sc) for x in _probe_points(U[s], p)]
+        except ValueError:
+            vals[s] = np.nan
+    return vals
+
+
+def _eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams, sc: StructureConstants,
+                 probe: np.ndarray):
+    """Eigenvalue reconstructed from each root set, row s of U of the kind
+    KINDS[k[s]], and the relative spread of its probe-point values: the
+    first value for a homogeneous kind, the closed form (spread 0) for an
+    inhomogeneous one.  probe is as in _probe_values."""
+    lam = np.empty(len(U), dtype=complex)
+    spread = np.zeros(len(U))
+    inh = np.array(_FAMILY)[k] > 0
+    lam[inh] = _closed_form_eigenvalues(k[inh], U[inh], p)
+    hom = np.flatnonzero(~inh)
+    vals = _probe_values(k[hom], U[hom], p, sc, probe[:, hom])
+    lam[hom] = vals[:, 0]
+    with np.errstate(invalid="ignore"):
+        spread[hom] = (np.abs(vals[:, :, None] - vals[:, None, :]).max(axis=(1, 2))
+                       / np.maximum(1.0, np.abs(vals[:, 0])))
+    return lam, spread
 
 
 # ---------------------------------------------------------------------------
@@ -507,67 +580,83 @@ def _sample_points(count: int) -> np.ndarray:
     return radius * np.exp(1j * _GOLDEN_ANGLE * k)
 
 
-def _tq_coefficients(kind: str, u: np.ndarray, p: ModelParams, sc: StructureConstants):
-    """(A, D, C, T) of the kind's TQ relation at the points u."""
+def _tq_table(kinds, u, p: ModelParams, sc: StructureConstants) -> np.ndarray:
+    """(A, D, C, T) of the TQ relation of each kind in kinds (indices into
+    KINDS) at the points u, stacked with shape (4, len(kinds)) + u.shape.
+
+    This is the one statement of the six kinds' TQ relation.  Each kind's
+    branch takes its literal powers through _sel, so every row has the bits
+    of its kind evaluated alone, and every point those of its point alone."""
     q = p.base.q
-    eps = _EPS[KINDS.index(kind)]
+    k = np.asarray(kinds)
+    u = np.asarray(u, dtype=complex)
+    shape = (len(k),) + (1,) * u.ndim
+    eps = np.array(_EPS)[k].reshape(shape)
+    fam = np.array(_FAMILY)[k].reshape(shape)
+    hom, dual = fam == 0, fam == 2
     b2 = _b(u * u)
     l1 = _lam1(eps, u, p) / (b2 * _b(q * u * u))
     d2 = b2 * _b(q * q * u * u)
     l2 = _lam2(eps, u, p) / d2
-    if kind in HOM_KINDS:
-        A, D = u**eps * l1, u**eps * l2
-    elif kind in ("inhom_plus", "inhom_minus"):
-        A, D = u ** (3 * eps) * l1, q ** (-2 * eps) * u ** (-eps) * l2
-    else:
-        A, D = u ** (-eps) * l1, q ** (2 * eps) * u ** (3 * eps) * l2
-    C = 0.0 if kind in HOM_KINDS else -_nu(p)[KINDS.index(kind)] * _inh_product(u, p)
-    if TARGET_SPECTRUM[kind] == "theta":
-        tail = q * u * _etabar(u, sc, q) + _etabar(1.0 / u, sc, q) / (q * u)
-    else:
-        tail = q * u * _etabar(1.0 / u, sc, q) + _etabar(u, sc, q) / (q * u)
-    return A, D, C, tail / d2
+    # homogeneous: u**eps on both terms; direct: u**(3*eps) and
+    # q**(-2*eps)*u**(-eps); dual: u**(-eps) and q**(2*eps)*u**(3*eps)
+    A = np.where(hom, _sel(eps, u**1, u**-1),
+                 np.where(dual, _sel(eps, u**-1, u**1), _sel(eps, u**3, u**-3))) * l1
+    D = np.where(hom, _sel(eps, u**1, u**-1),
+                 np.where(dual, _sel(eps, q**2 * u**3, q**-2 * u**-3),
+                          _sel(eps, q**-2 * u**-1, q**2 * u**1))) * l2
+    C = np.where(hom, 0.0, -_nu(p)[k].reshape(shape) * _inh_product(u, p))
+    tail = np.where(np.array(_THETA)[k].reshape(shape),
+                    q * u * _etabar(u, sc, q) + _etabar(1.0 / u, sc, q) / (q * u),
+                    q * u * _etabar(1.0 / u, sc, q) + _etabar(u, sc, q) / (q * u))
+    return np.stack(np.broadcast_arrays(A, D, C, tail / d2))
+
+
+def _lstsq(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution x = V @ pinv(S) @ U^H @ rhs[s] of
+    M[s] @ x = rhs[s] for each s, from one stacked SVD.  Singular values at
+    or below np.linalg.lstsq's own cutoff, eps*max(m, n)*s_max, count as
+    zero.  Each matrix is factored and multiplied alone, so a row's
+    solution does not depend on the rest of the stack."""
+    Us, s, Vh = np.linalg.svd(M, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(M.shape[1:]) * s[:, :1]
+    z = (Us.conj().transpose(0, 2, 1) @ rhs[:, :, None])[:, :, 0] / np.where(keep, s, np.inf)
+    return (Vh.conj().transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
 
 
 def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
-              sc: StructureConstants) -> np.ndarray:
+              coeffs: np.ndarray) -> np.ndarray:
     """Roots of the monic Q(W) fitted to the TQ relation at each eigenvalue
     in lams, one row of L roots per eigenvalue; row s belongs to the kind
-    KINDS[k[s]].
+    KINDS[k[s]].  coeffs is the TQ table of every kind at the points of
+    _sample_points, shape (4, len(KINDS), count); solve samples 4L+8.
 
     The sample points and powers of W are shared by all rows, and the TQ
-    coefficients by the rows of a kind; each eigenvalue gets its own
-    least-squares solve over 4L+8 sample points with rows and columns
-    scaled.  Each W root is inverted to one of its four u representatives
+    coefficients by the rows of a kind; the least-squares problems of all
+    eigenvalues, with rows and columns scaled, are solved by one stacked
+    SVD.  Each W root is inverted to one of its four u representatives
     (u, -u, 1/(q*u), -1/(q*u)), all of which solve the Bethe equations.
     """
     S = len(lams)
     if L == 0:
         return np.empty((S, 0), dtype=complex)
     q = p.base.q
-    u = _sample_points(4 * L + 8)
+    u = _sample_points(coeffs.shape[-1])
     powers = np.arange(L + 1)
     kinds, of_row = np.unique(k, return_inverse=True)
     with np.errstate(all="ignore"):
         Wk = _w(u, q)[:, None] ** powers
         Wm, Wp = _w(u / q, q)[:, None] ** powers, _w(q * u, q)[:, None] ** powers
-        base, C, T = [], [], []
-        for kind in kinds:
-            A, D, c, t = _tq_coefficients(KINDS[kind], u, p, sc)
-            base.append(A[:, None] * Wm + D[:, None] * Wp)
-            C.append(np.broadcast_to(c, u.shape))
-            T.append(t)
-        base, C, T = np.array(base)[of_row], np.array(C)[of_row], np.array(T)[of_row]
-        basis = base + (T - lams[:, None])[:, :, None] * Wk
-        M, rhs = basis[:, :, :L], -(basis[:, :, L] + C)
+        A, D, C, T = coeffs[:, kinds]
+        base = (A[:, :, None] * Wm + D[:, :, None] * Wp)[of_row]
+        basis = base + (T[of_row] - lams[:, None])[:, :, None] * Wk
+        M, rhs = basis[:, :, :L], -(basis[:, :, L] + C[of_row])
         row = np.maximum(np.abs(M).max(axis=2), np.abs(rhs))
         ok = np.isfinite(row) & (row > 0)  # zeroes the rows of a sample point on a pole
         M = np.where(ok[:, :, None], M / row[:, :, None], 0.0)
         rhs = np.where(ok, rhs / row, 0.0)
         col = np.linalg.norm(M, axis=1)
-        # one lstsq per row: a single batched solve loses accuracy near tolerance
-        coef = np.array([np.linalg.lstsq(m / c, r, rcond=None)[0]
-                         for m, c, r in zip(M, col, rhs)]) / col
+        coef = _lstsq(M / col[:, None, :], rhs) / col
     companion = np.zeros((S, L, L), dtype=complex)
     companion[:, 0, :] = -coef[:, ::-1]
     companion[:, np.arange(1, L), np.arange(L - 1)] = 1.0
@@ -656,17 +745,15 @@ def _polish(k: np.ndarray, U: np.ndarray, p: ModelParams, tol: float):
     return C, res
 
 
-def _match(lam: complex, targets: np.ndarray) -> tuple[int, float]:
-    d = np.abs(targets - lam) / np.maximum(1.0, np.abs(targets))
-    idx = int(np.argmin(d))
-    return idx, float(d[idx])
-
-
 def _solutions(systems: list[BetheSystem], U: np.ndarray, res: np.ndarray, p: ModelParams,
-               sp: Spectrum, sc: StructureConstants, cfg: SolverConfig) -> list[BetheSolution]:
+               sp: Spectrum, sc: StructureConstants, cfg: SolverConfig,
+               probe: np.ndarray) -> list[BetheSolution]:
     """Admissibility and eigenvalue match of each on-shell root set, one per
-    row of U; row s solves systems[s]."""
-    L = U.shape[1]
+    row of U; row s solves systems[s].  probe is the TQ table of every kind
+    at the first _PROBE_PREFIX probe candidates; the eigenvalues of all rows
+    are reconstructed at once and matched in one broadcast."""
+    S, L = U.shape
+    k = np.array([KINDS.index(s.kind) for s in systems], dtype=int)
     sym = symmetrize_roots(U, p)
     sym = np.take_along_axis(sym, np.lexsort((sym.imag, sym.real)), axis=-1)
     gaps = np.abs(sym[:, :, None] - sym[:, None, :])
@@ -677,31 +764,25 @@ def _solutions(systems: list[BetheSystem], U: np.ndarray, res: np.ndarray, p: Mo
         & (gaps.min(axis=(1, 2), initial=np.inf)
            > cfg.dedup_tol * np.maximum(1.0, np.abs(sym).max(axis=1, initial=0.0)))
     )
-    out = []
-    for sys, roots, r, sy, ok in zip(systems, U, res, sym, adm):
-        lam = None
-        idx = None
-        err = np.inf
-        if ok:
-            try:
-                lam = _eigenvalue(sys.kind, roots, p, sc)
-            except ValueError:
-                ok = False
-            else:
-                idx, err = _match(lam, getattr(sp, TARGET_SPECTRUM[sys.kind]))
-                if err > cfg.match_tol:
-                    idx = None
-        out.append(BetheSolution(
-            system=sys,
-            roots=roots,
-            residual_max=float(r),
-            symmetrized=sy,
-            admissible=bool(ok),
-            reconstructed_eigenvalue=lam,
-            matched_index=idx,
-            match_error=err,
-        ))
-    return out
+    rows = np.flatnonzero(adm)
+    lam = np.full(S, np.nan, dtype=complex)
+    lam[rows], spread = _eigenvalues(k[rows], U[rows], p, sc, probe[:, k[rows]])
+    adm[rows] = spread <= _PROBE_TOL
+    targets = np.where(np.array(_THETA)[k][:, None], sp.theta, sp.theta_star)
+    d = np.abs(targets - lam[:, None]) / np.maximum(1.0, np.abs(targets))
+    idx = np.argmin(d, axis=1)
+    err = np.where(adm, d[np.arange(S), idx], np.inf)
+    hit = err <= cfg.match_tol
+    return [BetheSolution(
+        system=sys,
+        roots=U[s],
+        residual_max=float(res[s]),
+        symmetrized=sym[s],
+        admissible=bool(adm[s]),
+        reconstructed_eigenvalue=complex(lam[s]) if adm[s] else None,
+        matched_index=int(idx[s]) if hit[s] else None,
+        match_error=float(err[s]),
+    ) for s, sys in enumerate(systems)]
 
 
 def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
@@ -711,20 +792,28 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     set.  A homogeneous system at level L targets entry L; an inhomogeneous
     one targets every entry.  The targets of all systems with the same root
     count form one batch: Q is fitted to the TQ relation at each target
-    eigenvalue, then the roots of all targets are polished together.  Only
-    root sets whose Bethe residual is within ``cfg.tol`` are returned, by
-    level, then in system and target order, each with its system, its
-    admissibility and the spectrum entry its roots reproduce through
-    ``eigenvalue_from_roots``.  The result is deterministic, and a root set
-    does not depend on the other systems solved with it.
+    eigenvalue, then the roots of all targets are polished together.  The
+    TQ coefficients of every kind are evaluated once, at the sample points
+    of every batch and the leading probe candidates.  Only root sets whose
+    Bethe residual is within ``cfg.tol`` are returned, by level, then in
+    system and target order, each with its system, its admissibility and
+    the spectrum entry its roots reproduce through ``eigenvalue_from_roots``.
+    The result is deterministic, and a root set does not depend on the
+    other systems solved with it.
     """
     systems = [sys] if isinstance(sys, BetheSystem) else list(sys)
     p = systems[0].params
     if any(s.params != p for s in systems):
         raise ValueError("solve: the systems must share one parameter set")
     sp, sc = spectrum(p), structure_constants(p)
+    levels = sorted({s.level for s in systems})
+    widths = [4 * L + 8 if L else 0 for L in levels]
+    points = [_sample_points(w) for w in widths] + [_probe_candidates()[:_PROBE_PREFIX]]
+    with np.errstate(all="ignore"):
+        table = _tq_table(range(len(KINDS)), np.concatenate(points), p, sc)
+    probe = table[:, :, -_PROBE_PREFIX:]
     out: list[BetheSolution] = []
-    for L in sorted({s.level for s in systems}):
+    for L, start, width in zip(levels, np.cumsum([0] + widths), widths):
         rows, lams = [], []
         for s in systems:
             if s.level == L:
@@ -732,12 +821,12 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
                 lams.append(targets[[L]] if s.kind in HOM_KINDS else targets)
                 rows += [s] * len(lams[-1])
         k = np.array([KINDS.index(s.kind) for s in rows])
-        U = _tq_roots(k, np.concatenate(lams), L, p, sc)
+        U = _tq_roots(k, np.concatenate(lams), L, p, table[:, :, start:start + width])
         fit = np.flatnonzero(np.isfinite(U).all(axis=1))
         U, res = _polish(k[fit], U[fit], p, cfg.tol)
         on_shell = res <= cfg.tol
         out += _solutions([rows[i] for i in fit[on_shell]], U[on_shell], res[on_shell],
-                          p, sp, sc, cfg)
+                          p, sp, sc, cfg, probe)
     return out
 
 

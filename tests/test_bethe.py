@@ -452,7 +452,8 @@ def test_every_kind_functional_matches_an_independent_eigenvalue(two_s):
             assert e.hit, f"{rep.kind}: index {e.index} not covered"
             roots = e.solution.roots
             if rep.kind in bethe.INHOM_KINDS:
-                ref = bethe._closed_form_eigenvalue(rep.kind, roots, p)
+                k = np.array([bethe.KINDS.index(rep.kind)])
+                ref = bethe._closed_form_eigenvalues(k, roots[None, :], p)[0]
             else:
                 ref = getattr(sp, bethe.TARGET_SPECTRUM[rep.kind])[e.index]
             for u in _screened_probes(roots, p, rng):
@@ -469,6 +470,16 @@ def test_hom_functional_refuses_an_invalid_eps():
 
 # ---------------------------------------------------------------------------
 # solver behaviour
+
+
+def _tables(L, p, sc):
+    # the TQ table of every kind at the fit's sample points for root count L
+    # and at the tabulated probe candidates, as solve slices them
+    kinds = range(len(bethe.KINDS))
+    with np.errstate(all="ignore"):
+        fit = bethe._tq_table(kinds, bethe._sample_points(4 * L + 8), p, sc)
+        probe = bethe._tq_table(kinds, bethe._probe_candidates()[:bethe._PROBE_PREFIX], p, sc)
+    return fit, probe
 
 
 def test_solver_determinism_bitwise():
@@ -520,7 +531,7 @@ def test_tq_fit_at_a_wrong_eigenvalue_is_off_shell():
     targets = np.concatenate([getattr(spectrum(p), bethe.TARGET_SPECTRUM[kind])
                               for kind in bethe.HOM_KINDS])
     for level in (1, 2, 3):
-        roots = bethe._tq_roots(k, targets, level, p, sc)
+        roots = bethe._tq_roots(k, targets, level, p, _tables(level, p, sc)[0])
         assert roots.shape == (2 * p.dim, level)
         for row, res in enumerate(bethe._scaled_residual(k, roots, p)):
             kind, index = bethe.KINDS[k[row]], row % p.dim
@@ -581,10 +592,11 @@ def test_batching_does_not_change_any_target(two_s):
         sp, sc = spectrum(p), structure_constants(p)
         targets = getattr(sp, bethe.TARGET_SPECTRUM[system.kind])[index]
         k = np.full(len(targets), bethe.KINDS.index(system.kind))
-        U = bethe._tq_roots(k, targets, system.level, p, sc)
+        fit, probe = _tables(system.level, p, sc)
+        U = bethe._tq_roots(k, targets, system.level, p, fit)
         U = U * (1.0 + shift * np.exp(1j * np.arange(system.level)))
         U, res = bethe._polish(k, U, p, cfg.tol)
-        return bethe._solutions([system] * len(U), U, res, p, sp, sc, cfg)
+        return bethe._solutions([system] * len(U), U, res, p, sp, sc, cfg, probe)
 
     for p in draw_many(two_s, 3, seed=2000 + two_s):
         for kind in bethe.INHOM_KINDS:
@@ -718,3 +730,153 @@ def test_sweep_rows_do_not_depend_on_their_batch(two_s):
                 assert a.hit == b.hit
                 assert _bits(a.match_error) == _bits(b.match_error)
                 _assert_same_solution(a.solution, b.solution)
+
+
+# ---------------------------------------------------------------------------
+# one TQ table per solve, the stacked fit and the tabulated reconstruction
+
+
+def _reference_inh_product(u, p):
+    # the ladder loop that the product over a ladder axis replaces
+    q = p.base.q
+    x = complex(q) ** ((1.0 - p.two_s) / 2.0)
+    out = np.ones_like(u)
+    for _ in range(p.two_s + 1):
+        out = out * _bf(x * p.zeta * u) * _bf(x * u / p.zeta)
+        x *= q
+    return out
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 4, 8, 12])
+def test_inh_product_matches_the_ladder_loop(two_s):
+    # bit for bit on sample points, probe candidates and stacks of root
+    # sets, down to a single root set of one root
+    rng = np.random.default_rng(7000 + two_s)
+    p = draw_params(two_s, rng)
+    for shape in ((1,), (1, 1), (2,), (24,), (16,), (3, 1), (5, two_s), (40, 12)):
+        u = np.exp(rng.uniform(-1.2, 1.4, shape) + 1j * rng.uniform(0, 2 * np.pi, shape))
+        assert bethe._inh_product(u, p).tobytes() == _reference_inh_product(u, p).tobytes()
+
+
+def _reference_tq_coefficients(kind, u, p, sc):
+    # the per-kind branches that the table replaces, with each kind's
+    # literal powers
+    q = p.base.q
+    eps = 1 if kind in ("hom_plus", "inhom_plus", "dual_inhom_plus") else -1
+    b2 = _bf(u * u)
+    l1 = bethe._lam1(eps, u, p) / (b2 * _bf(q * u * u))
+    d2 = b2 * _bf(q * q * u * u)
+    l2 = bethe._lam2(eps, u, p) / d2
+    if kind in bethe.HOM_KINDS:
+        A, D = u**eps * l1, u**eps * l2
+        C = np.zeros_like(u)
+    else:
+        if kind.startswith("inhom"):
+            A, D = u ** (3 * eps) * l1, q ** (-2 * eps) * u ** (-eps) * l2
+        else:
+            A, D = u ** (-eps) * l1, q ** (2 * eps) * u ** (3 * eps) * l2
+        C = -bethe._nu(p)[bethe.KINDS.index(kind)] * bethe._inh_product(u, p)
+    if bethe.TARGET_SPECTRUM[kind] == "theta":
+        tail = q * u * bethe._etabar(u, sc, q) + bethe._etabar(1.0 / u, sc, q) / (q * u)
+    else:
+        tail = q * u * bethe._etabar(1.0 / u, sc, q) + bethe._etabar(u, sc, q) / (q * u)
+    return A, D, C, tail / d2
+
+
+@pytest.mark.parametrize("two_s", [1, 4, 8, 12])
+def test_tq_table_rows_are_each_kind_alone(two_s):
+    # every row of the table over the union of a sweep's sample points and
+    # the probe prefix against each kind evaluated alone, and every slice of
+    # it against its points evaluated alone: equal bit for bit
+    p, = draw_many(two_s, 1, 7100 + two_s)
+    sc = structure_constants(p)
+    points = [bethe._sample_points(4 * L + 8) for L in range(1, two_s + 1)]
+    points.append(np.array(bethe._probe_candidates()[:bethe._PROBE_PREFIX]))
+    union = np.concatenate(points)
+    kinds = range(len(bethe.KINDS))
+    with np.errstate(all="ignore"):
+        table = bethe._tq_table(kinds, union, p, sc)
+        assert table.shape == (4, len(bethe.KINDS), len(union))
+        for i, kind in enumerate(bethe.KINDS):
+            for got, want in zip(table[:, i], _reference_tq_coefficients(kind, union, p, sc)):
+                assert got.tobytes() == want.tobytes(), kind
+        some = bethe._tq_table([5, 0, 3], union, p, sc)
+        assert some.tobytes() == table[:, [5, 0, 3]].tobytes()
+        start = 0
+        for u in points:
+            alone = bethe._tq_table(kinds, u, p, sc)
+            assert table[:, :, start:start + len(u)].tobytes() == alone.tobytes()
+            start += len(u)
+
+
+def test_lstsq_is_numpys_minimum_norm_solution():
+    # a stack with a rank-deficient member: each solution agrees with
+    # np.linalg.lstsq(rcond=None), and equals its own solve alone bit for bit
+    rng = np.random.default_rng(31)
+    M = rng.normal(size=(5, 20, 4)) + 1j * rng.normal(size=(5, 20, 4))
+    M[2, :, 3] = M[2, :, 0]
+    rhs = rng.normal(size=(5, 20)) + 1j * rng.normal(size=(5, 20))
+    x = bethe._lstsq(M, rhs)
+    for s in range(5):
+        ref = np.linalg.lstsq(M[s], rhs[s], rcond=None)[0]
+        assert np.max(np.abs(x[s] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert bethe._lstsq(M[s:s + 1], rhs[s:s + 1])[0].tobytes() == x[s].tobytes()
+
+
+def _per_target_lstsq(M, rhs):
+    return np.array([np.linalg.lstsq(m, r, rcond=None)[0] for m, r in zip(M, rhs)])
+
+
+def _max_root_gap(a, b, p):
+    # largest distance from a symmetrized root of a row to the nearest one of
+    # the same row of b, relative to the row's largest
+    wa, wb = symmetrize_roots(a, p), symmetrize_roots(b, p)
+    gap = np.abs(wa[:, :, None] - wb[:, None, :]).min(axis=2).max(axis=1)
+    return np.max(gap / np.abs(wb).max(axis=1))
+
+
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 6])
+def test_stacked_fit_matches_per_target_lstsq(two_s, monkeypatch):
+    # every batch of a sweep fitted by the stacked SVD against the same fit
+    # with one np.linalg.lstsq per target
+    p, = draw_many(two_s, 1, 7200 + two_s)
+    sp, sc = spectrum(p), structure_constants(p)
+    worst = 0.0
+    for L in range(1, two_s + 1):
+        kinds = bethe.HOM_KINDS + (bethe.INHOM_KINDS if L == two_s else ())
+        k = np.repeat([bethe.KINDS.index(kind) for kind in kinds],
+                      [1 if kind in bethe.HOM_KINDS else p.dim for kind in kinds])
+        lams = np.concatenate([getattr(sp, bethe.TARGET_SPECTRUM[kind])[[L] if kind in
+                               bethe.HOM_KINDS else slice(None)] for kind in kinds])
+        fit = _tables(L, p, sc)[0]
+        stacked = bethe._tq_roots(k, lams, L, p, fit)
+        with monkeypatch.context() as m:
+            m.setattr(bethe, "_lstsq", _per_target_lstsq)
+            ref = bethe._tq_roots(k, lams, L, p, fit)
+        worst = max(worst, _max_root_gap(stacked, ref, p))
+    assert worst <= 1e-10
+
+
+def test_tabulated_probe_values_match_the_scalar_functional():
+    # the probe values of the tabulated reconstruction against _functional at
+    # the points of _probe_points: on shell, off shell, and for roots on the
+    # poles of 14 of the 16 tabulated candidates, which push the probe points
+    # past the table onto the scalar path
+    rng = np.random.default_rng(27)
+    p = draw_params(2, rng)
+    sc = structure_constants(p)
+    seen, _ = _reference_probe_points([], p)
+    on_shell = solve(BetheSystem("hom_minus", 2, p))[0].roots
+    blocking = np.array(seen[:14])
+    assert _reference_probe_points(blocking, p)[1][-1] not in seen[:bethe._PROBE_PREFIX]
+    probe = _tables(0, p, sc)[1]
+    groups = (np.empty((1, 0), dtype=complex), np.array([on_shell, [0.9 + 0.3j, 1.2 - 0.4j]]),
+              blocking[None, :])
+    for kind in bethe.HOM_KINDS:
+        for U in groups:
+            k = np.full(len(U), bethe.KINDS.index(kind))
+            vals = bethe._probe_values(k, U, p, sc, probe[:, k])
+            for row, roots in zip(vals, U):
+                points = bethe._probe_points(roots, p)
+                ref = [bethe._functional(kind, u, roots, p, sc) for u in points]
+                assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), (kind, roots)
