@@ -47,10 +47,7 @@ from .bethe import (
     coverage,
     dual_eigenvalue_functional,
     eigenvalue_from_roots,
-    etabar,
-    exchange_fh,
     hom_eigenvalue_functional,
-    lambda12,
     residual,
     solve,
     symmetrize_roots,
@@ -72,7 +69,7 @@ __all__ = [
     "HOM_KINDS", "INHOM_KINDS", "KINDS", "BetheSolution", "BetheSystem",
     "CoverageEntry", "CoverageReport", "PoleError", "SolverConfig",
     "coverage", "dual_eigenvalue_functional", "eigenvalue_from_roots",
-    "etabar", "exchange_fh", "hom_eigenvalue_functional",
-    "lambda12", "residual", "solve", "sweep", "symmetrize_roots",
+    "hom_eigenvalue_functional", "residual", "solve", "sweep",
+    "symmetrize_roots",
     "__version__",
 ]

@@ -17,13 +17,17 @@ entries: entry L at homogeneous level L, every entry for an inhomogeneous
 kind.  All targets with the same root count L form one batch, across kinds:
 at L = two_s that is both homogeneous kinds and all four inhomogeneous ones.
 A solve evaluates the TQ coefficients of every kind once, at the sample
-points of all its batches and at the leading probe candidates.  A batch
-shares one set of sample points, fits Q to every target by one stacked SVD,
-takes the zeros of every Q at once, inverts them to Bethe roots, and
-polishes all root sets together with a few Newton steps; the homogeneous
-eigenvalues are then read at the tabulated probe points.  The kind of a
-row only selects its factors, each computed as for that kind alone, and
-each least-squares matrix is factored alone, so a row's result does not
+points of all its batches and at the leading probe candidates.  The fit
+runs per root count: a batch shares one set of sample points, fits Q to
+every target by one stacked SVD, takes the zeros of every Q at once and
+inverts them to Bethe roots.  The root sets of every batch are then stacked,
+padded with inf to the largest root count, and go through one
+polish/reconstruct/match pass: a pad is a factor 1 in every product over
+roots, wins no max or min and sorts last.  Newton steps, which only root
+sets above tolerance take, run per root count on unpadded rows.  The
+homogeneous eigenvalues are read at the tabulated probe points.  The kind
+of a row only selects its factors, each computed as for that kind alone,
+and each least-squares matrix is factored alone, so a row's result does not
 depend on the batch it is in.  A root set passes
 only when it satisfies the Bethe equations to tolerance and its
 reconstructed eigenvalue matches the closed-form spectrum; neither check
@@ -51,9 +55,6 @@ __all__ = [
     "BetheSolution",
     "CoverageEntry",
     "CoverageReport",
-    "lambda12",
-    "exchange_fh",
-    "etabar",
     "residual",
     "solve",
     "eigenvalue_from_roots",
@@ -164,10 +165,6 @@ class CoverageReport:
     kind: str
     entries: list[CoverageEntry]
 
-    @property
-    def all_hit(self) -> bool:
-        return all(e.hit for e in self.entries)
-
 
 # ---------------------------------------------------------------------------
 # elementary kernels; they accept scalars or numpy arrays interchangeably
@@ -248,49 +245,20 @@ def _etabar(u, sc: StructureConstants, q):
 
 
 # ---------------------------------------------------------------------------
-# public scalar wrappers
-
-
-def lambda12(eps: int, u: complex, p: ModelParams) -> tuple[complex, complex]:
-    """Vacuum eigenvalue pair at spectral point u for branch eps = +-1."""
-    if eps not in (-1, 1):
-        raise ValueError("lambda12: eps must be +1 or -1")
-    if abs(u) < 1e-150:
-        raise PoleError("lambda12: u too close to 0")
-    if abs(_b(p.base.q * u * u)) < 1e-12 * max(1.0, abs(u) ** 2):
-        raise PoleError("lambda12: second member evaluated at its pole")
-    return complex(_lam1(eps, u, p)), complex(_lam2(eps, u, p))
-
-
-def exchange_fh(u: complex, v: complex, p: ModelParams) -> tuple[complex, complex]:
-    """Coupling pair (f, h) between spectral points u and v."""
-    q = p.base.q
-    scale = max(1.0, abs(u), abs(v))
-    for den in (_b(v / u), _b(q * u * v), _b(u / v)):
-        if abs(den) < 1e-12 * scale:
-            raise PoleError("exchange_fh: coupling pole between u and v")
-    return complex(_f(u, v, q)), complex(_h(u, v, q))
-
-
-def etabar(u: complex, sc: StructureConstants, p: ModelParams) -> complex:
-    """Degree-one combination of the inhomogeneous structure constants."""
-    if abs(u) < 1e-150:
-        raise PoleError("etabar: u too close to 0")
-    return complex(_etabar(u, sc, p.base.q))
-
-
-# ---------------------------------------------------------------------------
-# batched residual evaluation; rows are independent candidate root sets
+# batched residual evaluation; rows are independent candidate root sets.  A
+# row shorter than the stack is padded at its end with non-finite entries,
+# which enter no product, max or min, and sort last.
 
 
 def _pair_products(U: np.ndarray, q) -> np.ndarray:
     """Per-root products over the other roots of each row, stacked as
     (f(u_i, u_j), h(u_i, u_j), b(u_i/u_j)*b(q*u_i*u_j)); unpacks as F, H and
     the coupling denominator.  Callers hold the numpy error state: the
-    diagonal's poles are evaluated, then replaced by 1."""
+    diagonal's poles and the pads are evaluated, then replaced by 1."""
     ui, uj = U[:, :, None], U[:, None, :]
+    skip = np.eye(U.shape[1], dtype=bool) | ~np.isfinite(uj)
     pairs = np.stack([_f(ui, uj, q), _h(ui, uj, q), _b(ui / uj) * _b(q * ui * uj)])
-    return np.where(np.eye(U.shape[1], dtype=bool), 1.0, pairs).prod(axis=-1)
+    return np.where(skip, 1.0, pairs).prod(axis=-1)
 
 
 def _nu(p: ModelParams) -> np.ndarray:
@@ -303,8 +271,8 @@ def _nu(p: ModelParams) -> np.ndarray:
 
 def _residual_batch(kind, U: np.ndarray, p: ModelParams):
     """Bethe residual of each row of U, with the largest term magnitude of
-    each equation.  kind names the kind of every row, or is an array of
-    per-row indices into KINDS."""
+    each equation; a pad's equation reads 0 at scale 1.  kind names the kind
+    of every row, or is an array of per-row indices into KINDS."""
     k = np.full(len(U), KINDS.index(kind)) if isinstance(kind, str) else kind
     q = p.base.q
     eps, fam = np.array(_EPS)[k][:, None], np.array(_FAMILY)[k][:, None]
@@ -321,12 +289,13 @@ def _residual_batch(kind, U: np.ndarray, p: ModelParams):
         P = q * q * U**3
         t2 = np.where(hom, H * l2, -np.where(up, P ** -1, P ** 1) * H * l2)
         E, scale = t1 + t2, np.maximum(np.abs(t1), np.abs(t2))
-        if hom.all():
-            return E, scale
-        inh = _inh_product(U, p) / den
-        nu = _nu(p)[k][:, None]
-        t3 = np.where(fam == 2, nu, nu * _sel(eps, U ** -2, U ** 2)) * bU / _b(q) * inh
-        return np.where(hom, E, E + t3), np.where(hom, scale, np.maximum(scale, np.abs(t3)))
+        if not hom.all():
+            inh = _inh_product(U, p) / den
+            nu = _nu(p)[k][:, None]
+            t3 = np.where(fam == 2, nu, nu * _sel(eps, U ** -2, U ** 2)) * bU / _b(q) * inh
+            E, scale = np.where(hom, E, E + t3), np.where(hom, scale, np.maximum(scale, np.abs(t3)))
+    pad = ~np.isfinite(U)
+    return np.where(pad, 0.0, E), np.where(pad, 1.0, scale)
 
 
 def _scaled_norm(E: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -340,11 +309,13 @@ def residual(sys: BetheSystem, roots, i: int) -> complex:
     """Value of equation i of the system at the given candidate roots.
 
     Raises PoleError when the evaluation point sits on a coupling or vacuum
-    pole, and ValueError on index or length mismatches.
+    pole, and ValueError on index or length mismatches or non-finite roots.
     """
     roots = np.asarray(roots, dtype=complex)
     if roots.shape != (sys.level,):
         raise ValueError(f"residual: expected {sys.level} roots, got {roots.shape}")
+    if not np.isfinite(roots).all():
+        raise ValueError("residual: roots must be finite")
     if not 0 <= i < sys.level:
         raise ValueError(f"residual: equation index {i} outside 0..{sys.level - 1}")
     p = sys.params
@@ -493,8 +464,8 @@ def eigenvalue_from_roots(sys: BetheSystem, roots) -> complex:
     use the closed-form symmetric function of the roots.
     """
     roots = np.asarray(roots, dtype=complex)
-    if roots.shape != (sys.level,):
-        raise ValueError(f"eigenvalue_from_roots: expected {sys.level} roots")
+    if roots.shape != (sys.level,) or not np.isfinite(roots).all():
+        raise ValueError(f"eigenvalue_from_roots: expected {sys.level} finite roots")
     p = sys.params
     sc = structure_constants(p)
     k = np.array([KINDS.index(sys.kind)])
@@ -517,12 +488,13 @@ def _probe_values(k: np.ndarray, U: np.ndarray, p: ModelParams, sc: StructureCon
     probe holds each row's (A, D, C, T) at the first _PROBE_PREFIX
     candidates, shape (4, len(U), _PROBE_PREFIX).  A row whose probe points
     reach past them is evaluated by _functional, NaN where no probe points
-    can be placed."""
+    can be placed.  Pads block no candidate and enter no product."""
     q = p.base.q
     cand = np.array(_probe_candidates()[:_PROBE_PREFIX])
     u, v = cand[:, None], U[:, None, :]
+    pad = ~np.isfinite(v)
     with np.errstate(all="ignore"):
-        free = ((np.abs(_b(u / v)) > 1e-3) & (np.abs(_b(q * u * v)) > 1e-3)).all(axis=2)
+        free = (((np.abs(_b(u / v)) > 1e-3) & (np.abs(_b(q * u * v)) > 1e-3)) | pad).all(axis=2)
     for x in (cand * cand, q * cand * cand, q * q * cand * cand):
         free &= np.abs(_b(x)) > 1e-3
     rows = np.arange(len(U))[:, None]
@@ -530,10 +502,12 @@ def _probe_values(k: np.ndarray, U: np.ndarray, p: ModelParams, sc: StructureCon
     A, D, _, T = probe[:, rows, first]
     u = cand[first][:, :, None]
     with np.errstate(all="ignore"):
-        vals = T + A * _f(u, v, q).prod(axis=2) + D * _h(u, v, q).prod(axis=2)
+        vals = (T + A * np.where(pad, 1.0, _f(u, v, q)).prod(axis=2)
+                + D * np.where(pad, 1.0, _h(u, v, q)).prod(axis=2))
     for s in np.flatnonzero(~free[rows, first].all(axis=1)):
+        roots = U[s][~pad[s, 0]]
         try:
-            vals[s] = [_functional(KINDS[k[s]], x, U[s], p, sc) for x in _probe_points(U[s], p)]
+            vals[s] = [_functional(KINDS[k[s]], x, roots, p, sc) for x in _probe_points(roots, p)]
         except ValueError:
             vals[s] = np.nan
     return vals
@@ -627,8 +601,8 @@ def _lstsq(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
               coeffs: np.ndarray) -> np.ndarray:
     """Roots of the monic Q(W) fitted to the TQ relation at each eigenvalue
-    in lams, one row of L roots per eigenvalue; row s belongs to the kind
-    KINDS[k[s]].  coeffs is the TQ table of every kind at the points of
+    in lams, one row of L >= 1 roots per eigenvalue; row s belongs to the
+    kind KINDS[k[s]].  coeffs is the TQ table of every kind at the points of
     _sample_points, shape (4, len(KINDS), count); solve samples 4L+8.
 
     The sample points and powers of W are shared by all rows, and the TQ
@@ -638,8 +612,6 @@ def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
     (u, -u, 1/(q*u), -1/(q*u)), all of which solve the Bethe equations.
     """
     S = len(lams)
-    if L == 0:
-        return np.empty((S, 0), dtype=complex)
     q = p.base.q
     u = _sample_points(coeffs.shape[-1])
     powers = np.arange(L + 1)
@@ -716,29 +688,34 @@ def _scaled_residual(kind, U: np.ndarray, p: ModelParams) -> np.ndarray:
 
 def _polish(k: np.ndarray, U: np.ndarray, p: ModelParams, tol: float):
     """Canonical roots of each row of U and their scaled residuals after at
-    most _POLISH_STEPS Newton steps; row s belongs to the kind KINDS[k[s]].
-    A row takes steps while its residual is above tol, keeps a step only
-    when it lowers that residual, and stops at the first step that does not.
+    most _POLISH_STEPS Newton steps; row s belongs to the kind KINDS[k[s]]
+    and may be padded.  A row takes steps while its residual is above tol,
+    keeps a step only when it lowers that residual, and stops at the first
+    step that does not; the rows of each root count step together, unpadded.
     The residual is evaluated on the canonical roots, and again only for the
     rows that moved; the steps start from the fitted roots."""
     C = _canonical_roots(U)
     res = _scaled_residual(k, C, p)
-    live = res > tol
-    moved = np.zeros_like(live)
+    moved = np.zeros(len(U), dtype=bool)
     U = U.copy()
-    for _ in range(_POLISH_STEPS):
-        rows = np.flatnonzero(live)
-        if rows.size == 0:
-            break
-        V = U[rows]
-        E, _ = _residual_batch(k[rows], V, p)
-        trial = V + _newton_step(_jacobian(k[rows], V, p, _FD_STEP), E)
-        r = _scaled_residual(k[rows], trial, p)
-        better = r < res[rows]
-        U[rows[better]] = trial[better]
-        res[rows[better]] = r[better]
-        moved[rows[better]] = True
-        live[rows] = better & (r > tol)
+    count = np.isfinite(U).sum(axis=1)
+    # not np.unique, whose first call imports numpy.ma
+    for L in sorted(set(count[res > tol].tolist())):
+        live = (count == L) & (res > tol)
+        for _ in range(_POLISH_STEPS):
+            rows = np.flatnonzero(live)
+            if rows.size == 0:
+                break
+            V = U[rows, :L]
+            E, _ = _residual_batch(k[rows], V, p)
+            trial = V + _newton_step(_jacobian(k[rows], V, p, _FD_STEP), E)
+            r = _scaled_residual(k[rows], trial, p)
+            # a non-finite trial root would read as a pad
+            better = (r < res[rows]) & np.isfinite(trial).all(axis=1)
+            U[rows[better], :L] = trial[better]
+            res[rows[better]] = r[better]
+            moved[rows[better]] = True
+            live[rows] = better & (r > tol)
     if moved.any():
         C[moved] = _canonical_roots(U[moved])
         res[moved] = _scaled_residual(k[moved], C[moved], p)
@@ -749,20 +726,26 @@ def _solutions(systems: list[BetheSystem], U: np.ndarray, res: np.ndarray, p: Mo
                sp: Spectrum, sc: StructureConstants, cfg: SolverConfig,
                probe: np.ndarray) -> list[BetheSolution]:
     """Admissibility and eigenvalue match of each on-shell root set, one per
-    row of U; row s solves systems[s].  probe is the TQ table of every kind
-    at the first _PROBE_PREFIX probe candidates; the eigenvalues of all rows
-    are reconstructed at once and matched in one broadcast."""
+    row of U; row s solves systems[s], and a row of fewer roots than U has
+    columns ends in pads.  probe is the TQ table of every kind at the first
+    _PROBE_PREFIX probe candidates; the eigenvalues of all rows are
+    reconstructed at once and matched in one broadcast.  Only homogeneous
+    rows may be padded: the closed form's sum is not exact under pads."""
     S, L = U.shape
     k = np.array([KINDS.index(s.kind) for s in systems], dtype=int)
-    sym = symmetrize_roots(U, p)
-    sym = np.take_along_axis(sym, np.lexsort((sym.imag, sym.real)), axis=-1)
-    gaps = np.abs(sym[:, :, None] - sym[:, None, :])
-    gaps[:, np.arange(L), np.arange(L)] = np.inf
+    pad = ~np.isfinite(U)
+    count = L - pad.sum(axis=1)
+    with np.errstate(all="ignore"):
+        sym = np.where(pad, np.inf, symmetrize_roots(U, p))
+        sym = np.take_along_axis(sym, np.lexsort((sym.imag, sym.real)), axis=-1)
+        skip = np.eye(L, dtype=bool) | pad[:, :, None] | pad[:, None, :]
+        gaps = np.where(skip, np.inf, np.abs(sym[:, :, None] - sym[:, None, :]))
+        vacuum = np.where(pad, np.inf, np.abs(_b(U**2)))
+    size = np.where(pad, 0.0, np.abs(sym)).max(axis=1, initial=0.0)
     adm = (
         (np.abs(U).min(axis=1, initial=np.inf) > cfg.dedup_tol)
-        & (np.abs(_b(U**2)).min(axis=1, initial=np.inf) > cfg.dedup_tol)
-        & (gaps.min(axis=(1, 2), initial=np.inf)
-           > cfg.dedup_tol * np.maximum(1.0, np.abs(sym).max(axis=1, initial=0.0)))
+        & (vacuum.min(axis=1, initial=np.inf) > cfg.dedup_tol)
+        & (gaps.min(axis=(1, 2), initial=np.inf) > cfg.dedup_tol * np.maximum(1.0, size))
     )
     rows = np.flatnonzero(adm)
     lam = np.full(S, np.nan, dtype=complex)
@@ -775,9 +758,9 @@ def _solutions(systems: list[BetheSystem], U: np.ndarray, res: np.ndarray, p: Mo
     hit = err <= cfg.match_tol
     return [BetheSolution(
         system=sys,
-        roots=U[s],
+        roots=U[s, :count[s]],
         residual_max=float(res[s]),
-        symmetrized=sym[s],
+        symmetrized=sym[s, :count[s]],
         admissible=bool(adm[s]),
         reconstructed_eigenvalue=complex(lam[s]) if adm[s] else None,
         matched_index=int(idx[s]) if hit[s] else None,
@@ -791,11 +774,13 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     ``sys`` is one BetheSystem or a sequence of systems with one parameter
     set.  A homogeneous system at level L targets entry L; an inhomogeneous
     one targets every entry.  The targets of all systems with the same root
-    count form one batch: Q is fitted to the TQ relation at each target
-    eigenvalue, then the roots of all targets are polished together.  The
-    TQ coefficients of every kind are evaluated once, at the sample points
-    of every batch and the leading probe candidates.  Only root sets whose
-    Bethe residual is within ``cfg.tol`` are returned, by level, then in
+    count form one batch, and Q is fitted per root count to the TQ relation
+    at each target eigenvalue.  The fitted root sets of every root count are
+    then stacked, padded with inf to the largest, and go through one
+    polish/reconstruct/match pass; Newton steps alone run per root count.
+    The TQ coefficients of every kind are evaluated once, at the sample
+    points of every batch and the leading probe candidates.  Only root sets
+    whose Bethe residual is within ``cfg.tol`` are returned, by level, then in
     system and target order, each with its system, its admissibility and
     the spectrum entry its roots reproduce through ``eigenvalue_from_roots``.
     The result is deterministic, and a root set does not depend on the
@@ -812,22 +797,25 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     with np.errstate(all="ignore"):
         table = _tq_table(range(len(KINDS)), np.concatenate(points), p, sc)
     probe = table[:, :, -_PROBE_PREFIX:]
-    out: list[BetheSolution] = []
-    for L, start, width in zip(levels, np.cumsum([0] + widths), widths):
-        rows, lams = [], []
+    rows, lams = [], []
+    for L in levels:
         for s in systems:
             if s.level == L:
                 targets = getattr(sp, TARGET_SPECTRUM[s.kind])
                 lams.append(targets[[L]] if s.kind in HOM_KINDS else targets)
                 rows += [s] * len(lams[-1])
-        k = np.array([KINDS.index(s.kind) for s in rows])
-        U = _tq_roots(k, np.concatenate(lams), L, p, table[:, :, start:start + width])
-        fit = np.flatnonzero(np.isfinite(U).all(axis=1))
-        U, res = _polish(k[fit], U[fit], p, cfg.tol)
-        on_shell = res <= cfg.tol
-        out += _solutions([rows[i] for i in fit[on_shell]], U[on_shell], res[on_shell],
-                          p, sp, sc, cfg, probe)
-    return out
+    k = np.array([KINDS.index(s.kind) for s in rows])
+    lams, count = np.concatenate(lams), np.array([s.level for s in rows])
+    U = np.full((len(rows), levels[-1]), np.inf, dtype=complex)
+    for L, start, width in zip(levels, np.cumsum([0] + widths), widths):
+        if L:
+            at = count == L
+            U[at, :L] = _tq_roots(k[at], lams[at], L, p, table[:, :, start:start + width])
+    fit = np.flatnonzero(np.isfinite(U).sum(axis=1) == count)
+    U, res = _polish(k[fit], U[fit], p, cfg.tol)
+    on_shell = res <= cfg.tol
+    return _solutions([rows[i] for i in fit[on_shell]], U[on_shell], res[on_shell],
+                      p, sp, sc, cfg, probe)
 
 
 def coverage(kind: str, p: ModelParams, cfg: SolverConfig = SolverConfig()) -> CoverageReport:

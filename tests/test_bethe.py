@@ -13,6 +13,8 @@ Independent oracles used here:
     uses the solve, and a fit at a wrong entry gives roots off shell
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,10 +27,7 @@ from qracah.bethe import (
     coverage,
     dual_eigenvalue_functional,
     eigenvalue_from_roots,
-    exchange_fh,
-    etabar,
     hom_eigenvalue_functional,
-    lambda12,
     residual,
     solve,
     symmetrize_roots,
@@ -48,7 +47,7 @@ def _rand_point(rng, lo=0.55, hi=1.8):
 
 
 # ---------------------------------------------------------------------------
-# vacuum pair
+# vacuum pair (the kernels _lam1, _lam2)
 
 
 def test_lambda1_zero_at_twist_locus():
@@ -57,7 +56,7 @@ def test_lambda1_zero_at_twist_locus():
     p = draw_params(2, rng)
     u0 = p.zeta * complex(p.base.q) ** (-(p.two_s + 1) / 2.0)
     for eps in (-1, 1):
-        l1, _ = lambda12(eps, u0, p)
+        l1 = bethe._lam1(eps, u0, p)
         assert abs(l1) < 1e-10 * max(1.0, abs(p.b), abs(p.c_star))
 
 
@@ -66,7 +65,7 @@ def test_lambda2_zero_at_unit_points():
     p = draw_params(1, rng)
     for u in (1.0 + 0j, 1j):
         for eps in (-1, 1):
-            _, l2 = lambda12(eps, u, p)
+            l2 = bethe._lam2(eps, u, p)
             assert abs(l2) < 1e-12
 
 
@@ -76,24 +75,14 @@ def test_lambda_parity_odd():
     for _ in range(5):
         u = _rand_point(rng)
         for eps in (-1, 1):
-            a1, a2 = lambda12(eps, u, p)
-            b1, b2 = lambda12(eps, -u, p)
+            a1, a2 = bethe._lam1(eps, u, p), bethe._lam2(eps, u, p)
+            b1, b2 = bethe._lam1(eps, -u, p), bethe._lam2(eps, -u, p)
             assert abs(a1 + b1) < 1e-12 * max(1, abs(a1))
             assert abs(a2 + b2) < 1e-12 * max(1, abs(a2))
 
 
-def test_lambda12_pole_and_validation():
-    rng = np.random.default_rng(3)
-    p = draw_params(1, rng)
-    with pytest.raises(ValueError):
-        lambda12(2, 1.1 + 0j, p)
-    upole = 1.0 / np.sqrt(complex(p.base.q))  # q*u**2 = 1
-    with pytest.raises(PoleError):
-        lambda12(-1, complex(upole), p)
-
-
 # ---------------------------------------------------------------------------
-# couplings
+# couplings (the kernels _f, _h)
 
 
 def test_exchange_fh_even_in_each_argument():
@@ -101,21 +90,11 @@ def test_exchange_fh_even_in_each_argument():
     p = draw_params(1, rng)
     for _ in range(5):
         u, v = _rand_point(rng), _rand_point(rng)
-        f0, h0 = exchange_fh(u, v, p)
+        f0, h0 = bethe._f(u, v, p.base.q), bethe._h(u, v, p.base.q)
         for uu, vv in ((-u, v), (u, -v), (-u, -v)):
-            f1, h1 = exchange_fh(uu, vv, p)
+            f1, h1 = bethe._f(uu, vv, p.base.q), bethe._h(uu, vv, p.base.q)
             assert abs(f1 - f0) < 1e-12 * max(1, abs(f0))
             assert abs(h1 - h0) < 1e-12 * max(1, abs(h0))
-
-
-def test_exchange_fh_pole_at_coincidence():
-    rng = np.random.default_rng(5)
-    p = draw_params(1, rng)
-    u = _rand_point(rng)
-    with pytest.raises(PoleError):
-        exchange_fh(u, u, p)
-    with pytest.raises(PoleError):
-        exchange_fh(u, 1.0 / (p.base.q * u), p)
 
 
 def test_exchange_fh_value_against_direct_product():
@@ -124,7 +103,7 @@ def test_exchange_fh_value_against_direct_product():
     p = draw_params(2, rng)
     q = p.base.q
     u, v = _rand_point(rng), _rand_point(rng)
-    f, h = exchange_fh(u, v, p)
+    f, h = bethe._f(u, v, q), bethe._h(u, v, q)
     f_ref = _bf(q * v / u) * _bf(u * v) / (_bf(v / u) * _bf(q * u * v))
     h_ref = _bf(q * q * u * v) * _bf(q * u / v) / (_bf(q * u * v) * _bf(u / v))
     assert abs(f - f_ref) < 1e-14 * max(1, abs(f_ref))
@@ -134,7 +113,7 @@ def test_exchange_fh_value_against_direct_product():
 @pytest.mark.parametrize("L", [1, 2, 5])
 def test_pair_products_match_scalar_exchange_loop(L):
     # the batched per-root products over the other roots of a row against a
-    # plain loop over the public pair couplings, several rows at once
+    # plain loop over the pair couplings, several rows at once
     rng = np.random.default_rng(100 + L)
     p = draw_params(2, rng)
     q = p.base.q
@@ -147,9 +126,8 @@ def test_pair_products_match_scalar_exchange_loop(L):
             f_ref = h_ref = den_ref = 1.0 + 0j
             for j, v in enumerate(row):
                 if j != i:
-                    f, h = exchange_fh(u, v, p)
-                    f_ref *= f
-                    h_ref *= h
+                    f_ref *= bethe._f(u, v, q)
+                    h_ref *= bethe._h(u, v, q)
                     den_ref *= _bf(u / v) * _bf(q * u * v)
             for got, want in ((F[s, i], f_ref), (H[s, i], h_ref), (den[s, i], den_ref)):
                 assert abs(got - want) <= 1e-13 * abs(want)
@@ -161,9 +139,10 @@ def test_etabar_parity_and_coefficients():
     sc = structure_constants(p)
     q = p.base.q
     u = _rand_point(rng)
-    assert abs(etabar(u, sc, p) + etabar(-u, sc, p)) < 1e-12 * max(1, abs(etabar(u, sc, p)))
+    v0 = bethe._etabar(u, sc, q)
+    assert abs(v0 + bethe._etabar(-u, sc, q)) < 1e-12 * max(1, abs(v0))
     # two evaluations recover the two structure constants
-    v1, v2 = etabar(u, sc, p), etabar(2 * u, sc, p)
+    v1, v2 = v0, bethe._etabar(2 * u, sc, q)
     pref = (q + 1 / q) / sc.rho
     # v = pref*(eta*u + eta_star/u); solve the 2x2 system
     A = np.array([[u, 1 / u], [2 * u, 1 / (2 * u)]], dtype=complex) * pref
@@ -369,7 +348,7 @@ def test_hom_coverage_two_s_2():
         rep = coverage(kind, p, cfg)
         assert rep.kind == kind
         assert len(rep.entries) == 3
-        assert rep.all_hit, [(e.index, e.hit) for e in rep.entries]
+        assert all(e.hit for e in rep.entries), [(e.index, e.hit) for e in rep.entries]
         for e in rep.entries:
             assert e.match_error < 1e-6
             if e.index > 0:
@@ -384,7 +363,7 @@ def test_inhom_coverage_two_s_2():
     for kind in bethe.INHOM_KINDS:
         rep = coverage(kind, p, cfg)
         assert len(rep.entries) == 3
-        assert rep.all_hit, [(e.index, e.hit) for e in rep.entries]
+        assert all(e.hit for e in rep.entries), [(e.index, e.hit) for e in rep.entries]
         for e in rep.entries:
             assert e.solution.roots.shape == (2,)
             assert e.solution.residual_max < 1e-9
@@ -880,3 +859,117 @@ def test_tabulated_probe_values_match_the_scalar_functional():
                 points = bethe._probe_points(roots, p)
                 ref = [bethe._functional(kind, u, roots, p, sc) for u in points]
                 assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), (kind, roots)
+
+
+# ---------------------------------------------------------------------------
+# one polish/reconstruct/match pass over every root count of a solve
+
+
+def _counting(monkeypatch, *names):
+    # wrap bethe functions so that each call records its arguments
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapped(*args, _name=name, _orig=getattr(bethe, name)):
+            calls[_name].append(args)
+            return _orig(*args)
+        monkeypatch.setattr(bethe, name, wrapped)
+    return calls
+
+
+def test_a_sweep_fits_per_root_count_and_polishes_once(monkeypatch):
+    p, = draw_many(4, 1, 4300)
+    calls = _counting(monkeypatch, "_tq_roots", "_polish", "_solutions")
+    reports = bethe.sweep(p)
+    assert all(e.hit for rep in reports for e in rep.entries)
+    assert sorted(args[2] for args in calls["_tq_roots"]) == [1, 2, 3, 4]
+    assert len(calls["_polish"]) == len(calls["_solutions"]) == 1
+    # every level's fitted rows, padded to width two_s, in one stack
+    U = calls["_polish"][0][1]
+    assert U.shape == (2 * 5 + 4 * 5, 4)
+    assert sorted(np.isfinite(U).sum(axis=1).tolist()) == [0, 0, 1, 1, 2, 2, 3, 3] + [4] * 22
+
+
+def test_verify_polishes_once(monkeypatch, capsys):
+    from qracah import cli
+    config = Path(__file__).resolve().parent.parent / "configs" / "generic_two_s2.json"
+    calls = _counting(monkeypatch, "_polish")
+    assert cli.main(["verify", str(config)]) == 0
+    assert len(calls["_polish"]) == 1
+
+
+def _padded(rows, width):
+    out = np.full((len(rows), width), np.inf, dtype=complex)
+    for s, row in enumerate(rows):
+        out[s, :len(row)] = row
+    return out
+
+
+def test_padded_residual_and_probe_values_equal_each_level_alone():
+    # rows of every kind and root count, padded with inf to one width,
+    # against each root count evaluated alone: equal byte for byte, with
+    # pads reading 0 at scale 1 and never winning the scaled norm
+    p, = draw_many(4, 1, 4400)
+    sc = structure_constants(p)
+    rng = np.random.default_rng(4401)
+    seen, _ = _reference_probe_points([], p)
+    on_shell = solve(BetheSystem("hom_minus", 2, p))[0].roots
+    blocking = np.array(seen[:14])  # probe points past the table: scalar path
+    hom = [(bethe.KINDS.index(kind), np.exp(rng.uniform(-0.5, 0.5, L)
+                                           + 1j * rng.uniform(0, 2 * np.pi, L)))
+           for kind in bethe.HOM_KINDS for L in range(p.two_s + 1) for _ in range(2)]
+    hom += [(0, on_shell), (1, blocking)]
+    inh = [(i, np.exp(rng.uniform(-0.5, 0.5, p.two_s) + 1j * rng.uniform(0, 2 * np.pi, p.two_s)))
+           for i in range(2, 6)]
+    width = len(blocking)
+    k = np.array([i for i, _ in hom + inh])
+    U = _padded([row for _, row in hom + inh], width)
+    E, scale = bethe._residual_batch(k, U, p)
+    norm = bethe._scaled_norm(E, scale)
+    pad = ~np.isfinite(U)
+    assert np.all(E[pad] == 0) and np.all(scale[pad] == 1)
+    _, probe = _tables(0, p, sc)
+    nh = len(hom)
+    vals = bethe._probe_values(k[:nh], U[:nh], p, sc, probe[:, k[:nh]])
+    for L in sorted({len(row) for _, row in hom + inh}):
+        at = np.flatnonzero([len(row) == L for _, row in hom + inh])
+        E_L, scale_L = bethe._residual_batch(k[at], U[at, :L], p)
+        assert E[at, :L].tobytes() == E_L.tobytes(), L
+        assert scale[at, :L].tobytes() == scale_L.tobytes(), L
+        assert norm[at].tobytes() == bethe._scaled_norm(E_L, scale_L).tobytes(), L
+        h = at[at < nh]
+        alone = bethe._probe_values(k[h], U[h, :L], p, sc, probe[:, k[h]])
+        assert vals[h].tobytes() == alone.tobytes(), L
+
+
+@pytest.mark.parametrize("two_s", [8, 9, 10])
+def test_newton_steps_in_the_merged_pass_match_each_system_alone(two_s, monkeypatch):
+    # draws on which a row shorter than the stack takes a Newton step: the
+    # merged pass steps it on its unpadded slice, so every root set of the
+    # solve over all systems equals the system's own solve bit for bit
+    stepped = _counting(monkeypatch, "_jacobian")["_jacobian"]
+    for p in draw_many(two_s, 3, seed=4000 + two_s):
+        systems = [BetheSystem(kind, L, p) for kind in bethe.KINDS
+                   for L in (range(two_s + 1) if kind in bethe.HOM_KINDS else (two_s,))]
+        stepped.clear()
+        together = solve(systems)
+        padded_steps = [args[1].shape[1] for args in stepped if args[1].shape[1] < two_s]
+        for system in systems:
+            alone = solve(system)
+            mine = [s for s in together if s.system == system]
+            assert len(mine) == len(alone), system
+            for a, b in zip(mine, alone):
+                _assert_same_solution(a, b)
+        if padded_steps:
+            break
+    assert padded_steps, "no padded row took a Newton step"
+
+
+def test_public_entry_points_refuse_non_finite_roots():
+    # the solver's kernels read a non-finite root as a pad
+    p = draw_params(2, np.random.default_rng(4500))
+    system = BetheSystem("hom_minus", 2, p)
+    roots = np.array([0.9 + 0.3j, np.inf])
+    with pytest.raises(ValueError, match="finite"):
+        residual(system, roots, 0)
+    with pytest.raises(ValueError, match="finite"):
+        eigenvalue_from_roots(system, roots)
