@@ -28,7 +28,6 @@ from .transition import (
     build_transition,
     normalizers,
     orthogonality_residuals,
-    racah,
     racah_by_recurrence,
     racah_from_scalar_products,
     racah_matrix,
@@ -64,7 +63,7 @@ __all__ = [
     "TridiagonalRealization", "build", "coeff", "eigen_family",
     "verify_aw", "verify_cayley_hamilton",
     "TransitionData", "build_transition", "normalizers",
-    "orthogonality_residuals", "racah", "racah_by_recurrence",
+    "orthogonality_residuals", "racah_by_recurrence",
     "racah_from_scalar_products", "racah_matrix", "verify_recurrences",
     "HOM_KINDS", "INHOM_KINDS", "KINDS", "BetheSolution", "BetheSystem",
     "CoverageEntry", "CoverageReport", "PoleError", "SolverConfig",

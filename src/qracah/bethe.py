@@ -837,16 +837,12 @@ def sweep(p: ModelParams, cfg: SolverConfig = SolverConfig(),
     n = p.two_s
     sols = solve([BetheSystem(kind, L, p) for kind in kinds
                   for L in (range(n + 1) if kind in HOM_KINDS else (n,))], cfg)
-    reports = []
-    for kind in kinds:
-        entries: list[CoverageEntry] = []
-        for index in range(p.dim):
-            hits = [s for s in sols if s.system.kind == kind and s.admissible
-                    and s.matched_index == index
-                    and (kind in INHOM_KINDS or s.system.level == index)]
-            best = min(hits, key=lambda s: s.match_error, default=None)
-            entries.append(
-                CoverageEntry(index, best is not None, best.match_error if best else np.inf, best)
-            )
-        reports.append(CoverageReport(kind=kind, entries=entries))
-    return reports
+    best: dict[tuple[str, int], BetheSolution] = {}
+    for s in sols:  # the first lowest match error in solve order wins
+        kind, at = s.system.kind, s.matched_index
+        if (s.admissible and at is not None and (kind in INHOM_KINDS or s.system.level == at)
+                and ((kind, at) not in best or s.match_error < best[kind, at].match_error)):
+            best[kind, at] = s
+    return [CoverageReport(kind, [
+        CoverageEntry(i, s is not None, np.inf if s is None else s.match_error, s)
+        for i, s in enumerate(best.get((kind, i)) for i in range(p.dim))]) for kind in kinds]

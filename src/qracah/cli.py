@@ -20,26 +20,22 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
 from .bethe import KINDS, SolverConfig, BetheSystem, solve, sweep
-from .leonard import build, eigen_family, verify_aw, verify_cayley_hamilton
-from .model import (
-    GenericityError,
-    ModelParams,
-    spectrum,
-    structure_constants,
-    validate_genericity,
-)
+from .leonard import _setup, build, eigen_family, verify_aw, verify_cayley_hamilton
+from .model import GenericityError, ModelParams, spectrum, validate_genericity
 from .qnum import QBase
 from .transition import (
+    _recurrence_residuals,
+    _recurrence_table,
     build_transition,
     orthogonality_residuals,
     racah_by_recurrence,
     racah_from_scalar_products,
     racah_matrix,
-    verify_recurrences,
 )
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run_verify",
@@ -188,7 +184,9 @@ def _ser(z: complex) -> list[float]:
 
 
 def _ser_vec(v) -> list[list[float]]:
-    return [_ser(z) for z in np.asarray(v, dtype=complex)]
+    """[_ser(z) for z in v], from one ``tolist`` per part."""
+    v = np.asarray(v, dtype=complex)
+    return [list(z) for z in zip(v.real.tolist(), v.imag.tolist())]
 
 
 def _ser_table(R: np.ndarray) -> list[list[list[float]]]:
@@ -251,11 +249,10 @@ def run_verify(cfg: RunConfig) -> dict:
     tol = cfg.identity_tol
     checks: list[dict] = []
 
-    real = build(p)
-    sc = structure_constants(p)
-    sp = spectrum(p)
+    setup = _setup(p)
+    real, sp = setup.theta_star_basis, setup.theta_star_basis.spectrum
 
-    r1, r2 = verify_aw(real, sc)
+    r1, r2 = verify_aw(real, setup.constants)
     checks.append(_check("aw1", r1, tol))
     checks.append(_check("aw2", r2, tol))
     chA, chAstar = verify_cayley_hamilton(real)
@@ -285,7 +282,7 @@ def run_verify(cfg: RunConfig) -> dict:
         col_res = max(col_res, num / den)
     checks.append(_check("pinv_columns_eigenvectors", col_res, tol))
 
-    rec, qd = verify_recurrences(td, p)
+    rec, qd = _recurrence_residuals(td.R, setup.theta_basis, real)
     checks.append(_check("recurrence", rec, tol))
     checks.append(_check("q_difference", qd, tol))
     o1, o2 = orthogonality_residuals(td)
@@ -295,7 +292,7 @@ def run_verify(cfg: RunConfig) -> dict:
     R = td.R
     edge = max(float(np.max(np.abs(R[0, :] - 1.0))), float(np.max(np.abs(R[:, 0] - 1.0))))
     checks.append(_check("racah_first_row_col", edge, 1e-12))
-    Rrec = racah_by_recurrence(p)
+    Rrec = _recurrence_table(sp.theta_star, setup.theta_basis.diagonals)
     scale = float(np.max(np.abs(R)))
     checks.append(_check("racah_series_vs_recurrence",
                          float(np.max(np.abs(R - Rrec))) / scale, tol))
@@ -417,10 +414,10 @@ def _json_payload(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-# Table rows are written column by column.  With ``indent`` set, ``json``
-# encodes in pure Python, one generator step per row, key and number.  Here
-# each column of numbers is rendered by one C-level ``repr`` of its list, and
-# the rows fill one template; the bytes equal ``json.dumps(rows, indent=2)``.
+# With ``indent`` set, ``json`` encodes in pure Python, one generator step per
+# row, key and number.  Here the numbers are rendered by one C-level ``repr``
+# of their list: a table's by column, its rows filling one template, and a
+# verify report's all at once; the bytes equal ``json.dumps(obj, indent=2)``.
 
 # ``json``'s words for the reprs ``nan``, ``inf`` (so ``-inf`` too) and ``None``;
 # no digit string holds these letters
@@ -458,34 +455,48 @@ def _reprs(column: list, words=()) -> list[str]:
     return cells
 
 
-def _json_table(rows: list[dict], depth: int = 0) -> str:
-    """``json.dumps(rows, indent=2)`` of non-empty records that share their
-    keys and field shapes, written as if nested ``depth`` levels deep."""
-    pad = "  " * depth
+def _racah_json(rows: list[dict]) -> str:
+    """``_json_payload(rows)`` of non-empty records that share their keys and
+    field shapes."""
     fields = _columns(rows)
     lines = []
     for key, cols in fields:
         if len(cols) == 2:
-            value = f"[\n{pad}      %s,\n{pad}      %s\n{pad}    ]"
+            value = "[\n      %s,\n      %s\n    ]"
         else:
             value = "%s" if cols else "null"
-        lines.append(f'{pad}    "{key}": {value}')
-    template = f"{pad}  {{\n" + ",\n".join(lines) + f"\n{pad}  }}"
+        lines.append(f'    "{key}": {value}')
+    template = "  {\n" + ",\n".join(lines) + "\n  }"
     cells = [_reprs(col, _JSON_WORDS) for _, cols in fields for col in cols]
-    return ("[\n" + ",\n".join(template % row for row in zip(*cells))
-            + f"\n{pad}]")
+    return "[\n" + ",\n".join(template % row for row in zip(*cells)) + "\n]\n"
 
 
-def _racah_json(rows: list[dict]) -> str:
-    return _json_table(rows) + "\n"
+def _json_text(value, pad: str, put) -> str:
+    """``json.dumps(value, indent=2)`` nested at ``pad``, with ``%s`` for each
+    number, which is passed to ``put``; a numpy scalar raises ``ValueError``."""
+    t = type(value)
+    if t is float or t is int:
+        put(value)
+        return "%s"
+    if t is list or t is dict:
+        ends, inner = "[]" if t is list else "{}", pad + "  "
+        if not value:
+            return ends
+        items = ([_json_text(v, inner, put) for v in value] if t is list else
+                 [f"{_json_str(k)}: {_json_text(v, inner, put)}" for k, v in value.items()])
+        return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+    if t is str:
+        return _json_str(value).replace("%", "%%")
+    if value is None or t is bool:
+        return "null" if value is None else "true" if value else "false"
+    raise ValueError(f"report holds a value that is not a Python number: {value!r}")
 
 
 def _verify_json(report: dict) -> str:
-    """The verify report as ``_json_payload`` writes it, with its ``racah``
-    rows written by ``_json_table`` and spliced in."""
-    text = json.dumps({**report, "racah": None}, indent=2)
-    return text.replace('"racah": null',
-                        '"racah": ' + _json_table(report["racah"], depth=1), 1) + "\n"
+    """``_json_payload(report)``, with one ``repr`` of all its numbers."""
+    numbers: list = []
+    template = _json_text(report, "", numbers.append)
+    return template % tuple(_reprs(numbers, _JSON_WORDS)) + "\n"
 
 
 def _racah_csv(rows: list[dict]) -> str:

@@ -17,10 +17,12 @@ banded systems factored by LU with partial pivoting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import GenericityError, ModelParams, spectrum, structure_constants
+from .model import (GenericityError, ModelParams, Spectrum, StructureConstants, spectrum,
+                    structure_constants)
 
 __all__ = [
     "GAUGE_THETA_STAR",
@@ -38,6 +40,8 @@ __all__ = [
 GAUGE_THETA_STAR = "theta_star_basis"
 GAUGE_THETA = "theta_basis"
 COEFF_KINDS = ("Astar", "A")
+# the coefficient kind that is tridiagonal in each gauge
+_GAUGE_KIND = {GAUGE_THETA_STAR: "A", GAUGE_THETA: "Astar"}
 
 _DEN_TOL = 1e-12
 # largest scaled residual of an eigen family vector
@@ -46,12 +50,15 @@ _FAMILY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TridiagonalRealization:
-    """Matrix pair for one gauge."""
+    """Matrix pair for one gauge, its spectrum, and the (sub, diag, sup) of its
+    tridiagonal generator as :func:`_diagonals` gives them."""
 
     gauge: str
     A_mat: np.ndarray
     Astar_mat: np.ndarray
     params: ModelParams
+    spectrum: Spectrum
+    diagonals: tuple[list, list, list]
 
 
 @dataclass(frozen=True)
@@ -153,21 +160,35 @@ def _diagonals(kind: str, p: ModelParams) -> tuple[list, list, list]:
 
 def build(p: ModelParams, gauge: str = GAUGE_THETA_STAR) -> TridiagonalRealization:
     """Matrix realization of the generator pair in the requested gauge."""
-    sp = spectrum(p)
-    if gauge == GAUGE_THETA_STAR:
-        kind = "A"
-    elif gauge == GAUGE_THETA:
-        kind = "Astar"
-    else:
+    return _realize(gauge, p, spectrum(p))
+
+
+def _realize(gauge: str, p: ModelParams, sp: Spectrum) -> TridiagonalRealization:
+    """:func:`build` with the spectrum ``sp`` of ``p`` given."""
+    if gauge not in _GAUGE_KIND:
         raise ValueError(f"build: unknown gauge {gauge!r}")
-    sub, diag, sup = _diagonals(kind, p)
+    sub, diag, sup = _diagonals(_GAUGE_KIND[gauge], p)
     tri, i = np.diag(np.array(diag, dtype=complex)), np.arange(1, p.dim)
     tri[i, i - 1], tri[i - 1, i] = sub[1:], sup[1:]
     if gauge == GAUGE_THETA_STAR:
         A_mat, Astar_mat = tri, np.diag(sp.theta_star)
     else:
         A_mat, Astar_mat = np.diag(sp.theta), tri
-    return TridiagonalRealization(gauge=gauge, A_mat=A_mat, Astar_mat=Astar_mat, params=p)
+    return TridiagonalRealization(gauge, A_mat, Astar_mat, p, sp, (sub, diag, sup))
+
+
+class _Setup(NamedTuple):  # a frozen dataclass adds ~1 ms to every launch's import
+    """What one verify builds once and passes down; the realizations share a spectrum."""
+
+    constants: StructureConstants
+    theta_star_basis: TridiagonalRealization
+    theta_basis: TridiagonalRealization
+
+
+def _setup(p: ModelParams) -> _Setup:
+    sp = spectrum(p)
+    return _Setup(structure_constants(p), _realize(GAUGE_THETA_STAR, p, sp),
+                  _realize(GAUGE_THETA, p, sp))
 
 
 def _maxabs(m: np.ndarray) -> float:
@@ -203,9 +224,8 @@ def verify_aw(real: TridiagonalRealization, sc=None) -> tuple[float, float]:
 
 def verify_cayley_hamilton(real: TridiagonalRealization) -> tuple[float, float]:
     """Relative residuals of the annihilating products over both spectra."""
-    sp = spectrum(real.params)
-    D = real.params.dim
-    eye = np.eye(D)
+    sp = real.spectrum
+    eye = np.eye(real.params.dim)
     out = []
     for mat, vals in ((real.A_mat, sp.theta), (real.Astar_mat, sp.theta_star)):
         prod = eye.astype(complex)

@@ -20,7 +20,6 @@ from .qnum import phi43, qpoch
 
 __all__ = [
     "TransitionData",
-    "racah",
     "racah_matrix",
     "racah_by_recurrence",
     "normalizers",
@@ -66,16 +65,6 @@ def _racah_params(p: ModelParams, M, N) -> tuple[list, list]:
     return numer, denom
 
 
-def racah(M: int, N: int, p: ModelParams) -> complex:
-    """Series-route value R_M at the N-th second eigenvalue."""
-    n = p.two_s
-    if not (0 <= M <= n and 0 <= N <= n):
-        raise ValueError(f"racah: indices ({M}, {N}) outside 0..{n}")
-    # one-entry index arrays: the same arithmetic as the racah_matrix entry
-    numer, denom = _racah_params(p, np.array([M]), np.array([N]))
-    return complex(phi43(numer, denom, p.base.q2, p.base.q2, terms=min(M, N) + 1)[0])
-
-
 def racah_matrix(p: ModelParams) -> np.ndarray:
     """Full series-route table, R[M, N] for 0 <= M, N <= two_s, summed as one
     broadcast series over the rows (M) and columns (N)."""
@@ -91,17 +80,19 @@ def racah_by_recurrence(p: ModelParams) -> np.ndarray:
     propagate with the tridiagonal coefficients.  Independent of the series
     route except for sharing the coefficient formulas.
     """
-    D = p.dim
-    sp = spectrum(p)
+    return _recurrence_table(spectrum(p).theta_star, _diagonals("Astar", p))
+
+
+def _recurrence_table(theta_star: np.ndarray, diagonals: tuple) -> np.ndarray:
+    """:func:`racah_by_recurrence` from theta_star and the theta-basis diagonals."""
+    sub, diag, sup = diagonals
+    D = len(theta_star)
     R = np.ones((D, D), dtype=complex)
-    if D == 1:
-        return R
-    sub, diag, sup = _diagonals("Astar", p)
     for M in range(D - 1):
         up = sup[M + 1]
         if abs(up) <= _DEN_TOL:
             raise GenericityError("racah_by_recurrence: vanishing up-coupling")
-        rhs = (sp.theta_star - diag[M]) * R[M]
+        rhs = (theta_star - diag[M]) * R[M]
         if M > 0:
             rhs = rhs - sub[M] * R[M - 1]
         R[M + 1] = rhs / up
@@ -173,13 +164,16 @@ def verify_recurrences(td: TransitionData, p: ModelParams) -> tuple[float, float
     relation in N over the whole table, each relative to the largest
     eigenvalue-weighted table entry on its own side.  The coefficients are
     the tridiagonal generators of the two gauges of :func:`build`."""
-    sp = spectrum(p)
-    R = td.R
+    return _recurrence_residuals(td.R, build(p, GAUGE_THETA), build(p))
+
+
+def _recurrence_residuals(R: np.ndarray, theta_basis, theta_star_basis) -> tuple[float, float]:
+    """:func:`verify_recurrences` from the realization of each gauge."""
+    sp = theta_basis.spectrum
     lhs_rec = R * sp.theta_star[None, :]
-    Astar_tri = build(p, GAUGE_THETA).Astar_mat
-    rec = np.max(np.abs(lhs_rec - Astar_tri @ R)) / np.max(np.abs(lhs_rec))
+    rec = np.max(np.abs(lhs_rec - theta_basis.Astar_mat @ R)) / np.max(np.abs(lhs_rec))
     lhs_qd = sp.theta[:, None] * R
-    qd = np.max(np.abs(lhs_qd - R @ build(p).A_mat.T)) / np.max(np.abs(lhs_qd))
+    qd = np.max(np.abs(lhs_qd - R @ theta_star_basis.A_mat.T)) / np.max(np.abs(lhs_qd))
     return float(rec), float(qd)
 
 

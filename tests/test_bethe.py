@@ -889,6 +889,43 @@ def test_a_sweep_fits_per_root_count_and_polishes_once(monkeypatch):
     assert sorted(np.isfinite(U).sum(axis=1).tolist()) == [0, 0, 1, 1, 2, 2, 3, 3] + [4] * 22
 
 
+def test_sweep_keeps_the_first_lowest_match_error(monkeypatch):
+    # the solutions of a sweep, with later copies that tie (the first must
+    # win), undercut (the copy must win), or undercut while inadmissible or
+    # at another level (neither may win), against the scan over every
+    # solution for every (kind, index) with min's tie rule
+    from dataclasses import replace
+
+    p, = draw_many(3, 1, 4600)
+    systems = [BetheSystem(kind, L, p) for kind in bethe.KINDS
+               for L in (range(p.dim) if kind in bethe.HOM_KINDS else (p.two_s,))]
+    sols = solve(systems)
+    matched = [s for s in sols if s.matched_index is not None]
+    extra = []
+    for k, s in enumerate(matched):
+        lower = s.match_error / 2
+        elsewhere = s.system
+        if s.system.kind in bethe.HOM_KINDS:
+            elsewhere = replace(s.system, level=(s.system.level + 1) % p.dim)
+        extra.append([replace(s), replace(s, match_error=lower),
+                      replace(s, match_error=lower / 2, admissible=False),
+                      replace(s, match_error=lower / 2, system=elsewhere)][k % 4])
+    stacked = sols + extra
+    monkeypatch.setattr(bethe, "solve", lambda systems, cfg: stacked)
+    won = set()
+    for rep in bethe.sweep(p):
+        for e in rep.entries:
+            hits = [s for s in stacked if s.system.kind == rep.kind and s.admissible
+                    and s.matched_index == e.index
+                    and (rep.kind in bethe.INHOM_KINDS or s.system.level == e.index)]
+            best = min(hits, key=lambda s: s.match_error, default=None)
+            assert e.solution is best
+            assert e.hit == (best is not None)
+            assert e.match_error == (best.match_error if best else np.inf)
+            won.add(id(e.solution))
+    assert won & {id(s) for s in extra[1::4]}
+
+
 def test_verify_polishes_once(monkeypatch, capsys):
     from qracah import cli
     config = Path(__file__).resolve().parent.parent / "configs" / "generic_two_s2.json"

@@ -379,6 +379,38 @@ def test_output_path_writes_file(tmp_path):
     assert "theta" in body
 
 
+def test_verify_builds_its_setup_once(tmp_path, monkeypatch, capsys):
+    # counters on every qracah binding of each counted function; a cache that
+    # lived across calls would give the second, equal config fewer calls
+    import qracah.bethe as bethe
+    import qracah.leonard as leonard
+    import qracah.model as model
+    import qracah.transition as transition
+
+    calls = {}
+    for fn in (model.spectrum, leonard._diagonals, leonard._realize, bethe._polish):
+        def counted(*args, _fn=fn):
+            calls[_fn.__name__].append(args)
+            return _fn(*args)
+        for mod in (model, leonard, transition, bethe, cli):
+            for name in [n for n, v in vars(mod).items() if v is fn]:
+                monkeypatch.setattr(mod, name, counted)
+    copy = tmp_path / "shipped_copy.json"
+    copy.write_text(Path(SHIPPED_CONFIG).read_text())
+    counts = []
+    for path in (SHIPPED_CONFIG, str(copy)):
+        calls.update((name, []) for name in ("spectrum", "_diagonals", "_realize", "_polish"))
+        assert main(["verify", path]) == 0
+        capsys.readouterr()
+        counts.append({name: len(args) for name, args in calls.items()})
+        assert len(calls["spectrum"]) <= 3
+        assert sorted(args[0] for args in calls["_diagonals"]) == ["A", "Astar"]
+        assert [args[0] for args in calls["_realize"]] == [leonard.GAUGE_THETA_STAR,
+                                                          leonard.GAUGE_THETA]
+        assert len(calls["_polish"]) == 1
+    assert counts[0] == counts[1]
+
+
 def test_verify_frontier_floor_two_s_8():
     # draws that pass verify at two_s 8, measured at the first batched
     # solver; a change may only raise the count
@@ -470,15 +502,36 @@ def test_verify_json_of_edge_floats_equals_json_dumps(double_ratio):
     racah_rows = [{"M": k, "N": k // 2, "series": [vals[k], vals[-1 - k]],
                    "double_ratio": [vals[-1 - k], vals[k]] if double_ratio == "pairs" else None,
                    "recurrence_residual": vals[k]} for k in range(len(vals))]
+    pairs = [[vals[k], vals[-1 - k]] for k in range(len(vals))]
+    bethe_rows = [
+        {"kind": "hom_minus", "roots": [[1e16, -0.0]], "match_error": None},
+        # level 0: a hit without roots
+        {"kind": "hom_plus", "index": 0, "hit": True, "roots": [], "symmetrized": [],
+         "eigenvalue": [1.5, -0.0], "matched_index": 0, "residual": 0.0, "match_error": 5e-324},
+        # a miss: every solution field is null
+        {"kind": "inhom_minus", "index": 2, "hit": False, "roots": None, "symmetrized": None,
+         "eigenvalue": None, "matched_index": None, "residual": None, "match_error": None},
+    ] + [
+        # every edge float in the roots, the residual and the match error
+        {"kind": "dual_inhom_plus", "index": k, "hit": k % 2 == 0, "roots": pairs[k:k + 4],
+         "symmetrized": pairs[-1 - k:], "eigenvalue": pairs[k], "matched_index": k,
+         "residual": vals[k], "match_error": vals[-1 - k]} for k in range(len(vals))]
     report = {
         "instance": {"q": [1.1, 0.0], "two_s": 3, "tolerances": {"identity_tol": 1e-8}},
-        "checks": [{"name": "racah", "residual": None, "threshold": 1e-8, "pass": False}],
-        "bethe": [{"kind": "hom_minus", "roots": [[1e16, -0.0]], "match_error": None}],
+        "checks": [{"name": "racah", "residual": None, "threshold": 1e-8, "pass": False},
+                   {"name": '100%s "quoted" \u00e9', "residual": vals[0], "threshold": 1,
+                    "pass": True}],
+        "bethe": bethe_rows,
         "racah": racah_rows,
         "pass": False,
         "versions": {"spec": "3.0"},
     }
     assert cli._verify_json(report) == _dumps(report)
+    no_rows = {**report, "bethe": [], "instance": {}}
+    assert cli._verify_json(no_rows) == _dumps(no_rows)
+    numpy_row = {**bethe_rows[1], "residual": np.float64(0.5)}
+    with pytest.raises(ValueError, match="not a Python number"):
+        cli._verify_json({**report, "bethe": bethe_rows + [numpy_row]})
 
 
 def test_table_writer_refuses_what_is_not_a_python_number():

@@ -9,11 +9,12 @@ import pytest
 from conftest import bench_reference, draw_many, draw_params
 from qracah.leonard import build, coeff, eigen_family
 from qracah.model import spectrum
+from qracah.qnum import phi43
 from qracah.transition import (
+    _racah_params,
     build_transition,
     normalizers,
     orthogonality_residuals,
-    racah,
     racah_by_recurrence,
     racah_from_scalar_products,
     racah_matrix,
@@ -42,20 +43,20 @@ class TestRacahSeries:
             p = _params(two_s)
             sp = spectrum(p)
             want = (sp.theta_star[1] - coeff("Astar", 0, 0, p)) / coeff("Astar", 0, 1, p)
-            got = racah(1, 1, p)
+            got = racah_matrix(p)[1, 1]
             assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
-    def test_index_range(self):
-        with pytest.raises(ValueError, match="outside"):
-            racah(3, 0, _params(2))
-
     def test_entry_equals_table(self):
+        # each entry summed alone, from one-entry index arrays and only the
+        # min(M, N) + 1 terms that do not vanish
         for two_s in (1, 2, 3, 4):
             p, = draw_many(two_s, 1, 4100 + two_s)
             R = racah_matrix(p)
             for M in range(p.dim):
                 for N in range(p.dim):
-                    assert abs(racah(M, N, p) - R[M, N]) <= 1e-14 * abs(R[M, N])
+                    numer, denom = _racah_params(p, np.array([M]), np.array([N]))
+                    alone = phi43(numer, denom, p.base.q2, p.base.q2, terms=min(M, N) + 1)[0]
+                    assert abs(alone - R[M, N]) <= 1e-14 * abs(R[M, N])
 
 
 class TestSeriesOracle:
