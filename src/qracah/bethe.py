@@ -9,7 +9,9 @@ homogeneous kinds through the TQ relation below solved for the eigenvalue
 at probe points, whose on-shell value is probe-independent, the
 inhomogeneous kinds through closed-form symmetric functions of the roots.
 The public eigenvalue functionals are that same relation at one probe
-point; its coefficients are written once, in ``_tq_table``.
+point.  Its coefficients are written once, in ``_tq_table``, and the
+functional that uses them once, in ``_tq_values``: every probe value is an
+array evaluation of the two.
 
 The solver uses Baxter's TQ relation, which is linear in the coefficients
 of the polynomial Q whose zeros are the roots.  Each system targets spectrum
@@ -25,10 +27,11 @@ padded with inf to the largest root count, and go through one
 polish/reconstruct/match pass: a pad is a factor 1 in every product over
 roots, wins no max or min and sorts last.  Newton steps, which only root
 sets above tolerance take, run per root count on unpadded rows.  The
-homogeneous eigenvalues are read at the tabulated probe points.  The kind
-of a row only selects its factors, each computed as for that kind alone,
-and each least-squares matrix is factored alone, so a row's result does not
-depend on the batch it is in.  A root set passes
+homogeneous eigenvalues are read at the tabulated probe points; the rare
+root set whose probe points lie past them evaluates the table at its own
+points.  The kind of a row only selects its factors, each computed as for
+that kind alone, and each least-squares matrix is factored alone, so a
+row's result does not depend on the batch it is in.  A root set passes
 only when it satisfies the Bethe equations to tolerance and its
 reconstructed eigenvalue matches the closed-form spectrum; neither check
 uses the fit.  Every step is deterministic, so repeated runs return
@@ -175,12 +178,10 @@ def _b(x):
 
 
 def _sel(eps, plus, minus):
-    """The eps = +1 value or the eps = -1 one, per element when eps is an
-    array of signs.  Callers compute both with literal powers, never with an
-    array of exponents, so each element keeps the bits of its kind alone."""
-    if isinstance(eps, np.ndarray):
-        return np.where(eps == 1, plus, minus)
-    return plus if eps == 1 else minus
+    """The eps = +1 value or the eps = -1 one, per element of the signs eps.
+    Callers compute both with literal powers, never with an array of
+    exponents, so each element keeps the bits of its kind alone."""
+    return np.where(eps == 1, plus, minus)
 
 
 def _lam1(eps, u, p: ModelParams):
@@ -325,12 +326,9 @@ def residual(sys: BetheSystem, roots, i: int) -> complex:
         raise PoleError("residual: root too close to 0")
     if abs(_b(q * roots[i] ** 2)) < 1e-12 * scale:
         raise PoleError("residual: vacuum pole at root")
-    for j in range(sys.level):
-        if j == i:
-            continue
-        for den in (_b(roots[i] / roots[j]), _b(q * roots[i] * roots[j])):
-            if abs(den) < 1e-12 * scale:
-                raise PoleError("residual: coupling pole between roots")
+    others = np.delete(roots, i)
+    if (np.abs([_b(roots[i] / others), _b(q * roots[i] * others)]) < 1e-12 * scale).any():
+        raise PoleError("residual: coupling pole between roots")
     if sys.kind in INHOM_KINDS and abs(_b(roots[i] ** 2)) < 1e-150:
         raise PoleError("residual: inhomogeneity pole at root")
     E, _ = _residual_batch(sys.kind, roots[None, :], p)
@@ -352,26 +350,33 @@ def symmetrize_roots(roots: np.ndarray, p: ModelParams) -> np.ndarray:
     return _w(np.asarray(roots, dtype=complex), q) / (q + 1.0 / q)
 
 
-def _functional(kind: str, u: complex, roots, p: ModelParams, sc: StructureConstants) -> complex:
-    """The kind's TQ relation solved for its eigenvalue at one probe point u,
-    T + A*prod f + D*prod h + C/prod den over the roots v.
+def _tq_values(coeffs: np.ndarray, u: np.ndarray, U: np.ndarray, q) -> np.ndarray:
+    """The TQ relation solved for the eigenvalue of each root set, row s of
+    U, at its points u[s]: T + A*prod f + D*prod h + C/prod den over the
+    roots v, with (A, D, C, T) = coeffs of shape (4,) + u.shape.
 
     Since W(x) - W(y) = b(x/y)*b(q*x*y), the product of f(u, v) is
     Q(u/q)/Q(u), that of h(u, v) is Q(q*u)/Q(u), and that of
-    b(u/v)*b(q*u*v) is Q(u) itself; the last is formed only for the
-    inhomogeneous kinds, whose C is nonzero.
+    b(u/v)*b(q*u*v) is Q(u) itself, formed only when some C is nonzero:
+    the homogeneous kinds' C is exactly 0, and the reconstruction in solve
+    evaluates only them.  Pads of U enter no product.  Callers hold the
+    numpy error state: the pads are evaluated, then replaced by 1.
     """
-    q = p.base.q
-    A, D, C, T = _tq_table([KINDS.index(kind)], u, p, sc)[:, 0].tolist()
-    inhom = kind in INHOM_KINDS
-    pf = ph = den = 1.0 + 0j
-    # Python complex roots: numpy scalar arithmetic is several times slower
-    for v in np.asarray(roots, dtype=complex).tolist():
-        pf *= _f(u, v, q)
-        ph *= _h(u, v, q)
-        if inhom:
-            den *= _b(u / v) * _b(q * u * v)
-    return complex(T + A * pf + D * ph + C / den)
+    A, D, C, T = coeffs
+    u, v = u[:, :, None], U[:, None, :]
+    pad = ~np.isfinite(v)
+    pf, ph = (np.where(pad, 1.0, x).prod(axis=2) for x in (_f(u, v, q), _h(u, v, q)))
+    if C.any():
+        C = C / np.where(pad, 1.0, _b(u / v) * _b(q * u * v)).prod(axis=2)
+    return T + A * pf + D * ph + C
+
+
+def _functional(kind: str, u: complex, roots, p: ModelParams, sc: StructureConstants) -> complex:
+    """The kind's TQ relation solved for its eigenvalue at one probe point u."""
+    u = np.array([[u]], dtype=complex)
+    coeffs = _tq_table([KINDS.index(kind)], u[0], p, sc)
+    U = np.asarray(roots, dtype=complex)[None]
+    return complex(_tq_values(coeffs, u, U, p.base.q)[0, 0])
 
 
 def hom_eigenvalue_functional(eps: int, u: complex, roots, p: ModelParams,
@@ -422,38 +427,45 @@ def _closed_form_eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams) -> np
 # relative spread allowed between the probe-point values of an on-shell set
 _PROBE_TOL = 1e-8
 _PROBE_COUNT = 3
-# leading probe candidates whose TQ coefficients solve tabulates; a root set
-# whose probe points reach past them takes the scalar _functional path
+# leading probe candidates whose TQ coefficients solve tabulates
 _PROBE_PREFIX = 16
 
 
 @functools.cache
-def _probe_candidates() -> tuple[complex, ...]:
+def _probe_candidates() -> np.ndarray:
     """Fixed, seeded sequence of 500 candidate probe points with |u| in
-    [0.6, 1.7]; drawn once, on first use."""
+    [0.6, 1.7]; drawn once, on first use, and read-only."""
     rng = np.random.default_rng(716213)
     log_r, a = rng.uniform([np.log(0.6), 0.0], [np.log(1.7), 2.0 * np.pi], size=(500, 2)).T
     r = np.exp(log_r)
-    return tuple((r * np.cos(a) + 1j * (r * np.sin(a))).tolist())
+    cand = r * np.cos(a) + 1j * (r * np.sin(a))
+    cand.flags.writeable = False
+    return cand
 
 
-def _probe_points(roots: np.ndarray, p: ModelParams) -> list[complex]:
-    """Deterministic pole-avoiding probe points in the sampling annulus."""
+def _probe_points(U: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Indices into _probe_candidates of the first _PROBE_COUNT candidates
+    that keep clear of the poles of each root set, row s of U, shape
+    (len(U), _PROBE_COUNT), -1 where a row has too few.  Every row screens
+    the first _PROBE_PREFIX candidates; only the rows they cannot serve
+    screen the rest.  Pads block no candidate."""
     q = p.base.q
-    out: list[complex] = []
-    for u in _probe_candidates():
-        if len(out) == _PROBE_COUNT:
+    cand = _probe_candidates()
+    free = np.zeros((len(U), len(cand)), dtype=bool)
+    left = np.arange(len(U))
+    for lo, hi in ((0, _PROBE_PREFIX), (_PROBE_PREFIX, len(cand))):
+        u, v = cand[lo:hi], U[left, None, :]
+        w = u[:, None]
+        with np.errstate(all="ignore"):
+            clear = ((np.abs(_b(w / v)) > 1e-3) & (np.abs(_b(q * w * v)) > 1e-3)) | ~np.isfinite(v)
+        free[left, lo:hi] = clear.all(axis=2) & (
+            np.abs([_b(u * u), _b(q * u * u), _b(q * q * u * u)]) > 1e-3).all(axis=0)
+        count = free[:, :hi].sum(axis=1)
+        left = np.flatnonzero(count < _PROBE_COUNT)
+        if left.size == 0:
             break
-        ok = all(abs(_b(x)) > 1e-3 for x in (u * u, q * u * u, q * q * u * u))
-        for v in roots:
-            if not ok:
-                break
-            ok = abs(_b(u / v)) > 1e-3 and abs(_b(q * u * v)) > 1e-3
-        if ok:
-            out.append(u)
-    if len(out) < _PROBE_COUNT:
-        raise ValueError("eigenvalue_from_roots: could not place probe points")
-    return out
+    first = np.argsort(~free[:, :hi], axis=1, kind="stable")[:, :_PROBE_COUNT]
+    return np.where(np.arange(_PROBE_COUNT) < count[:, None], first, -1)
 
 
 def eigenvalue_from_roots(sys: BetheSystem, roots) -> complex:
@@ -483,34 +495,19 @@ def _probe_values(k: np.ndarray, U: np.ndarray, p: ModelParams, sc: StructureCon
                   probe: np.ndarray) -> np.ndarray:
     """The TQ functional of each homogeneous root set, row s of U of the kind
     KINDS[k[s]], at its _PROBE_COUNT probe points (those of _probe_points),
-    shape (len(U), _PROBE_COUNT).
+    shape (len(U), _PROBE_COUNT), NaN where no probe points can be placed.
 
     probe holds each row's (A, D, C, T) at the first _PROBE_PREFIX
-    candidates, shape (4, len(U), _PROBE_PREFIX).  A row whose probe points
-    reach past them is evaluated by _functional, NaN where no probe points
-    can be placed.  Pads block no candidate and enter no product."""
-    q = p.base.q
-    cand = np.array(_probe_candidates()[:_PROBE_PREFIX])
-    u, v = cand[:, None], U[:, None, :]
-    pad = ~np.isfinite(v)
+    candidates, shape (4, len(U), _PROBE_PREFIX); a row whose probe points
+    reach past them takes its coefficients from _tq_table at its points."""
+    at = _probe_points(U, p)
+    u = _probe_candidates()[at]
+    coeffs = probe[:, np.arange(len(U))[:, None], np.minimum(at, _PROBE_PREFIX - 1)]
     with np.errstate(all="ignore"):
-        free = (((np.abs(_b(u / v)) > 1e-3) & (np.abs(_b(q * u * v)) > 1e-3)) | pad).all(axis=2)
-    for x in (cand * cand, q * cand * cand, q * q * cand * cand):
-        free &= np.abs(_b(x)) > 1e-3
-    rows = np.arange(len(U))[:, None]
-    first = np.argsort(~free, axis=1, kind="stable")[:, :_PROBE_COUNT]
-    A, D, _, T = probe[:, rows, first]
-    u = cand[first][:, :, None]
-    with np.errstate(all="ignore"):
-        vals = (T + A * np.where(pad, 1.0, _f(u, v, q)).prod(axis=2)
-                + D * np.where(pad, 1.0, _h(u, v, q)).prod(axis=2))
-    for s in np.flatnonzero(~free[rows, first].all(axis=1)):
-        roots = U[s][~pad[s, 0]]
-        try:
-            vals[s] = [_functional(KINDS[k[s]], x, roots, p, sc) for x in _probe_points(roots, p)]
-        except ValueError:
-            vals[s] = np.nan
-    return vals
+        for s in np.flatnonzero((at >= _PROBE_PREFIX).any(axis=1)):
+            coeffs[:, s] = _tq_table(k[s:s + 1], u[s], p, sc)[:, 0]
+        vals = _tq_values(coeffs, u, U, p.base.q)
+    return np.where((at >= 0).all(axis=1)[:, None], vals, np.nan)
 
 
 def _eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams, sc: StructureConstants,
@@ -820,8 +817,6 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
 
 def coverage(kind: str, p: ModelParams, cfg: SolverConfig = SolverConfig()) -> CoverageReport:
     """Spectrum coverage sweep for one system kind; see ``sweep``."""
-    if kind not in KINDS:
-        raise ValueError(f"coverage: unknown kind {kind!r}")
     return sweep(p, cfg, (kind,))[0]
 
 

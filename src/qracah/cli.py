@@ -45,9 +45,9 @@ _SCHEMA_VERSION = "3.0"
 
 _TOL_DEFAULTS = {
     "identity_tol": 1e-8,
-    "bethe_tol": 1e-10,
-    "match_tol": 1e-6,
-    "dedup_tol": 1e-6,
+    "bethe_tol": SolverConfig.tol,
+    "match_tol": SolverConfig.match_tol,
+    "dedup_tol": SolverConfig.dedup_tol,
 }
 
 
@@ -81,6 +81,8 @@ def _complex_field(obj, key, path):
     )
     if not ok:
         raise ConfigError(f"{path} must be a two-element [re, im] array of numbers")
+    if not all(abs(x) <= sys.float_info.max for x in v):  # NaN, Infinity, or past binary64
+        raise ConfigError(f"{path} must be finite")
     return complex(float(v[0]), float(v[1]))
 
 
@@ -99,8 +101,8 @@ def _pos_float_field(obj, key, path, default):
     if key not in obj:
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not v > 0:
-        raise ConfigError(f"{path} must be positive")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v <= sys.float_info.max:
+        raise ConfigError(f"{path} must be positive and finite")
     return float(v)
 
 
@@ -169,6 +171,8 @@ def load_config(path: str) -> RunConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(data)
@@ -356,7 +360,8 @@ def run_racah_table(cfg: RunConfig, route: str) -> list[dict]:
     elif route == "recurrence":
         R = racah_by_recurrence(p)
     elif route == "double_ratio":
-        fam = eigen_family(build(p).A_mat, spectrum(p).theta)
+        real = build(p)
+        fam = eigen_family(real.A_mat, real.spectrum.theta)
         R = _double_ratio_table(fam, p.dim, "rac1")
     else:
         raise ConfigError(f"unknown route {route!r}; choose series, recurrence, double-ratio")
@@ -368,8 +373,6 @@ def run_racah_table(cfg: RunConfig, route: str) -> list[dict]:
 def run_bethe(cfg: RunConfig, kind: str, level: int) -> list[dict]:
     p = cfg.params
     _refuse_if_nongeneric(p)
-    if kind not in KINDS:
-        raise ConfigError(f"unknown kind {kind!r}; choose one of: " + ", ".join(KINDS))
     try:
         system = BetheSystem(kind, level, p)
     except ValueError as exc:

@@ -261,6 +261,13 @@ def test_residual_validation_and_poles():
     psys = BetheSystem("hom_minus", 1, p)
     with pytest.raises(PoleError):
         residual(psys, [complex(1.0 / np.sqrt(complex(p.base.q)))], 0)
+    # coinciding roots, and a pair on b(q*u*v) = 0, from either equation
+    p2 = draw_params(2, rng)
+    v = 1.1 + 0.3j
+    for roots in ([v, v], [v, 1.0 / (p2.base.q * v)]):
+        for i in (0, 1):
+            with pytest.raises(PoleError, match="coupling pole"):
+                residual(BetheSystem("hom_minus", 2, p2), roots, i)
 
 
 def test_bethe_system_level_validation():
@@ -544,19 +551,38 @@ def _reference_probe_points(roots, p, count=3):
     return seen, out
 
 
+def _probe_rows(p):
+    # root sets whose probe points are the first candidates, follow two
+    # rejections, lie past the tabulated prefix (14 or 30 candidates
+    # blocked), or are too few (498 blocked), with each reference's points
+    seen, _ = _reference_probe_points([], p)
+    q = p.base.q
+    rows = {"none": np.empty(0, dtype=complex),
+            "on_shell": solve(BetheSystem("hom_minus", 2, p))[0].roots,
+            "two": np.array([seen[0], 1.0 / (q * seen[1])]),
+            "fourteen": np.array(seen[:14]),
+            "thirty": np.array(seen[:30]),
+            "scarce": np.array(seen[:498])}
+    return seen, rows, {name: _reference_probe_points(r, p)[1] for name, r in rows.items()}
+
+
 def test_probe_points_are_the_seeded_sequence():
     rng = np.random.default_rng(27)
     p = draw_params(2, rng)
-    q = p.base.q
-    seen, _ = _reference_probe_points([], p)
+    seen, rows, ref = _probe_rows(p)
     assert np.array_equal(bethe._probe_candidates(), np.array(seen))
-    on_shell = solve(BetheSystem("hom_minus", 2, p))[0].roots
-    # roots on the poles of the first two candidates force two rejections
-    blocking = np.array([seen[0], 1.0 / (q * seen[1])])
-    assert _reference_probe_points(blocking, p)[1][0] not in seen[:2]
-    for roots in (np.empty(0, dtype=complex), on_shell, blocking):
-        _, ref = _reference_probe_points(roots, p)
-        assert bethe._probe_points(roots, p) == ref
+    assert ref["two"][0] not in seen[:2]
+    assert ref["fourteen"][-1] not in seen[:bethe._PROBE_PREFIX]
+    assert ref["thirty"] == seen[30:33]
+    assert ref["scarce"] == seen[498:]
+    U = _padded(list(rows.values()), len(rows["scarce"]))
+    at = bethe._probe_points(U, p)
+    for row, (name, roots) in zip(at, rows.items()):
+        points = row[row >= 0]
+        assert np.all(row[len(points):] == -1), name
+        assert [seen[i] for i in points] == ref[name], name
+        # a row's points do not depend on the rest of the stack
+        assert np.array_equal(bethe._probe_points(roots[None, :], p)[0], row), name
 
 
 @pytest.mark.parametrize("two_s", [2, 4])
@@ -838,27 +864,26 @@ def test_stacked_fit_matches_per_target_lstsq(two_s, monkeypatch):
 
 def test_tabulated_probe_values_match_the_scalar_functional():
     # the probe values of the tabulated reconstruction against _functional at
-    # the points of _probe_points: on shell, off shell, and for roots on the
-    # poles of 14 of the 16 tabulated candidates, which push the probe points
-    # past the table onto the scalar path
+    # the reference's probe points: on shell, off shell, for roots that push
+    # the probe points past the table, and NaN for roots that leave too few
     rng = np.random.default_rng(27)
     p = draw_params(2, rng)
     sc = structure_constants(p)
-    seen, _ = _reference_probe_points([], p)
-    on_shell = solve(BetheSystem("hom_minus", 2, p))[0].roots
-    blocking = np.array(seen[:14])
-    assert _reference_probe_points(blocking, p)[1][-1] not in seen[:bethe._PROBE_PREFIX]
+    _, rows, ref = _probe_rows(p)
     probe = _tables(0, p, sc)[1]
-    groups = (np.empty((1, 0), dtype=complex), np.array([on_shell, [0.9 + 0.3j, 1.2 - 0.4j]]),
-              blocking[None, :])
+    groups = [rows["none"][None, :], np.array([rows["on_shell"], [0.9 + 0.3j, 1.2 - 0.4j]])]
+    groups += [rows[name][None, :] for name in ("two", "fourteen", "thirty")]
     for kind in bethe.HOM_KINDS:
         for U in groups:
             k = np.full(len(U), bethe.KINDS.index(kind))
             vals = bethe._probe_values(k, U, p, sc, probe[:, k])
             for row, roots in zip(vals, U):
-                points = bethe._probe_points(roots, p)
-                ref = [bethe._functional(kind, u, roots, p, sc) for u in points]
-                assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref)), (kind, roots)
+                points = _reference_probe_points(roots, p)[1]
+                want = [bethe._functional(kind, u, roots, p, sc) for u in points]
+                assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want)), (kind, roots)
+        k = np.array([bethe.KINDS.index(kind)])
+        scarce = bethe._probe_values(k, rows["scarce"][None, :], p, sc, probe[:, k])
+        assert len(ref["scarce"]) < bethe._PROBE_COUNT and np.isnan(scarce).all()
 
 
 # ---------------------------------------------------------------------------
@@ -950,7 +975,7 @@ def test_padded_residual_and_probe_values_equal_each_level_alone():
     rng = np.random.default_rng(4401)
     seen, _ = _reference_probe_points([], p)
     on_shell = solve(BetheSystem("hom_minus", 2, p))[0].roots
-    blocking = np.array(seen[:14])  # probe points past the table: scalar path
+    blocking = np.array(seen[:14])  # probe points past the table
     hom = [(bethe.KINDS.index(kind), np.exp(rng.uniform(-0.5, 0.5, L)
                                            + 1j * rng.uniform(0, 2 * np.pi, L)))
            for kind in bethe.HOM_KINDS for L in range(p.two_s + 1) for _ in range(2)]

@@ -74,7 +74,7 @@ def test_parse_roundtrip_defaults():
     assert cfg.params.two_s == 2
 
 
-def test_parse_errors_name_the_path():
+def test_parse_errors_name_the_path(tmp_path, capsys):
     data = _base_config()
     data["tolerances"]["identity_tol"] = -1.0
     with pytest.raises(ConfigError, match=r"tolerances\.identity_tol"):
@@ -112,6 +112,22 @@ def test_parse_errors_name_the_path():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config(data)
 
+    # json reads NaN and Infinity, and an integer past binary64 stays an int;
+    # none is a number the checks can use, so each is a config error (exit 2)
+    nan, inf, huge = float("nan"), float("inf"), 10**400
+    for path, value in (("q", [nan, 0.2]), ("zeta", [inf, 0.0]), ("b", [0.9, -inf]),
+                        ("c", [huge, 0.0]), ("tolerances.bethe_tol", inf),
+                        ("tolerances.identity_tol", nan), ("tolerances.match_tol", huge)):
+        data = _base_config()
+        block = data["tolerances"] if "." in path else data
+        block[path.rpartition(".")[2]] = value
+        with pytest.raises(ConfigError, match=rf"^{path} must be"):
+            parse_config(data)
+        for command in ("spectrum", "verify"):
+            assert main([command, _write(tmp_path, data)]) == 2, (path, command)
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"config error: {path}" in captured.err
+
 
 def test_parse_rejects_violated_coupling_constraint():
     data = _base_config()
@@ -120,13 +136,18 @@ def test_parse_rejects_violated_coupling_constraint():
         parse_config(data)
 
 
-def test_load_config_missing_file(tmp_path):
+def test_load_config_missing_file(tmp_path, capsys):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "nope.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(bad))
+    bad.write_bytes('{"q": "café"}'.encode("latin-1"))  # é is one byte, not UTF-8
+    with pytest.raises(ConfigError, match="not valid UTF-8"):
+        load_config(str(bad))
+    assert main(["spectrum", str(bad)]) == 2
+    assert "config error: config is not valid UTF-8" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
