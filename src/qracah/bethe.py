@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Spectrum, StructureConstants, spectrum, structure_constants
+from .model import (KINDS, ModelParams, SolverConfig, Spectrum, StructureConstants, spectrum,
+                    structure_constants)
 from .qnum import qnumber
 
 __all__ = [
@@ -68,14 +69,6 @@ __all__ = [
     "sweep",
 ]
 
-KINDS = (
-    "hom_minus",
-    "hom_plus",
-    "inhom_plus",
-    "inhom_minus",
-    "dual_inhom_plus",
-    "dual_inhom_minus",
-)
 HOM_KINDS = KINDS[:2]
 INHOM_KINDS = KINDS[2:]
 
@@ -98,28 +91,6 @@ _THETA = tuple(TARGET_SPECTRUM[kind] == "theta" for kind in KINDS)
 
 class PoleError(ValueError):
     """Evaluation requested too close to a pole of the coupling functions."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Solver tolerances.
-
-    Residual convergence is measured relative to the largest magnitude term
-    entering each equation, so ``tol`` is scale-free across parameter draws.
-    ``dedup_tol`` is the separation below which roots count as coinciding.
-    """
-
-    tol: float = 1e-10
-    dedup_tol: float = 1e-6
-    match_tol: float = 1e-6
-
-    @property
-    def starts(self) -> int:
-        """Attempts per ``solve`` call: always one, since each spectrum entry
-        takes one deterministic linear solve.  Kept so that per-attempt
-        rates, such as the benchmark's matched-per-start count, still have a
-        denominator."""
-        return 1
 
 
 @dataclass(frozen=True)

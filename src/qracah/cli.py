@@ -8,9 +8,15 @@ Subcommands
     spectrum  emit both eigenvalue sequences
 
 Exit codes: 0 on success (for verify: overall pass), 2 on config parse
-errors or genericity refusal, 1 on internal numerical failure.  Complex
-numbers serialize as two-element [re, im] arrays.  Output is deterministic:
-identical configs produce byte-identical reports.
+errors, an unwritable output path or genericity refusal, 1 on internal
+numerical failure.  Complex numbers serialize as two-element [re, im]
+arrays.  Output is deterministic: identical configs produce byte-identical
+reports.
+
+Each subcommand body imports the library modules it runs (``leonard``,
+``transition``, ``bethe``), so a launch compiles only those: ``spectrum``
+loads ``model`` and ``qnum`` alone, ``racah`` adds ``leonard`` and
+``transition``, ``bethe`` adds ``bethe`` and ``verify`` loads all of them.
 """
 
 from __future__ import annotations
@@ -24,19 +30,8 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from .bethe import KINDS, SolverConfig, BetheSystem, solve, sweep
-from .leonard import _setup, build, eigen_family, verify_aw, verify_cayley_hamilton
-from .model import GenericityError, ModelParams, spectrum, validate_genericity
+from .model import KINDS, GenericityError, ModelParams, SolverConfig, spectrum, validate_genericity
 from .qnum import QBase
-from .transition import (
-    _recurrence_residuals,
-    _recurrence_table,
-    build_transition,
-    orthogonality_residuals,
-    racah_by_recurrence,
-    racah_from_scalar_products,
-    racah_matrix,
-)
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run_verify",
            "run_racah_table", "run_bethe", "run_spectrum", "main"]
@@ -238,6 +233,8 @@ def _refuse_if_nongeneric(params: ModelParams) -> None:
 
 def _double_ratio_table(fam, dim: int, form: str) -> np.ndarray:
     """The polynomial table from eigenvector double ratios of one form."""
+    from .transition import racah_from_scalar_products
+
     idx = np.arange(dim)
     return racah_from_scalar_products(fam, idx[:, None], idx[None, :], form)
 
@@ -248,6 +245,11 @@ def _double_ratio_table(fam, dim: int, form: str) -> np.ndarray:
 
 def run_verify(cfg: RunConfig) -> dict:
     """Full verification pipeline; returns the report as a plain dict."""
+    from .bethe import sweep
+    from .leonard import _setup, eigen_family, verify_aw, verify_cayley_hamilton
+    from .transition import (_recurrence_residuals, _recurrence_table, build_transition,
+                             orthogonality_residuals)
+
     p = cfg.params
     _refuse_if_nongeneric(p)
     tol = cfg.identity_tol
@@ -352,6 +354,9 @@ def run_verify(cfg: RunConfig) -> dict:
 
 
 def run_racah_table(cfg: RunConfig, route: str) -> list[dict]:
+    from .leonard import build, eigen_family
+    from .transition import racah_by_recurrence, racah_matrix
+
     p = cfg.params
     _refuse_if_nongeneric(p)
     route = route.replace("-", "_")
@@ -371,6 +376,8 @@ def run_racah_table(cfg: RunConfig, route: str) -> list[dict]:
 
 
 def run_bethe(cfg: RunConfig, kind: str, level: int) -> list[dict]:
+    from .bethe import BetheSystem, solve
+
     p = cfg.params
     _refuse_if_nongeneric(p)
     try:
@@ -407,8 +414,11 @@ def run_spectrum(cfg: RunConfig) -> dict:
 
 def _emit(payload: str, cfg: RunConfig) -> None:
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output.path: {exc}") from exc
     else:
         sys.stdout.write(payload)
 

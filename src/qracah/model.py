@@ -34,6 +34,41 @@ _COUPLING_REL_TOL = 1e-10
 _DEGENERACY_TOL = 1e-8
 
 
+# The Bethe system kinds and the solver's tolerances: every command's parser
+# and config need them, so they live here, and ``bethe``, which re-exports
+# them in its ``__all__``, is loaded only by the commands that solve.
+KINDS = (
+    "hom_minus",
+    "hom_plus",
+    "inhom_plus",
+    "inhom_minus",
+    "dual_inhom_plus",
+    "dual_inhom_minus",
+)
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Solver tolerances.
+
+    Residual convergence is measured relative to the largest magnitude term
+    entering each equation, so ``tol`` is scale-free across parameter draws.
+    ``dedup_tol`` is the separation below which roots count as coinciding.
+    """
+
+    tol: float = 1e-10
+    dedup_tol: float = 1e-6
+    match_tol: float = 1e-6
+
+    @property
+    def starts(self) -> int:
+        """Attempts per ``solve`` call: always one, since each spectrum entry
+        takes one deterministic linear solve.  Kept so that per-attempt
+        rates, such as the benchmark's matched-per-start count, still have a
+        denominator."""
+        return 1
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Validated parameter set; immutable once constructed."""

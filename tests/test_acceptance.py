@@ -10,7 +10,6 @@ import json
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

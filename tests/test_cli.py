@@ -400,6 +400,18 @@ def test_output_path_writes_file(tmp_path):
     assert "theta" in body
 
 
+@pytest.mark.parametrize("args", [["spectrum"], ["racah", "--route", "series"],
+                                  ["bethe", "--kind", "hom_minus", "--level", "1"], ["verify"]])
+def test_unwritable_output_path_is_config_error(args, tmp_path, capsys):
+    data = _base_config()
+    data["output"] = {"format": "json", "path": str(tmp_path / "missing" / "out.json")}
+    cfgfile = _write(tmp_path, data)
+    assert main([args[0], cfgfile, *args[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot write output.path: ")
+
+
 def test_verify_builds_its_setup_once(tmp_path, monkeypatch, capsys):
     # counters on every qracah binding of each counted function; a cache that
     # lived across calls would give the second, equal config fewer calls
