@@ -19,23 +19,21 @@ entries: entry L at homogeneous level L, every entry for an inhomogeneous
 kind.  All targets with the same root count L form one batch, across kinds:
 at L = two_s that is both homogeneous kinds and all four inhomogeneous ones.
 A solve evaluates the TQ coefficients of every kind once, at the sample
-points of all its batches and at the leading probe candidates.  The fit
-runs per root count: a batch shares one set of sample points, fits Q to
-every target by one stacked SVD, takes the zeros of every Q at once and
-inverts them to Bethe roots.  The root sets of every batch are then stacked,
-padded with inf to the largest root count, and go through one
-polish/reconstruct/match pass: a pad is a factor 1 in every product over
-roots, wins no max or min and sorts last.  Newton steps, which only root
-sets above tolerance take, run per root count on unpadded rows.  The
-homogeneous eigenvalues are read at the tabulated probe points; the rare
-root set whose probe points lie past them evaluates the table at its own
-points.  The kind of a row only selects its factors, each computed as for
-that kind alone, and each least-squares matrix is factored alone, so a
-row's result does not depend on the batch it is in.  A root set passes
-only when it satisfies the Bethe equations to tolerance and its
-reconstructed eigenvalue matches the closed-form spectrum; neither check
-uses the fit.  Every step is deterministic, so repeated runs return
-byte-identical results.
+points of all its batches and at the probe candidates.  The fit runs per
+root count: a batch shares one set of sample points, fits Q to every target
+by one stacked SVD, takes the zeros of every Q at once and inverts them to
+Bethe roots.  The root sets of every batch are then stacked, padded with
+inf to the largest root count, and go through one polish/reconstruct/match
+pass: a pad is a factor 1 in every product over roots, wins no max or min
+and sorts last.  Newton steps, which only root sets above tolerance take,
+run per root count on unpadded rows.  The homogeneous eigenvalues are read
+off the table at the probe candidates.  The kind of a row only selects its
+factors, each computed as for that kind alone, and each least-squares
+matrix is factored alone, so a row's result does not depend on the batch
+it is in.  A root set passes only when it satisfies the Bethe equations to
+tolerance and its reconstructed eigenvalue matches the closed-form
+spectrum; neither check uses the fit.  Every step is deterministic, so
+repeated runs return byte-identical results.
 """
 
 from __future__ import annotations
@@ -398,16 +396,17 @@ def _closed_form_eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams) -> np
 # relative spread allowed between the probe-point values of an on-shell set
 _PROBE_TOL = 1e-8
 _PROBE_COUNT = 3
-# leading probe candidates whose TQ coefficients solve tabulates
-_PROBE_PREFIX = 16
+# probe candidates, at each of which solve tabulates the TQ coefficients
+_PROBE_POOL = 16
 
 
 @functools.cache
 def _probe_candidates() -> np.ndarray:
-    """Fixed, seeded sequence of 500 candidate probe points with |u| in
-    [0.6, 1.7]; drawn once, on first use, and read-only."""
+    """Fixed, seeded sequence of _PROBE_POOL candidate probe points with |u|
+    in [0.6, 1.7]; drawn once, on first use, and read-only."""
     rng = np.random.default_rng(716213)
-    log_r, a = rng.uniform([np.log(0.6), 0.0], [np.log(1.7), 2.0 * np.pi], size=(500, 2)).T
+    log_r, a = rng.uniform([np.log(0.6), 0.0], [np.log(1.7), 2.0 * np.pi],
+                           size=(_PROBE_POOL, 2)).T
     r = np.exp(log_r)
     cand = r * np.cos(a) + 1j * (r * np.sin(a))
     cand.flags.writeable = False
@@ -417,43 +416,39 @@ def _probe_candidates() -> np.ndarray:
 def _probe_points(U: np.ndarray, p: ModelParams) -> np.ndarray:
     """Indices into _probe_candidates of the first _PROBE_COUNT candidates
     that keep clear of the poles of each root set, row s of U, shape
-    (len(U), _PROBE_COUNT), -1 where a row has too few.  Every row screens
-    the first _PROBE_PREFIX candidates; only the rows they cannot serve
-    screen the rest.  Pads block no candidate."""
+    (len(U), _PROBE_COUNT), -1 where a row has too few.  Pads block no
+    candidate."""
     q = p.base.q
-    cand = _probe_candidates()
-    free = np.zeros((len(U), len(cand)), dtype=bool)
-    left = np.arange(len(U))
-    for lo, hi in ((0, _PROBE_PREFIX), (_PROBE_PREFIX, len(cand))):
-        u, v = cand[lo:hi], U[left, None, :]
-        w = u[:, None]
-        with np.errstate(all="ignore"):
-            clear = ((np.abs(_b(w / v)) > 1e-3) & (np.abs(_b(q * w * v)) > 1e-3)) | ~np.isfinite(v)
-        free[left, lo:hi] = clear.all(axis=2) & (
-            np.abs([_b(u * u), _b(q * u * u), _b(q * q * u * u)]) > 1e-3).all(axis=0)
-        count = free[:, :hi].sum(axis=1)
-        left = np.flatnonzero(count < _PROBE_COUNT)
-        if left.size == 0:
-            break
-    first = np.argsort(~free[:, :hi], axis=1, kind="stable")[:, :_PROBE_COUNT]
-    return np.where(np.arange(_PROBE_COUNT) < count[:, None], first, -1)
+    u = _probe_candidates()
+    w, v = u[:, None], U[:, None, :]
+    with np.errstate(all="ignore"):
+        clear = ((np.abs(_b(w / v)) > 1e-3) & (np.abs(_b(q * w * v)) > 1e-3)) | ~np.isfinite(v)
+    free = clear.all(axis=2) & (
+        np.abs([_b(u * u), _b(q * u * u), _b(q * q * u * u)]) > 1e-3).all(axis=0)
+    first = np.argsort(~free, axis=1, kind="stable")[:, :_PROBE_COUNT]
+    return np.where(np.arange(_PROBE_COUNT) < free.sum(axis=1)[:, None], first, -1)
 
 
 def eigenvalue_from_roots(sys: BetheSystem, roots) -> complex:
     """Eigenvalue reconstructed from an on-shell root set.
 
     Homogeneous kinds evaluate the probe functional at three points and
-    insist on probe-independence within ``_PROBE_TOL``; inhomogeneous kinds
-    use the closed-form symmetric function of the roots.
+    insist on probe-independence within ``_PROBE_TOL``; they refuse roots
+    that leave fewer than three probe candidates clear of their poles.
+    Inhomogeneous kinds use the closed-form symmetric function of the roots.
     """
     roots = np.asarray(roots, dtype=complex)
     if roots.shape != (sys.level,) or not np.isfinite(roots).all():
         raise ValueError(f"eigenvalue_from_roots: expected {sys.level} finite roots")
     p = sys.params
-    sc = structure_constants(p)
+    if sys.kind in HOM_KINDS and (_probe_points(roots[None, :], p) < 0).any():
+        raise ValueError(
+            f"eigenvalue_from_roots: fewer than {_PROBE_COUNT} of the {_PROBE_POOL} "
+            "probe candidates keep clear of the poles of these roots"
+        )
     k = np.array([KINDS.index(sys.kind)])
-    probe = _tq_table(k, _probe_candidates()[:_PROBE_PREFIX], p, sc)
-    (lam,), (spread,) = _eigenvalues(k, roots[None, :], p, sc, probe)
+    probe = _tq_table(k, _probe_candidates(), p, structure_constants(p))
+    (lam,), (spread,) = _eigenvalues(k, roots[None, :], p, probe)
     if not spread <= _PROBE_TOL:
         raise ValueError(
             "eigenvalue_from_roots: probe dependence above tolerance "
@@ -462,27 +457,20 @@ def eigenvalue_from_roots(sys: BetheSystem, roots) -> complex:
     return complex(lam)
 
 
-def _probe_values(k: np.ndarray, U: np.ndarray, p: ModelParams, sc: StructureConstants,
-                  probe: np.ndarray) -> np.ndarray:
-    """The TQ functional of each homogeneous root set, row s of U of the kind
-    KINDS[k[s]], at its _PROBE_COUNT probe points (those of _probe_points),
-    shape (len(U), _PROBE_COUNT), NaN where no probe points can be placed.
-
-    probe holds each row's (A, D, C, T) at the first _PROBE_PREFIX
-    candidates, shape (4, len(U), _PROBE_PREFIX); a row whose probe points
-    reach past them takes its coefficients from _tq_table at its points."""
+def _probe_values(U: np.ndarray, p: ModelParams, probe: np.ndarray) -> np.ndarray:
+    """The TQ functional of each homogeneous root set, row s of U, at its
+    _PROBE_COUNT probe points (those of _probe_points), shape
+    (len(U), _PROBE_COUNT), NaN where no probe points can be placed.  probe
+    holds each row's (A, D, C, T) at the probe candidates, shape
+    (4, len(U), _PROBE_POOL)."""
     at = _probe_points(U, p)
-    u = _probe_candidates()[at]
-    coeffs = probe[:, np.arange(len(U))[:, None], np.minimum(at, _PROBE_PREFIX - 1)]
+    coeffs = probe[:, np.arange(len(U))[:, None], at]
     with np.errstate(all="ignore"):
-        for s in np.flatnonzero((at >= _PROBE_PREFIX).any(axis=1)):
-            coeffs[:, s] = _tq_table(k[s:s + 1], u[s], p, sc)[:, 0]
-        vals = _tq_values(coeffs, u, U, p.base.q)
+        vals = _tq_values(coeffs, _probe_candidates()[at], U, p.base.q)
     return np.where((at >= 0).all(axis=1)[:, None], vals, np.nan)
 
 
-def _eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams, sc: StructureConstants,
-                 probe: np.ndarray):
+def _eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams, probe: np.ndarray):
     """Eigenvalue reconstructed from each root set, row s of U of the kind
     KINDS[k[s]], and the relative spread of its probe-point values: the
     first value for a homogeneous kind, the closed form (spread 0) for an
@@ -492,7 +480,7 @@ def _eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams, sc: StructureCons
     inh = np.array(_FAMILY)[k] > 0
     lam[inh] = _closed_form_eigenvalues(k[inh], U[inh], p)
     hom = np.flatnonzero(~inh)
-    vals = _probe_values(k[hom], U[hom], p, sc, probe[:, hom])
+    vals = _probe_values(U[hom], p, probe[:, hom])
     lam[hom] = vals[:, 0]
     with np.errstate(invalid="ignore"):
         spread[hom] = (np.abs(vals[:, :, None] - vals[:, None, :]).max(axis=(1, 2))
@@ -691,14 +679,13 @@ def _polish(k: np.ndarray, U: np.ndarray, p: ModelParams, tol: float):
 
 
 def _solutions(systems: list[BetheSystem], U: np.ndarray, res: np.ndarray, p: ModelParams,
-               sp: Spectrum, sc: StructureConstants, cfg: SolverConfig,
-               probe: np.ndarray) -> list[BetheSolution]:
+               sp: Spectrum, cfg: SolverConfig, probe: np.ndarray) -> list[BetheSolution]:
     """Admissibility and eigenvalue match of each on-shell root set, one per
     row of U; row s solves systems[s], and a row of fewer roots than U has
-    columns ends in pads.  probe is the TQ table of every kind at the first
-    _PROBE_PREFIX probe candidates; the eigenvalues of all rows are
-    reconstructed at once and matched in one broadcast.  Only homogeneous
-    rows may be padded: the closed form's sum is not exact under pads."""
+    columns ends in pads.  probe is the TQ table of every kind at the probe
+    candidates; the eigenvalues of all rows are reconstructed at once and
+    matched in one broadcast.  Only homogeneous rows may be padded: the
+    closed form's sum is not exact under pads."""
     S, L = U.shape
     k = np.array([KINDS.index(s.kind) for s in systems], dtype=int)
     pad = ~np.isfinite(U)
@@ -717,7 +704,7 @@ def _solutions(systems: list[BetheSystem], U: np.ndarray, res: np.ndarray, p: Mo
     )
     rows = np.flatnonzero(adm)
     lam = np.full(S, np.nan, dtype=complex)
-    lam[rows], spread = _eigenvalues(k[rows], U[rows], p, sc, probe[:, k[rows]])
+    lam[rows], spread = _eigenvalues(k[rows], U[rows], p, probe[:, k[rows]])
     adm[rows] = spread <= _PROBE_TOL
     targets = np.where(np.array(_THETA)[k][:, None], sp.theta, sp.theta_star)
     d = np.abs(targets - lam[:, None]) / np.maximum(1.0, np.abs(targets))
@@ -747,8 +734,8 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     then stacked, padded with inf to the largest, and go through one
     polish/reconstruct/match pass; Newton steps alone run per root count.
     The TQ coefficients of every kind are evaluated once, at the sample
-    points of every batch and the leading probe candidates.  Only root sets
-    whose Bethe residual is within ``cfg.tol`` are returned, by level, then in
+    points of every batch and the probe candidates.  Only root sets whose
+    Bethe residual is within ``cfg.tol`` are returned, by level, then in
     system and target order, each with its system, its admissibility and
     the spectrum entry its roots reproduce through ``eigenvalue_from_roots``.
     The result is deterministic, and a root set does not depend on the
@@ -761,10 +748,10 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     sp, sc = spectrum(p), structure_constants(p)
     levels = sorted({s.level for s in systems})
     widths = [4 * L + 8 if L else 0 for L in levels]
-    points = [_sample_points(w) for w in widths] + [_probe_candidates()[:_PROBE_PREFIX]]
+    points = [_sample_points(w) for w in widths] + [_probe_candidates()]
     with np.errstate(all="ignore"):
         table = _tq_table(range(len(KINDS)), np.concatenate(points), p, sc)
-    probe = table[:, :, -_PROBE_PREFIX:]
+    probe = table[:, :, -_PROBE_POOL:]
     rows, lams = [], []
     for L in levels:
         for s in systems:
@@ -783,7 +770,7 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     U, res = _polish(k[fit], U[fit], p, cfg.tol)
     on_shell = res <= cfg.tol
     return _solutions([rows[i] for i in fit[on_shell]], U[on_shell], res[on_shell],
-                      p, sp, sc, cfg, probe)
+                      p, sp, cfg, probe)
 
 
 def coverage(kind: str, p: ModelParams, cfg: SolverConfig = SolverConfig()) -> CoverageReport:

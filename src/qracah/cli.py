@@ -8,10 +8,10 @@ Subcommands
     spectrum  emit both eigenvalue sequences
 
 Exit codes: 0 on success (for verify: overall pass), 2 on config parse
-errors, an unwritable output path or genericity refusal, 1 on internal
-numerical failure.  Complex numbers serialize as two-element [re, im]
-arrays.  Output is deterministic: identical configs produce byte-identical
-reports.
+errors, an empty or unwritable output path or genericity refusal, 1 on
+internal numerical failure.  Complex numbers serialize as two-element
+[re, im] arrays.  Output is deterministic: identical configs produce
+byte-identical reports.
 
 Each subcommand body imports the library modules it runs (``leonard``,
 ``transition``, ``bethe``), so a launch compiles only those: ``spectrum``
@@ -137,8 +137,8 @@ def parse_config(data: dict) -> RunConfig:
         if out_format not in ("json", "csv"):
             raise ConfigError('output.format must be "json" or "csv"')
         out_path = block.get("path")
-        if out_path is not None and not isinstance(out_path, str):
-            raise ConfigError("output.path must be a string")
+        if out_path is not None and not (isinstance(out_path, str) and out_path):
+            raise ConfigError("output.path must be a non-empty string")
 
     try:
         params = ModelParams(
@@ -413,7 +413,7 @@ def run_spectrum(cfg: RunConfig) -> dict:
 
 
 def _emit(payload: str, cfg: RunConfig) -> None:
-    if cfg.output_path:
+    if cfg.output_path is not None:
         try:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
                 fh.write(payload)
@@ -423,14 +423,10 @@ def _emit(payload: str, cfg: RunConfig) -> None:
         sys.stdout.write(payload)
 
 
-def _json_payload(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 # With ``indent`` set, ``json`` encodes in pure Python, one generator step per
 # row, key and number.  Here the numbers are rendered by one C-level ``repr``
-# of their list: a table's by column, its rows filling one template, and a
-# verify report's all at once; the bytes equal ``json.dumps(obj, indent=2)``.
+# of their list: a table's by column, its rows filling one template, and any
+# other report's all at once; the bytes equal ``json.dumps(obj, indent=2)``.
 
 # ``json``'s words for the reprs ``nan``, ``inf`` (so ``-inf`` too) and ``None``;
 # no digit string holds these letters
@@ -462,15 +458,15 @@ def _reprs(column: list, words=()) -> list[str]:
     text = repr(column)[1:-1]
     for old, new in words:
         text = text.replace(old, new)
-    cells = text.split(", ")
+    cells = text.split(", ") if column else []
     if "(" in text or len(cells) != len(column):
         raise ValueError("table column holds a value that is not a Python number")
     return cells
 
 
 def _racah_json(rows: list[dict]) -> str:
-    """``_json_payload(rows)`` of non-empty records that share their keys and
-    field shapes."""
+    """``json.dumps(rows, indent=2)`` and a newline, for non-empty records
+    that share their keys and field shapes."""
     fields = _columns(rows)
     lines = []
     for key, cols in fields:
@@ -505,10 +501,11 @@ def _json_text(value, pad: str, put) -> str:
     raise ValueError(f"report holds a value that is not a Python number: {value!r}")
 
 
-def _verify_json(report: dict) -> str:
-    """``_json_payload(report)``, with one ``repr`` of all its numbers."""
+def _verify_json(obj) -> str:
+    """``json.dumps(obj, indent=2)`` and a newline, with one ``repr`` of all
+    its numbers."""
     numbers: list = []
-    template = _json_text(report, "", numbers.append)
+    template = _json_text(obj, "", numbers.append)
     return template % tuple(_reprs(numbers, _JSON_WORDS)) + "\n"
 
 
@@ -566,10 +563,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "bethe":
             rows = run_bethe(cfg, args.kind, args.level)
-            _emit(_json_payload(rows), cfg)
+            _emit(_verify_json(rows), cfg)
             return 0
         if args.command == "spectrum":
-            _emit(_json_payload(run_spectrum(cfg)), cfg)
+            _emit(_verify_json(run_spectrum(cfg)), cfg)
             return 0
         raise AssertionError("unreachable")
     except GenericityError as exc:

@@ -328,6 +328,10 @@ def test_off_shell_roots_rejected_by_probe_dependence():
     roots = np.array([0.9 + 0.3j, 1.2 - 0.4j])
     with pytest.raises(ValueError, match="off shell"):
         eigenvalue_from_roots(sysk, roots)
+    # roots on 14 of the 16 probe candidates leave too few to probe at
+    blocking = bethe._probe_candidates()[:14]
+    with pytest.raises(ValueError, match="fewer than 3 of the 16 probe candidates"):
+        eigenvalue_from_roots(BetheSystem("hom_plus", 14, draw_params(14, rng)), blocking)
 
 
 def test_closed_form_matches_solver_spectrum_two_s_1():
@@ -460,11 +464,11 @@ def test_hom_functional_refuses_an_invalid_eps():
 
 def _tables(L, p, sc):
     # the TQ table of every kind at the fit's sample points for root count L
-    # and at the tabulated probe candidates, as solve slices them
+    # and at the probe candidates, as solve slices them
     kinds = range(len(bethe.KINDS))
     with np.errstate(all="ignore"):
         fit = bethe._tq_table(kinds, bethe._sample_points(4 * L + 8), p, sc)
-        probe = bethe._tq_table(kinds, bethe._probe_candidates()[:bethe._PROBE_PREFIX], p, sc)
+        probe = bethe._tq_table(kinds, bethe._probe_candidates(), p, sc)
     return fit, probe
 
 
@@ -535,11 +539,12 @@ def test_coverage_rejects_unknown_kind():
 
 
 def _reference_probe_points(roots, p, count=3):
-    # the candidate loop drawing from a fresh seeded generator on every call
+    # the candidate loop drawing the 16 candidates from a fresh seeded
+    # generator on every call
     q = p.base.q
     rng = np.random.default_rng(716213)
     seen, out = [], []
-    for _ in range(500):
+    for _ in range(16):
         r = float(np.exp(rng.uniform(np.log(0.6), np.log(1.7))))
         a = float(rng.uniform(0.0, 2.0 * np.pi))
         u = complex(r * np.cos(a), r * np.sin(a))
@@ -553,16 +558,15 @@ def _reference_probe_points(roots, p, count=3):
 
 def _probe_rows(p):
     # root sets whose probe points are the first candidates, follow two
-    # rejections, lie past the tabulated prefix (14 or 30 candidates
-    # blocked), or are too few (498 blocked), with each reference's points
+    # rejections, are the last three (13 candidates blocked), or are too few
+    # (14 blocked), with each reference's points
     seen, _ = _reference_probe_points([], p)
     q = p.base.q
     rows = {"none": np.empty(0, dtype=complex),
             "on_shell": solve(BetheSystem("hom_minus", 2, p))[0].roots,
             "two": np.array([seen[0], 1.0 / (q * seen[1])]),
-            "fourteen": np.array(seen[:14]),
-            "thirty": np.array(seen[:30]),
-            "scarce": np.array(seen[:498])}
+            "thirteen": np.array(seen[:13]),
+            "fourteen": np.array(seen[:14])}
     return seen, rows, {name: _reference_probe_points(r, p)[1] for name, r in rows.items()}
 
 
@@ -572,10 +576,9 @@ def test_probe_points_are_the_seeded_sequence():
     seen, rows, ref = _probe_rows(p)
     assert np.array_equal(bethe._probe_candidates(), np.array(seen))
     assert ref["two"][0] not in seen[:2]
-    assert ref["fourteen"][-1] not in seen[:bethe._PROBE_PREFIX]
-    assert ref["thirty"] == seen[30:33]
-    assert ref["scarce"] == seen[498:]
-    U = _padded(list(rows.values()), len(rows["scarce"]))
+    assert ref["thirteen"] == seen[13:]
+    assert len(ref["fourteen"]) < bethe._PROBE_COUNT
+    U = _padded(list(rows.values()), len(rows["fourteen"]))
     at = bethe._probe_points(U, p)
     for row, (name, roots) in zip(at, rows.items()):
         points = row[row >= 0]
@@ -601,7 +604,7 @@ def test_batching_does_not_change_any_target(two_s):
         U = bethe._tq_roots(k, targets, system.level, p, fit)
         U = U * (1.0 + shift * np.exp(1j * np.arange(system.level)))
         U, res = bethe._polish(k, U, p, cfg.tol)
-        return bethe._solutions([system] * len(U), U, res, p, sp, sc, cfg, probe)
+        return bethe._solutions([system] * len(U), U, res, p, sp, cfg, probe)
 
     for p in draw_many(two_s, 3, seed=2000 + two_s):
         for kind in bethe.INHOM_KINDS:
@@ -791,12 +794,12 @@ def _reference_tq_coefficients(kind, u, p, sc):
 @pytest.mark.parametrize("two_s", [1, 4, 8, 12])
 def test_tq_table_rows_are_each_kind_alone(two_s):
     # every row of the table over the union of a sweep's sample points and
-    # the probe prefix against each kind evaluated alone, and every slice of
-    # it against its points evaluated alone: equal bit for bit
+    # the probe candidates against each kind evaluated alone, and every slice
+    # of it against its points evaluated alone: equal bit for bit
     p, = draw_many(two_s, 1, 7100 + two_s)
     sc = structure_constants(p)
     points = [bethe._sample_points(4 * L + 8) for L in range(1, two_s + 1)]
-    points.append(np.array(bethe._probe_candidates()[:bethe._PROBE_PREFIX]))
+    points.append(np.array(bethe._probe_candidates()))
     union = np.concatenate(points)
     kinds = range(len(bethe.KINDS))
     with np.errstate(all="ignore"):
@@ -865,25 +868,26 @@ def test_stacked_fit_matches_per_target_lstsq(two_s, monkeypatch):
 def test_tabulated_probe_values_match_the_scalar_functional():
     # the probe values of the tabulated reconstruction against _functional at
     # the reference's probe points: on shell, off shell, for roots that push
-    # the probe points past the table, and NaN for roots that leave too few
+    # the probe points to the last candidates, and NaN for roots that leave
+    # too few
     rng = np.random.default_rng(27)
     p = draw_params(2, rng)
     sc = structure_constants(p)
     _, rows, ref = _probe_rows(p)
     probe = _tables(0, p, sc)[1]
     groups = [rows["none"][None, :], np.array([rows["on_shell"], [0.9 + 0.3j, 1.2 - 0.4j]])]
-    groups += [rows[name][None, :] for name in ("two", "fourteen", "thirty")]
+    groups += [rows[name][None, :] for name in ("two", "thirteen")]
     for kind in bethe.HOM_KINDS:
         for U in groups:
             k = np.full(len(U), bethe.KINDS.index(kind))
-            vals = bethe._probe_values(k, U, p, sc, probe[:, k])
+            vals = bethe._probe_values(U, p, probe[:, k])
             for row, roots in zip(vals, U):
                 points = _reference_probe_points(roots, p)[1]
                 want = [bethe._functional(kind, u, roots, p, sc) for u in points]
                 assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want)), (kind, roots)
         k = np.array([bethe.KINDS.index(kind)])
-        scarce = bethe._probe_values(k, rows["scarce"][None, :], p, sc, probe[:, k])
-        assert len(ref["scarce"]) < bethe._PROBE_COUNT and np.isnan(scarce).all()
+        scarce = bethe._probe_values(rows["fourteen"][None, :], p, probe[:, k])
+        assert len(ref["fourteen"]) < bethe._PROBE_COUNT and np.isnan(scarce).all()
 
 
 # ---------------------------------------------------------------------------
@@ -975,7 +979,7 @@ def test_padded_residual_and_probe_values_equal_each_level_alone():
     rng = np.random.default_rng(4401)
     seen, _ = _reference_probe_points([], p)
     on_shell = solve(BetheSystem("hom_minus", 2, p))[0].roots
-    blocking = np.array(seen[:14])  # probe points past the table
+    blocking = np.array(seen[:14])  # too few clear probe candidates
     hom = [(bethe.KINDS.index(kind), np.exp(rng.uniform(-0.5, 0.5, L)
                                            + 1j * rng.uniform(0, 2 * np.pi, L)))
            for kind in bethe.HOM_KINDS for L in range(p.two_s + 1) for _ in range(2)]
@@ -991,7 +995,7 @@ def test_padded_residual_and_probe_values_equal_each_level_alone():
     assert np.all(E[pad] == 0) and np.all(scale[pad] == 1)
     _, probe = _tables(0, p, sc)
     nh = len(hom)
-    vals = bethe._probe_values(k[:nh], U[:nh], p, sc, probe[:, k[:nh]])
+    vals = bethe._probe_values(U[:nh], p, probe[:, k[:nh]])
     for L in sorted({len(row) for _, row in hom + inh}):
         at = np.flatnonzero([len(row) == L for _, row in hom + inh])
         E_L, scale_L = bethe._residual_batch(k[at], U[at, :L], p)
@@ -999,7 +1003,7 @@ def test_padded_residual_and_probe_values_equal_each_level_alone():
         assert scale[at, :L].tobytes() == scale_L.tobytes(), L
         assert norm[at].tobytes() == bethe._scaled_norm(E_L, scale_L).tobytes(), L
         h = at[at < nh]
-        alone = bethe._probe_values(k[h], U[h, :L], p, sc, probe[:, k[h]])
+        alone = bethe._probe_values(U[h, :L], p, probe[:, k[h]])
         assert vals[h].tobytes() == alone.tobytes(), L
 
 

@@ -403,13 +403,16 @@ def test_output_path_writes_file(tmp_path):
 @pytest.mark.parametrize("args", [["spectrum"], ["racah", "--route", "series"],
                                   ["bethe", "--kind", "hom_minus", "--level", "1"], ["verify"]])
 def test_unwritable_output_path_is_config_error(args, tmp_path, capsys):
+    # a path in a missing directory, and an empty path
     data = _base_config()
-    data["output"] = {"format": "json", "path": str(tmp_path / "missing" / "out.json")}
-    cfgfile = _write(tmp_path, data)
-    assert main([args[0], cfgfile, *args[1:]]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: cannot write output.path: ")
+    for path, message in ((str(tmp_path / "missing" / "out.json"), "cannot write output.path: "),
+                          ("", "output.path must be a non-empty string")):
+        data["output"] = {"format": "json", "path": path}
+        cfgfile = _write(tmp_path, data)
+        assert main([args[0], cfgfile, *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {message}")
 
 
 def test_verify_builds_its_setup_once(tmp_path, monkeypatch, capsys):
@@ -509,6 +512,13 @@ def test_verify_json_bytes_equal_json_dumps(draw, tmp_path, monkeypatch, capsys)
     rc, out, report = _main_recorded(monkeypatch, capsys, "run_verify", ["verify", path])
     assert rc == (0 if report["pass"] else 1)
     assert out == _dumps(report)
+    # bethe and spectrum go through the same writer
+    level = str(report["instance"]["two_s"])
+    for runner, argv in (("run_bethe", ["bethe", path, "--kind", "hom_plus", "--level", level]),
+                         ("run_spectrum", ["spectrum", path])):
+        rc, out, returned = _main_recorded(monkeypatch, capsys, runner, argv)
+        assert rc == 0
+        assert out == _dumps(returned)
 
 
 # every float repr format switch: non-finite, signed zero, subnormal, the
@@ -562,6 +572,13 @@ def test_verify_json_of_edge_floats_equals_json_dumps(double_ratio):
     assert cli._verify_json(report) == _dumps(report)
     no_rows = {**report, "bethe": [], "instance": {}}
     assert cli._verify_json(no_rows) == _dumps(no_rows)
+    # the reports of bethe, without rows and with edge floats, and of spectrum
+    bethe_report = [{"kind": "hom_plus", "level": k, "roots": pairs[k:k + 3],
+                     "symmetrized": pairs[-1 - k:], "residual": vals[k],
+                     "eigenvalue": pairs[k], "matched_index": k, "match_error": vals[-1 - k]}
+                    for k in range(len(vals))]
+    for other in ([], bethe_report, {"theta": pairs, "theta_star": pairs[::-1]}):
+        assert cli._verify_json(other) == _dumps(other)
     numpy_row = {**bethe_rows[1], "residual": np.float64(0.5)}
     with pytest.raises(ValueError, match="not a Python number"):
         cli._verify_json({**report, "bethe": bethe_rows + [numpy_row]})
