@@ -353,7 +353,8 @@ def run_verify(cfg: RunConfig) -> dict:
     return report
 
 
-def run_racah_table(cfg: RunConfig, route: str) -> list[dict]:
+def run_racah_table(cfg: RunConfig, route: str) -> np.ndarray:
+    """The D x D polynomial table ``R[M, N]`` by one route."""
     from .leonard import build, eigen_family
     from .transition import racah_by_recurrence, racah_matrix
 
@@ -370,9 +371,7 @@ def run_racah_table(cfg: RunConfig, route: str) -> list[dict]:
         R = _double_ratio_table(fam, p.dim, "rac1")
     else:
         raise ConfigError(f"unknown route {route!r}; choose series, recurrence, double-ratio")
-    table = _ser_table(R)
-    return [{"M": M, "N": N, "value": table[M][N]}
-            for M in range(p.dim) for N in range(p.dim)]
+    return R
 
 
 def run_bethe(cfg: RunConfig, kind: str, level: int) -> list[dict]:
@@ -424,60 +423,24 @@ def _emit(payload: str, cfg: RunConfig) -> None:
 
 
 # With ``indent`` set, ``json`` encodes in pure Python, one generator step per
-# row, key and number.  Here the numbers are rendered by one C-level ``repr``
-# of their list: a table's by column, its rows filling one template, and any
-# other report's all at once; the bytes equal ``json.dumps(obj, indent=2)``.
+# row, key and number.  Here ``_json_text`` lays out a report with a
+# placeholder for each number, and the numbers are rendered by one C-level
+# ``repr`` of their list: a table's by column, its rows filling the layout of
+# one sample row, and any other report's all at once; the bytes equal
+# ``json.dumps(obj, indent=2)``.
 
-# ``json``'s words for the reprs ``nan``, ``inf`` (so ``-inf`` too) and ``None``;
-# no digit string holds these letters
-_JSON_WORDS = (("nan", "NaN"), ("inf", "Infinity"), ("None", "null"))
-
-
-def _columns(rows: list[dict]) -> list[tuple[str, list[list]]]:
-    """Each field of records that share their keys, with its columns: one for
-    an int or float field, the real and imaginary parts for an ``[re, im]``
-    field, none for a field that is null in every row."""
-    fields = []
-    for key, first in rows[0].items():
-        col = [r[key] for r in rows]
-        if isinstance(first, list):
-            fields.append((key, [[v[0] for v in col], [v[1] for v in col]]))
-        elif first is None and all(v is None for v in col):
-            fields.append((key, []))
-        else:
-            fields.append((key, [col]))
-    return fields
+# ``json``'s words for the reprs ``nan`` and ``inf`` (so ``-inf`` too); no
+# digit string holds these letters
+_JSON_WORDS = (("nan", "NaN"), ("inf", "Infinity"))
 
 
 def _reprs(column: list, words=()) -> list[str]:
-    """``repr`` of each int, Python float or None in ``column``, from one
-    ``repr`` of the list, with each ``(old, new)`` of ``words`` replaced.
-
-    A numpy scalar, which numpy 2 prints as ``np.float64(...)``, or a nested
-    value raises ``ValueError``."""
+    """``repr`` of each int or Python float in ``column``, from one ``repr``
+    of the list, with each ``(old, new)`` of ``words`` replaced."""
     text = repr(column)[1:-1]
     for old, new in words:
         text = text.replace(old, new)
-    cells = text.split(", ") if column else []
-    if "(" in text or len(cells) != len(column):
-        raise ValueError("table column holds a value that is not a Python number")
-    return cells
-
-
-def _racah_json(rows: list[dict]) -> str:
-    """``json.dumps(rows, indent=2)`` and a newline, for non-empty records
-    that share their keys and field shapes."""
-    fields = _columns(rows)
-    lines = []
-    for key, cols in fields:
-        if len(cols) == 2:
-            value = "[\n      %s,\n      %s\n    ]"
-        else:
-            value = "%s" if cols else "null"
-        lines.append(f'    "{key}": {value}')
-    template = "  {\n" + ",\n".join(lines) + "\n  }"
-    cells = [_reprs(col, _JSON_WORDS) for _, cols in fields for col in cols]
-    return "[\n" + ",\n".join(template % row for row in zip(*cells)) + "\n]\n"
+    return text.split(", ") if column else []
 
 
 def _json_text(value, pad: str, put) -> str:
@@ -492,7 +455,8 @@ def _json_text(value, pad: str, put) -> str:
         if not value:
             return ends
         items = ([_json_text(v, inner, put) for v in value] if t is list else
-                 [f"{_json_str(k)}: {_json_text(v, inner, put)}" for k, v in value.items()])
+                 [f"{_json_str(k).replace('%', '%%')}: {_json_text(v, inner, put)}"
+                  for k, v in value.items()])
         return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
     if t is str:
         return _json_str(value).replace("%", "%%")
@@ -509,9 +473,22 @@ def _verify_json(obj) -> str:
     return template % tuple(_reprs(numbers, _JSON_WORDS)) + "\n"
 
 
-def _racah_csv(rows: list[dict]) -> str:
-    cells = [_reprs(col) for _, cols in _columns(rows) for col in cols]
-    return "M,N,re,im\n" + "".join("%s,%s,%s,%s\n" % row for row in zip(*cells))
+def _table_cells(R: np.ndarray, words=()) -> list[list[str]]:
+    """The columns M, N, re and im of table ``R`` in row-major order, each
+    rendered by one ``_reprs`` call."""
+    return [_reprs(a.ravel().tolist(), words) for a in (*np.indices(R.shape), R.real, R.imag)]
+
+
+def _racah_json(R: np.ndarray) -> str:
+    """``json.dumps(rows, indent=2)`` and a newline, for the rows
+    ``{"M": M, "N": N, "value": [re, im]}`` of table ``R`` in row-major order."""
+    row = _json_text({"M": 0, "N": 0, "value": [0.0, 0.0]}, "  ", lambda _: None)
+    rows = (row % cells for cells in zip(*_table_cells(R, _JSON_WORDS)))
+    return "[\n  " + ",\n  ".join(rows) + "\n]\n"
+
+
+def _racah_csv(R: np.ndarray) -> str:
+    return "M,N,re,im\n" + "".join("%s,%s,%s,%s\n" % row for row in zip(*_table_cells(R)))
 
 
 @functools.cache
@@ -555,11 +532,8 @@ def main(argv: list[str] | None = None) -> int:
             _emit(_verify_json(report), cfg)
             return 0 if report["pass"] else 1
         if args.command == "racah":
-            rows = run_racah_table(cfg, args.route)
-            if cfg.output_format == "csv":
-                _emit(_racah_csv(rows), cfg)
-            else:
-                _emit(_racah_json(rows), cfg)
+            R = run_racah_table(cfg, args.route)
+            _emit(_racah_csv(R) if cfg.output_format == "csv" else _racah_json(R), cfg)
             return 0
         if args.command == "bethe":
             rows = run_bethe(cfg, args.kind, args.level)
