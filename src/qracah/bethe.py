@@ -596,11 +596,11 @@ def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
     return np.sqrt(y / q)
 
 
-def _jacobian(kind, U: np.ndarray, p: ModelParams, fd: float) -> np.ndarray:
+def _jacobian(kind, U: np.ndarray, p: ModelParams) -> np.ndarray:
     S, L = U.shape
     J = np.empty((S, L, L), dtype=complex)
     for k in range(L):
-        h = fd * np.maximum(1.0, np.abs(U[:, k]))
+        h = _FD_STEP * np.maximum(1.0, np.abs(U[:, k]))
         Up = U.copy()
         Um = U.copy()
         Up[:, k] += h
@@ -664,7 +664,7 @@ def _polish(k: np.ndarray, U: np.ndarray, p: ModelParams, tol: float):
                 break
             V = U[rows, :L]
             E, _ = _residual_batch(k[rows], V, p)
-            trial = V + _newton_step(_jacobian(k[rows], V, p, _FD_STEP), E)
+            trial = V + _newton_step(_jacobian(k[rows], V, p), E)
             r = _scaled_residual(k[rows], trial, p)
             # a non-finite trial root would read as a pad
             better = (r < res[rows]) & np.isfinite(trial).all(axis=1)

@@ -59,15 +59,21 @@ class RunConfig:
     output_path: str | None
 
 
-def _require_map(obj, path):
+def _block(obj, path: str, keys) -> dict:
+    """``obj``, which must be a JSON object with no key outside ``keys``;
+    ``path`` names it in messages, and is ``"config"`` for the top level."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be a JSON object")
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"unknown config key {key!r}" if path == "config" else
+                              f"unknown config key {path}.{key}")
     return obj
 
 
-def _complex_field(obj, key, path):
+def _complex_field(obj, key):
     if key not in obj:
-        raise ConfigError(f"{path} is required")
+        raise ConfigError(f"{key} is required")
     v = obj[key]
     ok = (
         isinstance(v, (list, tuple))
@@ -75,70 +81,44 @@ def _complex_field(obj, key, path):
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)
     )
     if not ok:
-        raise ConfigError(f"{path} must be a two-element [re, im] array of numbers")
+        raise ConfigError(f"{key} must be a two-element [re, im] array of numbers")
     if not all(abs(x) <= sys.float_info.max for x in v):  # NaN, Infinity, or past binary64
-        raise ConfigError(f"{path} must be finite")
+        raise ConfigError(f"{key} must be finite")
     return complex(float(v[0]), float(v[1]))
 
 
-def _int_field(obj, key, path, minimum=None):
-    if key not in obj:
-        raise ConfigError(f"{path} is required")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path} must be an integer")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{path} must be >= {minimum}")
-    return v
-
-
-def _pos_float_field(obj, key, path, default):
-    if key not in obj:
-        return default
-    v = obj[key]
+def _tolerance(block: dict, key: str) -> float:
+    v = block.get(key, _TOL_DEFAULTS[key])
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v <= sys.float_info.max:
-        raise ConfigError(f"{path} must be positive and finite")
+        raise ConfigError(f"tolerances.{key} must be positive and finite")
     return float(v)
 
 
 def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from decoded JSON, naming offending paths."""
-    _require_map(data, "config")
-    known = {"q", "two_s", "b", "c", "b_star", "c_star", "zeta", "tolerances", "output"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+    _block(data, "config", ("q", "two_s", "b", "c", "b_star", "c_star", "zeta",
+                            "tolerances", "output"))
+    q = _complex_field(data, "q")
+    if "two_s" not in data:
+        raise ConfigError("two_s is required")
+    two_s = data["two_s"]
+    if isinstance(two_s, bool) or not isinstance(two_s, int):
+        raise ConfigError("two_s must be an integer")
+    if two_s < 1:
+        raise ConfigError("two_s must be >= 1")
+    b, c, b_star, c_star, zeta = (_complex_field(data, key)
+                                  for key in ("b", "c", "b_star", "c_star", "zeta"))
 
-    q = _complex_field(data, "q", "q")
-    two_s = _int_field(data, "two_s", "two_s", minimum=1)
-    b = _complex_field(data, "b", "b")
-    c = _complex_field(data, "c", "c")
-    b_star = _complex_field(data, "b_star", "b_star")
-    c_star = _complex_field(data, "c_star", "c_star")
-    zeta = _complex_field(data, "zeta", "zeta")
+    block = _block(data.get("tolerances", {}), "tolerances", _TOL_DEFAULTS)
+    tols = {key: _tolerance(block, key) for key in _TOL_DEFAULTS}
 
-    tols = dict(_TOL_DEFAULTS)
-    if "tolerances" in data:
-        block = _require_map(data["tolerances"], "tolerances")
-        for key in block:
-            if key not in _TOL_DEFAULTS:
-                raise ConfigError(f"unknown config key tolerances.{key}")
-        for key in _TOL_DEFAULTS:
-            tols[key] = _pos_float_field(block, key, f"tolerances.{key}", _TOL_DEFAULTS[key])
-
-    out_format = "json"
-    out_path = None
-    if "output" in data:
-        block = _require_map(data["output"], "output")
-        for key in block:
-            if key not in ("format", "path"):
-                raise ConfigError(f"unknown config key output.{key}")
-        out_format = block.get("format", "json")
-        if out_format not in ("json", "csv"):
-            raise ConfigError('output.format must be "json" or "csv"')
-        out_path = block.get("path")
-        if out_path is not None and not (isinstance(out_path, str) and out_path):
-            raise ConfigError("output.path must be a non-empty string")
+    block = _block(data.get("output", {}), "output", ("format", "path"))
+    out_format = block.get("format", "json")
+    if out_format not in ("json", "csv"):
+        raise ConfigError('output.format must be "json" or "csv"')
+    out_path = block.get("path")
+    if out_path is not None and not (isinstance(out_path, str) and out_path):
+        raise ConfigError("output.path must be a non-empty string")
 
     try:
         params = ModelParams(
@@ -231,14 +211,6 @@ def _refuse_if_nongeneric(params: ModelParams) -> None:
         )
 
 
-def _double_ratio_table(fam, dim: int, form: str) -> np.ndarray:
-    """The polynomial table from eigenvector double ratios of one form."""
-    from .transition import racah_from_scalar_products
-
-    idx = np.arange(dim)
-    return racah_from_scalar_products(fam, idx[:, None], idx[None, :], form)
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
@@ -248,7 +220,7 @@ def run_verify(cfg: RunConfig) -> dict:
     from .bethe import sweep
     from .leonard import _setup, eigen_family, verify_aw, verify_cayley_hamilton
     from .transition import (_recurrence_residuals, _recurrence_table, build_transition,
-                             orthogonality_residuals)
+                             orthogonality_residuals, racah_from_scalar_products)
 
     p = cfg.params
     _refuse_if_nongeneric(p)
@@ -275,6 +247,7 @@ def run_verify(cfg: RunConfig) -> dict:
 
     td = build_transition(p)
     dim = p.dim
+    idx = np.arange(dim)
     ident = np.eye(dim)
     checks.append(_check("pinv_p_identity",
                          float(np.max(np.abs(td.Pinv @ td.P - ident))), tol))
@@ -307,7 +280,7 @@ def run_verify(cfg: RunConfig) -> dict:
         gap = np.nan  # no family, or the route refused: a failed check
         if fam is not None:
             try:
-                ratio_tables[form] = _double_ratio_table(fam, dim, form)
+                ratio_tables[form] = racah_from_scalar_products(fam, idx[:, None], idx, form)
             except ValueError:
                 pass
             else:
@@ -356,7 +329,7 @@ def run_verify(cfg: RunConfig) -> dict:
 def run_racah_table(cfg: RunConfig, route: str) -> np.ndarray:
     """The D x D polynomial table ``R[M, N]`` by one route."""
     from .leonard import build, eigen_family
-    from .transition import racah_by_recurrence, racah_matrix
+    from .transition import racah_by_recurrence, racah_from_scalar_products, racah_matrix
 
     p = cfg.params
     _refuse_if_nongeneric(p)
@@ -368,7 +341,8 @@ def run_racah_table(cfg: RunConfig, route: str) -> np.ndarray:
     elif route == "double_ratio":
         real = build(p)
         fam = eigen_family(real.A_mat, real.spectrum.theta)
-        R = _double_ratio_table(fam, p.dim, "rac1")
+        idx = np.arange(p.dim)
+        R = racah_from_scalar_products(fam, idx[:, None], idx, "rac1")
     else:
         raise ConfigError(f"unknown route {route!r}; choose series, recurrence, double-ratio")
     return R

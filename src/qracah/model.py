@@ -2,8 +2,9 @@
 genericity screening.
 
 A parameter set consists of a deformation base q, a nonnegative half-integer
-spin encoded as the integer two_s = 2s, four nonzero couplings b, c, b_star,
-c_star constrained by b*c = b_star*c_star, and a nonzero twist zeta.
+spin encoded as the integer two_s = 2s, four finite nonzero couplings b, c,
+b_star, c_star constrained by b*c = b_star*c_star, and a finite nonzero twist
+zeta.
 """
 
 from __future__ import annotations
@@ -82,11 +83,13 @@ class ModelParams:
     zeta: complex
 
     def __post_init__(self):
-        if not isinstance(self.two_s, int) or self.two_s < 1:
+        if isinstance(self.two_s, bool) or not isinstance(self.two_s, int) or self.two_s < 1:
             raise ValueError("ModelParams: two_s must be an integer >= 1")
         for name in ("b", "c", "b_star", "c_star", "zeta"):
             val = complex(getattr(self, name))
             object.__setattr__(self, name, val)
+            if not np.isfinite(val):
+                raise ValueError(f"ModelParams: {name} must be finite")
             if val == 0:
                 raise ValueError(f"ModelParams: {name} must be nonzero")
         lhs = self.b * self.c
@@ -212,11 +215,4 @@ def validate_genericity(p: ModelParams, tol: float = 1e-8) -> list[str]:
             if abs(d) <= tol * max(1.0, abs(a * p.base.q2**j)):
                 issues.append(f"{label} parameter hits 1 at order {j}")
 
-    # deduplicate while preserving order
-    seen: set[str] = set()
-    out = []
-    for msg in issues:
-        if msg not in seen:
-            seen.add(msg)
-            out.append(msg)
-    return out
+    return list(dict.fromkeys(issues))  # deduplicated, in order

@@ -26,8 +26,8 @@ _DENOMINATOR_TOL = 1e-13
 class QBase:
     """Deformation parameter q with its cached square.
 
-    q = 0 and q = +-1 are rejected outright; proximity of q to other roots
-    of unity is range-dependent and is checked by
+    A non-finite q, q = 0 and q = +-1 are rejected outright; proximity of q
+    to other roots of unity is range-dependent and is checked by
     :meth:`unit_power_violations` with the working range supplied by the
     caller.
     """
@@ -37,6 +37,8 @@ class QBase:
 
     def __post_init__(self):
         q = complex(self.q)
+        if not np.isfinite(q):
+            raise ValueError("QBase: q must be finite")
         if abs(q) < _INVERSION_FLOOR:
             raise ValueError("QBase: q must be nonzero")
         if abs(q - 1.0) < 1e-14 or abs(q + 1.0) < 1e-14:

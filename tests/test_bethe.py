@@ -7,18 +7,23 @@ Independent oracles used here:
   * level-0 systems have an empty root set whose reconstructed eigenvalue
     must equal the first entry of the matching closed-form spectrum, for
     every probe point
+  * the generator pair's symmetries (twist inversion, exchange of the two
+    generators, q inversion) map the six independently coded kinds onto one
+    another, off shell as well as on
   * full coverage sweeps check every root set against the Bethe residual
     and match its reconstructed eigenvalue against the closed-form
     spectrum; the solver takes the target entry as input, but neither check
     uses the solve, and a fit at a wrong entry gives roots off shell
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qracah.model import spectrum, structure_constants
+from qracah.qnum import QBase
 from qracah import bethe
 from qracah.bethe import (
     BetheSystem,
@@ -646,7 +651,7 @@ def _reference_residual(kind, U, p):
     return E, scale
 
 
-@pytest.mark.parametrize("two_s", [2, 4, 8])
+@pytest.mark.parametrize("two_s", range(1, 13))
 def test_mixed_kind_residual_matches_each_kind_alone(two_s):
     # rows of all six kinds, shuffled into one batch, against each kind's
     # residual alone: equal bit for bit, and so is the term scale
@@ -661,6 +666,68 @@ def test_mixed_kind_residual_matches_each_kind_alone(two_s):
             E_ref, scale_ref = _reference_residual(kind, U[k == i], p)
             assert E[k == i].tobytes() == E_ref.tobytes(), kind
             assert scale[k == i].tobytes() == scale_ref.tobytes(), kind
+        # the residual is the TQ relation's residue at each root: row s's
+        # own coefficients from _tq_table at its roots, against its pair
+        # products, with sign -1 for the homogeneous kinds and a power of the
+        # root per kind
+        q = p.base.q
+        rows = np.arange(len(k))
+        A, D, C, _ = bethe._tq_table(k, U, p, structure_constants(p))[:, rows, rows]
+        F, H, den = bethe._pair_products(U, q)
+    sign = np.where(k < len(bethe.HOM_KINDS), -1.0, 1.0)[:, None]
+    gamma = np.array([1, -1, -2, 2, 0, 0])[k][:, None]
+    U2 = U * U
+    residue = sign * _bf(U2) * U**gamma * (A * _bf(U2) * F - D * _bf(q * q * U2) * H
+                                           - C / (_bf(q) * den))
+    assert (np.abs(E - residue) <= 1e-12 * scale).all()
+
+
+def _assert_kind_maps(i, U, u, p, j, V, v, image, factor, tol=1e-12):
+    # kind i at roots U, points u and parameters p against kind j at V, v
+    # and image: the same TQ table and closed form, and residuals and term
+    # scales that differ by factor
+    with np.errstate(all="ignore"):
+        for a, b in zip(bethe._tq_table([i], u, p, structure_constants(p)),
+                        bethe._tq_table([j], v, image, structure_constants(image))):
+            assert np.abs(a - b).max() <= tol * np.abs(a).max(), (i, j)
+        E, scale = bethe._residual_batch(bethe.KINDS[i], U, p)
+        E_img, scale_img = bethe._residual_batch(bethe.KINDS[j], V, image)
+    assert (np.abs(E - factor * E_img) <= tol * scale).all(), (i, j)
+    assert (np.abs(scale - np.abs(factor) * scale_img) <= tol * scale).all(), (i, j)
+    if i >= len(bethe.HOM_KINDS):
+        lam = bethe._closed_form_eigenvalues(np.full(len(U), i), U, p)
+        lam_img = bethe._closed_form_eigenvalues(np.full(len(V), j), V, image)
+        assert np.abs(lam - lam_img).max() <= tol * np.abs(lam).max(), (i, j)
+
+
+@pytest.mark.parametrize("two_s", range(1, 13))
+def test_kinds_obey_the_generator_pair_symmetries(two_s):
+    # The six kinds are coded independently; Leonard-pair duality
+    # (Terwilliger, Linear Algebra Appl. 330 (2001)) maps them onto one
+    # another, on and off shell:
+    #   (a) zeta -> 1/zeta fixes every kind;
+    #   (b) exchanging (b, c) with (b*, c*) maps each eps = -1 kind onto an
+    #       eps = +1 twin, with residual factor u_i**2;
+    #   (c) q -> 1/q with b <-> c, b* <-> c* and u -> 1/u fixes both
+    #       homogeneous kinds and exchanges each direct inhomogeneous kind
+    #       with its dual, with residual factor u_i**(-2*eps).
+    rng = np.random.default_rng(6200 + two_s)
+    for p in draw_many(two_s, 4, 6100 + two_s):
+        U = np.exp(rng.uniform(np.log(0.6), np.log(1.6), (6, two_s))
+                   + 1j * rng.uniform(0, 2 * np.pi, (6, two_s)))
+        u = np.exp(rng.uniform(np.log(0.6), np.log(1.6), 20) + 1j * rng.uniform(0, 2 * np.pi, 20))
+        twist = replace(p, zeta=1 / p.zeta)
+        for i in range(len(bethe.KINDS)):
+            _assert_kind_maps(i, U, u, p, i, U, u, twist, 1.0)
+        dual = replace(p, b=p.b_star, c=p.c_star, b_star=p.b, c_star=p.c)
+        for minus, plus in (("hom_minus", "hom_plus"), ("inhom_minus", "dual_inhom_plus"),
+                            ("dual_inhom_minus", "inhom_plus")):
+            _assert_kind_maps(bethe.KINDS.index(minus), U, u, p,
+                              bethe.KINDS.index(plus), U, u, dual, U**2)
+        inverse = replace(p, base=QBase(1 / p.base.q), b=p.c, c=p.b, b_star=p.c_star,
+                          c_star=p.b_star)
+        for i, j in enumerate((0, 1, 4, 5, 2, 3)):
+            _assert_kind_maps(i, U, u, p, j, 1 / U, 1 / u, inverse, U ** (-2 * bethe._EPS[i]))
 
 
 def test_newton_step_rows_are_independent():
@@ -923,8 +990,6 @@ def test_sweep_keeps_the_first_lowest_match_error(monkeypatch):
     # win), undercut (the copy must win), or undercut while inadmissible or
     # at another level (neither may win), against the scan over every
     # solution for every (kind, index) with min's tie rule
-    from dataclasses import replace
-
     p, = draw_many(3, 1, 4600)
     systems = [BetheSystem(kind, L, p) for kind in bethe.KINDS
                for L in (range(p.dim) if kind in bethe.HOM_KINDS else (p.two_s,))]

@@ -41,6 +41,12 @@ class TestModelParams:
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             _simple_params(b=0.0, c_star=0.0)
+        # a non-finite coupling or twist is refused by name, never screened
+        # as generic
+        for name in ("b", "c", "b_star", "c_star", "zeta"):
+            for bad in (float("nan"), float("inf"), complex(1.0, float("nan")), -float("inf")):
+                with pytest.raises(ValueError, match=f"ModelParams: {name} must be finite"):
+                    _simple_params(**{name: bad})
 
     def test_dim(self):
         assert _simple_params().dim == 3
@@ -48,6 +54,10 @@ class TestModelParams:
     def test_two_s_positive(self):
         with pytest.raises(ValueError):
             _simple_params(two_s=0)
+        # bool is an int subclass; True must not read as two_s 1
+        for bad in (True, False, 2.0):
+            with pytest.raises(ValueError, match="two_s must be an integer"):
+                _simple_params(two_s=bad)
 
 
 class TestStructureConstants:

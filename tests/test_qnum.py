@@ -26,6 +26,10 @@ class TestQBase:
             QBase(-1.0)
         with pytest.raises(ValueError):
             QBase(0.0)
+        nan, inf = float("nan"), float("inf")
+        for bad in (nan, inf, complex(1.1, nan), complex(-inf, 1.0)):
+            with pytest.raises(ValueError, match="q must be finite"):
+                QBase(bad)
 
     def test_caches_square(self):
         base = QBase(2.0 + 1.0j)
