@@ -612,21 +612,11 @@ def _jacobian(kind, U: np.ndarray, p: ModelParams) -> np.ndarray:
 
 
 def _newton_step(J: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Minimum-norm Newton step of each row, zero where J or E is not finite."""
     ok = np.isfinite(J).all(axis=(1, 2)) & np.isfinite(E).all(axis=1)
     delta = np.zeros_like(E)
     if ok.any():
-        Jok = J[ok]
-        Eok = E[ok]
-        try:
-            delta[ok] = np.linalg.solve(Jok, -Eok[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            out = np.zeros_like(Eok)
-            for s in range(Jok.shape[0]):
-                try:
-                    out[s] = np.linalg.solve(Jok[s], -Eok[s])
-                except np.linalg.LinAlgError:
-                    out[s] = np.linalg.lstsq(Jok[s], -Eok[s], rcond=None)[0]
-            delta[ok] = out
+        delta[ok] = _lstsq(J[ok], -E[ok])
     return delta
 
 

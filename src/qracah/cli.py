@@ -150,6 +150,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config is nested too deeply to parse: {exc}") from exc
     return parse_config(data)
 
 

@@ -2,9 +2,11 @@
 
 Two gauges are supported.  In the ``theta_star_basis`` gauge the second
 generator is diagonal and the first acts tridiagonally; in the
-``theta_basis`` gauge the roles are exchanged.  Matrix entries follow the
-column convention: entry (row, col) multiplies basis vector ``row`` in the
-image of basis vector ``col``.
+``theta_basis`` gauge the roles are exchanged.  The tridiagonal action of
+the first generator (``A``) is that of the second (``Astar``) for the dual
+pair, whose starred and unstarred couplings are exchanged and whose twist is
+inverted.  Matrix entries follow the column convention: entry (row, col)
+multiplies basis vector ``row`` in the image of basis vector ``col``.
 
 Eigenvectors are recovered by shifted solves against the analytically known
 eigenvalues (regularized inverse iteration with a pinned component), not by
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (GenericityError, ModelParams, Spectrum, StructureConstants, spectrum,
+from .model import (GenericityError, ModelParams, Spectrum, StructureConstants, _dual, spectrum,
                     structure_constants)
 
 __all__ = [
@@ -82,10 +84,10 @@ def _check_den(factors, scale) -> complex:
     return den
 
 
-def _sub_entry(M: int, q: complex, n: int, b, c, bs, cs, zeta) -> complex:
-    """Entry (M, M-1): coupling down the index, defined for 1 <= M <= n."""
-    if M < 1 or M > n:
-        return 0j
+def _sub_entry(M: int, p: ModelParams) -> complex:
+    """Entry (M, M-1) of the ``Astar`` action: coupling down the index,
+    1 <= M <= two_s."""
+    q, n, b, c, bs, cs, zeta = p.base.q, p.two_s, p.b, p.c, p.b_star, p.c_star, p.zeta
     num = (
         q ** (2 - 2 * n)
         * (1.0 - q ** (2 * M))
@@ -98,10 +100,10 @@ def _sub_entry(M: int, q: complex, n: int, b, c, bs, cs, zeta) -> complex:
     return num / den
 
 
-def _sup_entry(M: int, q: complex, n: int, b, c, bs, cs, zeta) -> complex:
-    """Entry (M-1, M): coupling up the index, defined for 1 <= M <= n."""
-    if M < 1 or M > n:
-        return 0j
+def _sup_entry(M: int, p: ModelParams) -> complex:
+    """Entry (M-1, M) of the ``Astar`` action: coupling up the index,
+    1 <= M <= two_s."""
+    q, n, b, c, bs, cs, zeta = p.base.q, p.two_s, p.b, p.c, p.b_star, p.c_star, p.zeta
     num = (
         (1.0 - q ** (2 * M - 2 * n - 2))
         * (c - b * q ** (2 * M - 2))
@@ -113,47 +115,39 @@ def _sup_entry(M: int, q: complex, n: int, b, c, bs, cs, zeta) -> complex:
     return num / den
 
 
-def _kind_args(kind: str, p: ModelParams) -> tuple:
-    if kind == "Astar":
-        return p.b, p.c, p.b_star, p.c_star, p.zeta
-    if kind == "A":
-        return p.b_star, p.c_star, p.b, p.c, 1.0 / p.zeta
-    raise ValueError(f"coeff: unknown kind {kind!r}; choose one of {COEFF_KINDS}")
-
-
 def coeff(kind: str, row: int, col: int, p: ModelParams) -> complex:
     """Tridiagonal action coefficient of the requested kind at (row, col).
 
     ``Astar`` gives the action of the second generator on the first
     eigenbasis, ``A`` the action of the first generator on the second
-    eigenbasis (related by swapping starred and unstarred couplings and
-    inverting the twist).
+    eigenbasis.  ``A`` of a pair is ``Astar`` of its dual, the pair with
+    starred and unstarred couplings exchanged and the twist inverted.
     """
     n = p.two_s
     if not (0 <= row <= n and 0 <= col <= n):
         raise ValueError(f"coeff: indices ({row}, {col}) outside 0..{n}")
     if abs(row - col) > 1:
         raise ValueError(f"coeff: ({row}, {col}) is not a tridiagonal position")
-    q, args = p.base.q, _kind_args(kind, p)
+    sub, diag, sup = _diagonals(kind, p)
     if row == col + 1:
-        return _sub_entry(row, q, n, *args)
-    if row == col - 1:
-        return _sup_entry(col, q, n, *args)
-    # diagonal: fixed by the constant row-sum against the top eigenvalue
-    return args[2] + args[3] - _sup_entry(row + 1, q, n, *args) - _sub_entry(row, q, n, *args)
+        return sub[row]
+    return diag[row] if row == col else sup[col]
 
 
 def _diagonals(kind: str, p: ModelParams) -> tuple[list, list, list]:
-    """sub[M] = coeff(kind, M, M-1, p), diag[M] = coeff(kind, M, M, p) and
-    sup[M] = coeff(kind, M-1, M, p) bit for bit, M = 0..two_s (sub[0] = sup[0]
-    = 0), with each coupling evaluated once and reused by the diagonal."""
-    q, n = p.base.q, p.two_s
-    args = _kind_args(kind, p)
+    """The tridiagonal action of ``kind`` for M = 0..two_s: sub[M] is entry
+    (M, M-1), diag[M] entry (M, M) and sup[M] entry (M-1, M), with sub[0] =
+    sup[0] = 0.  ``A`` is ``Astar`` of the dual pair."""
+    if kind not in COEFF_KINDS:
+        raise ValueError(f"coeff: unknown kind {kind!r}; choose one of {COEFF_KINDS}")
+    if kind == "A":
+        p = _dual(p)
     sub, sup = [0j], [0j]
-    for M in range(1, n + 1):
-        sup.append(_sup_entry(M, q, n, *args))
-        sub.append(_sub_entry(M, q, n, *args))
-    top = args[2] + args[3]
+    for M in range(1, p.two_s + 1):
+        sup.append(_sup_entry(M, p))
+        sub.append(_sub_entry(M, p))
+    # diagonal: fixed by the constant row-sum against the top eigenvalue
+    top = p.b_star + p.c_star
     diag = [top - s - d for s, d in zip(sup[1:] + [0j], sub)]
     return sub, diag, sup
 

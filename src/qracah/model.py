@@ -9,6 +9,7 @@ zeta.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,7 @@ class ModelParams:
         for name in ("b", "c", "b_star", "c_star", "zeta"):
             val = complex(getattr(self, name))
             object.__setattr__(self, name, val)
-            if not np.isfinite(val):
+            if not cmath.isfinite(val):
                 raise ValueError(f"ModelParams: {name} must be finite")
             if val == 0:
                 raise ValueError(f"ModelParams: {name} must be nonzero")
@@ -165,21 +166,28 @@ def spectrum(p: ModelParams) -> Spectrum:
     return Spectrum(theta=theta, theta_star=theta_star)
 
 
-def _series_denominator_params(p: ModelParams) -> list[tuple[str, complex]]:
-    """Base-q^2 parameters whose shifted factorials appear in denominators."""
-    q = p.base.q
-    n = p.two_s
-    z2 = p.zeta**2
-    return [
-        ("k_seq denominator (twist, minus branch)", -(p.b_star / p.b) * q ** (1 - n) / z2),
-        ("k_seq denominator (twist, plus branch)", -(p.c / p.c_star) * q ** (1 - n) * z2),
-        ("k_seq denominator (ratio)", (p.b_star / p.c_star) * q ** (2 * n + 2)),
-        ("k_seq_dual denominator (twist, minus branch)", -(p.b / p.b_star) * q ** (1 - n) * z2),
-        ("k_seq_dual denominator (twist, plus branch)", -(p.c_star / p.c) * q ** (1 - n) / z2),
-        ("k_seq_dual denominator (ratio)", (p.b / p.c) * q ** (2 * n + 2)),
-        ("series denominator (twist, plus branch)", -(p.b / p.c_star) * q ** (n + 1) * z2),
-        ("series denominator (twist, minus branch)", -(p.b_star / p.c) * q ** (n + 1) / z2),
-    ]
+def _dual(p: ModelParams) -> ModelParams:
+    """The dual pair: starred and unstarred couplings exchanged, twist
+    inverted.  Its ``Astar`` side is the ``A`` side of ``p``."""
+    return ModelParams(base=p.base, two_s=p.two_s, b=p.b_star, c=p.c_star, b_star=p.b, c_star=p.c,
+                       zeta=1.0 / p.zeta)
+
+
+def _q2_params(p: ModelParams) -> tuple[complex, complex, complex, complex, complex]:
+    """The base-q^2 parameters of one side whose q-shifted factorials of order
+    below two_s the transition layer divides by: the series twists (plus,
+    minus branch), the k_seq twists (minus, plus branch) and the ratio.  In
+    the q-Racah notation of Koekoek, Lesky and Swarttouw (section 14.2, base
+    q^2) they are alpha*q, beta*delta*q, gamma*delta*q/alpha, gamma*q/beta
+    and delta*q.  The other side's are those of ``_dual(p)``."""
+    q, n, z2 = p.base.q, p.two_s, p.zeta**2
+    return (
+        -(p.b / p.c_star) * q ** (n + 1) * z2,
+        -(p.b_star / p.c) * q ** (n + 1) / z2,
+        -(p.b_star / p.b) * q ** (1 - n) / z2,
+        -(p.c / p.c_star) * q ** (1 - n) * z2,
+        (p.b_star / p.c_star) * q ** (2 * n + 2),
+    )
 
 
 def validate_genericity(p: ModelParams, tol: float = 1e-8) -> list[str]:
@@ -187,8 +195,10 @@ def validate_genericity(p: ModelParams, tol: float = 1e-8) -> list[str]:
 
     Checked conditions: q**(2k) = 1 within the working range, coincident
     eigenvalues, vanishing tridiagonal denominators c - b*q^(2k) and
-    c_star - b_star*q^(2k) (k = 0 covers b = c and b_star = c_star), and
-    vanishing normalization and series denominator parameters.
+    c_star - b_star*q^(2k) (k = 0 covers b = c and b_star = c_star), and a
+    vanishing factor of the q-shifted factorials of the parameters of
+    :func:`_q2_params`, of both sides, which the series and the normalizers
+    divide by.
     """
     issues: list[str] = []
     q = p.base.q
@@ -208,7 +218,15 @@ def validate_genericity(p: ModelParams, tol: float = 1e-8) -> list[str]:
             if abs(d) <= tol * max(abs(x), abs(y * q ** (2 * k))):
                 issues.append(f"{label} vanishes at k = {k}")
 
-    for label, a in _series_denominator_params(p):
+    own, dual = _q2_params(p), _q2_params(_dual(p))
+    k_seq_labels = ("(twist, minus branch)", "(twist, plus branch)", "(ratio)")
+    screened = [(f"{seq} denominator {what}", a)
+                for seq, side in (("k_seq", own), ("k_seq_dual", dual))
+                for what, a in zip(k_seq_labels, side[2:])]
+    # the dual side's series twists are this side's, swapped: screened once
+    screened += zip(("series denominator (twist, plus branch)",
+                     "series denominator (twist, minus branch)"), own)
+    for label, a in screened:
         # orders 0..two_s-1 occur inside (a; q^2)_N factors with N <= two_s
         for j in range(n):
             d = 1.0 - a * p.base.q2**j

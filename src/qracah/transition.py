@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .leonard import GAUGE_THETA, EigenFamily, _diagonals, build
-from .model import GenericityError, ModelParams, spectrum
+from .model import GenericityError, ModelParams, _dual, _q2_params, spectrum
 from .qnum import phi43, qpoch
 
 __all__ = [
@@ -48,21 +48,15 @@ class TransitionData:
 def _racah_params(p: ModelParams, M, N) -> tuple[list, list]:
     """Numerator and denominator parameters of the series at indices M, N,
     which may be integer arrays that broadcast against each other."""
-    n = p.two_s
     q = p.base.q
-    z2 = p.zeta**2
+    plus, minus, *_ = _q2_params(p)
     numer = [
         q ** (-2 * M),
         (p.b / p.c) * q ** (2 * M),
         q ** (-2 * N),
         (p.b_star / p.c_star) * q ** (2 * N),
     ]
-    denom = [
-        -(p.b / p.c_star) * q ** (n + 1) * z2,
-        -(p.b_star / p.c) * q ** (n + 1) / z2,
-        q ** (-2 * n),
-    ]
-    return numer, denom
+    return numer, [plus, minus, q ** (-2 * p.two_s)]
 
 
 def racah_matrix(p: ModelParams) -> np.ndarray:
@@ -99,51 +93,43 @@ def _recurrence_table(theta_star: np.ndarray, diagonals: tuple) -> np.ndarray:
     return R
 
 
-def _k_sequence(q, two_s: int, b, c, bs, cs, zeta) -> np.ndarray:
-    """One normalization sequence, entry N holding q-shifted factorials of
-    order N.  It is built as one running product of the per-order ratios,
-    orders 0..two_s-1, so no factorial is formed on its own: at two_s = 32
-    the numerator and denominator factorials can each overflow while their
+def _k_sequence(p: ModelParams) -> np.ndarray:
+    """The normalization sequence of one side, entry N holding q-shifted
+    factorials of order N; ``k_seq_dual`` is that of ``_dual(p)``.  It is
+    built as one running product of the per-order ratios, orders
+    0..two_s-1, so no factorial is formed on its own: at two_s = 32 the
+    numerator and denominator factorials can each overflow while their
     quotient is finite."""
-    q2 = q * q
-    num_params = (
-        -(bs / c) * q ** (two_s + 1) / zeta**2,
-        -(b / cs) * q ** (two_s + 1) * zeta**2,
-        bs / cs,
-        q ** (-2 * two_s),
-    )
-    den_params = (
-        q2,
-        -(bs / b) * q ** (1 - two_s) / zeta**2,
-        -(c / cs) * q ** (1 - two_s) * zeta**2,
-        (bs / cs) * q ** (2 * two_s + 2),
-    )
-    pref_den = 1.0 - bs / cs
+    q, q2, n = p.base.q, p.base.q2, p.two_s
+    plus, minus, k_minus, k_plus, ratio = _q2_params(p)
+    r = p.b_star / p.c_star
+    pref_den = 1.0 - r
     if abs(pref_den) <= _DEN_TOL:
         raise GenericityError("normalizers: coupling ratio bs/cs is numerically 1")
-    powers = q2 ** np.arange(two_s)
-    den = np.array([1.0 - a * powers for a in den_params])
+    powers = q2 ** np.arange(n)
+    den = np.array([1.0 - a * powers for a in (q2, k_minus, k_plus, ratio)])
     if np.any(np.abs(den) <= _DEN_TOL):
         raise GenericityError("normalizers: vanishing denominator factor")
-    num = np.prod([1.0 - a * powers for a in num_params], axis=0)
-    steps = num / (den.prod(axis=0) * (b / c))
-    N = np.arange(two_s + 1)
+    num = np.prod([1.0 - a * powers for a in (minus, plus, r, q ** (-2 * n))], axis=0)
+    steps = num / (den.prod(axis=0) * (p.b / p.c))
+    N = np.arange(n + 1)
     running = np.concatenate(([1.0 + 0j], np.cumprod(steps)))
-    return running * (1.0 - (bs / cs) * q ** (4 * N)) / pref_den
+    return running * (1.0 - r * q ** (4 * N)) / pref_den
 
 
 def normalizers(p: ModelParams) -> tuple[np.ndarray, np.ndarray, complex]:
     """Normalization sequences k_seq, k_seq_dual and the overall scale nu0."""
-    q = p.base.q
-    n = p.two_s
-    q2 = p.base.q2
-    k_seq = _k_sequence(q, n, p.b, p.c, p.b_star, p.c_star, p.zeta)
-    k_seq_dual = _k_sequence(q, n, p.b_star, p.c_star, p.b, p.c, 1.0 / p.zeta)
+    q, q2, n = p.base.q, p.base.q2, p.two_s
+    k_seq, k_seq_dual = _k_sequence(p), _k_sequence(_dual(p))
+    _, minus, _, k_plus, _ = _q2_params(p)
     num = qpoch((p.b / p.c) * q2, q2, n) * qpoch((p.b_star / p.c_star) * q2, q2, n)
+    # the middle factor is the dual side's k_seq minus twist in its own form:
+    # _q2_params(_dual(p)) divides by (1/zeta)**2, which moves nu0 by up to
+    # 1e-14 relative, and with it the last digits of the P/Pinv residuals
     den = (
-        (-(p.b_star / p.c) * q ** (n + 1) / p.zeta**2) ** n
+        minus**n
         * qpoch(-(p.b / p.b_star) * q ** (1 - n) * p.zeta**2, q2, n)
-        * qpoch(-(p.c / p.c_star) * q ** (1 - n) * p.zeta**2, q2, n)
+        * qpoch(k_plus, q2, n)
     )
     if abs(den) <= _DEN_TOL:
         raise GenericityError("normalizers: vanishing nu0 denominator")

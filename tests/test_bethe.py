@@ -731,16 +731,22 @@ def test_kinds_obey_the_generator_pair_symmetries(two_s):
 
 
 def test_newton_step_rows_are_independent():
-    # a singular row sends the whole stack to the per-row fallback; every
-    # row must still get the step it gets alone
+    # a singular row and a non-finite row in the stack: every row gets the
+    # step it gets alone, bit for bit; a finite row gets the minimum-norm
+    # least-squares step, the non-finite one none
     rng = np.random.default_rng(28)
     J = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
     J[2, :, 0] = 0.0
     E = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    E[3, 1] = np.nan
     delta = bethe._newton_step(J, E)
     for s in range(4):
         alone = bethe._newton_step(J[s:s + 1], E[s:s + 1])[0]
-        assert np.allclose(delta[s], alone, rtol=1e-12, atol=0)
+        assert delta[s].tobytes() == alone.tobytes()
+    for s in range(3):
+        ref = np.linalg.lstsq(J[s], -E[s], rcond=None)[0]
+        assert np.max(np.abs(delta[s] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert not delta[3].any()
 
 
 def test_coverage_floor_two_s_8():

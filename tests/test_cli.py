@@ -150,6 +150,16 @@ def test_load_config_missing_file(tmp_path, capsys):
     assert "config error: config is not valid UTF-8" in capsys.readouterr().err
 
 
+def test_config_nested_past_the_recursion_limit_is_config_error(tmp_path, capsys):
+    # json.load raises RecursionError here, not JSONDecodeError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["spectrum", str(deep)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: config is nested too deeply to parse: ")
+
+
 # ---------------------------------------------------------------------------
 # exit codes through main()
 

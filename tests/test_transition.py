@@ -1,6 +1,8 @@
 """Tests for the polynomial table, transition pair, and normalizers."""
 
+import cmath
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from conftest import bench_reference, draw_many, draw_params
 from qracah.leonard import build, coeff, eigen_family
-from qracah.model import spectrum
+from qracah.model import spectrum, validate_genericity
 from qracah.qnum import phi43
 from qracah.transition import (
     _racah_params,
@@ -101,6 +103,44 @@ class TestDoubleRatioOracle:
             want = ref.racah_reference(p)
             for table in self._tables(p):
                 assert np.median(ref.entry_digits(table, want)) >= 9.5
+
+
+def _on_the_locus(p, label, j):
+    """p with c or b_star re-solved, and c_star = b*c/b_star, so that the
+    screened parameter ``label`` equals q^(-2j)."""
+    q, n, z2, a = p.base.q, p.two_s, p.zeta**2, p.base.q ** (-2 * j)
+    b, c = p.b, p.c
+    if label == "k_seq_dual denominator (ratio)":  # (b/c) q^(2n+2)
+        c = b * q ** (2 * n + 2) / a
+    bs = {
+        # -(b_star/b) q^(1-n) / zeta^2 and -(c/c_star) q^(1-n) zeta^2
+        "k_seq denominator (twist, minus branch)": -a * b * z2 * q ** (n - 1),
+        "k_seq denominator (twist, plus branch)": -a * b / z2 * q ** (n - 1),
+        # (b_star/c_star) q^(2n+2)
+        "k_seq denominator (ratio)": cmath.sqrt(a * b * c) * q ** (-n - 1),
+        # -(b/b_star) q^(1-n) zeta^2 and -(c_star/c) q^(1-n) / zeta^2
+        "k_seq_dual denominator (twist, minus branch)": -b * z2 / a * q ** (1 - n),
+        "k_seq_dual denominator (twist, plus branch)": -b / (a * z2) * q ** (1 - n),
+        # -(b/c_star) q^(n+1) zeta^2 and -(b_star/c) q^(n+1) / zeta^2
+        "series denominator (twist, plus branch)": -a * c / z2 * q ** (-n - 1),
+        "series denominator (twist, minus branch)": -a * c * z2 * q ** (-n - 1),
+    }.get(label, p.b_star)
+    return replace(p, c=c, b_star=bs, c_star=b * c / bs)
+
+
+@pytest.mark.parametrize("label", [
+    f"{seq} denominator {what}" for seq in ("k_seq", "k_seq_dual")
+    for what in ("(twist, minus branch)", "(twist, plus branch)", "(ratio)")
+] + ["series denominator (twist, plus branch)", "series denominator (twist, minus branch)"])
+def test_screen_flags_what_the_kernels_refuse(label):
+    # each screened parameter set to q^(-2j), j < two_s: the screen names it
+    # and the transition pair, which divides by its q-shifted factorials,
+    # is refused
+    for j in range(3):
+        p = _on_the_locus(draw_params(3, np.random.default_rng(6100 + j)), label, j)
+        assert f"{label} parameter hits 1 at order {j}" in validate_genericity(p)
+        with pytest.raises(ValueError):
+            build_transition(p)
 
 
 class TestRecurrenceRoute:
