@@ -220,14 +220,18 @@ def _etabar(u, sc: StructureConstants, q):
 # which enter no product, max or min, and sort last.
 
 
-def _pair_products(U: np.ndarray, q) -> np.ndarray:
-    """Per-root products over the other roots of each row, stacked as
-    (f(u_i, u_j), h(u_i, u_j), b(u_i/u_j)*b(q*u_i*u_j)); unpacks as F, H and
-    the coupling denominator.  Callers hold the numpy error state: the
-    diagonal's poles and the pads are evaluated, then replaced by 1."""
-    ui, uj = U[:, :, None], U[:, None, :]
-    skip = np.eye(U.shape[1], dtype=bool) | ~np.isfinite(uj)
-    pairs = np.stack([_f(ui, uj, q), _h(ui, uj, q), _b(ui / uj) * _b(q * ui * uj)])
+def _root_products(u: np.ndarray, U: np.ndarray, q, skip_self: bool) -> np.ndarray:
+    """Products over the roots v of each row s of U at that row's points
+    u[s], stacked as (f(u, v), h(u, v), b(u/v)*b(q*u*v)), shape (3,) +
+    u.shape; unpacks as F, H and the coupling denominator.  With skip_self,
+    u is U and each root's products skip the root itself.  Pads of U enter
+    no product.  Callers hold the numpy error state: the skipped pairs are
+    evaluated, then replaced by 1."""
+    w, v = u[:, :, None], U[:, None, :]
+    skip = ~np.isfinite(v)
+    if skip_self:
+        skip = skip | np.eye(U.shape[1], dtype=bool)
+    pairs = np.stack([_f(w, v, q), _h(w, v, q), _b(w / v) * _b(q * w * v)])
     return np.where(skip, 1.0, pairs).prod(axis=-1)
 
 
@@ -251,7 +255,7 @@ def _residual_batch(kind, U: np.ndarray, p: ModelParams):
     # second term carries the opposite power of q*q*U**3
     up = (eps == 1) != (fam == 2)
     with np.errstate(all="ignore"):
-        F, H, den = _pair_products(U, q)
+        F, H, den = _root_products(U, U, q, True)
         bU = _b(U * U)
         ratio = bU / _b(q * U * U)
         l1, l2 = _lam1(eps, U, p), _lam2(eps, U, p)
@@ -326,18 +330,13 @@ def _tq_values(coeffs: np.ndarray, u: np.ndarray, U: np.ndarray, q) -> np.ndarra
 
     Since W(x) - W(y) = b(x/y)*b(q*x*y), the product of f(u, v) is
     Q(u/q)/Q(u), that of h(u, v) is Q(q*u)/Q(u), and that of
-    b(u/v)*b(q*u*v) is Q(u) itself, formed only when some C is nonzero:
-    the homogeneous kinds' C is exactly 0, and the reconstruction in solve
-    evaluates only them.  Pads of U enter no product.  Callers hold the
-    numpy error state: the pads are evaluated, then replaced by 1.
+    b(u/v)*b(q*u*v) is Q(u) itself; all three are those of
+    _root_products, which the Bethe residual takes at the roots.  The
+    homogeneous kinds' C is exactly 0.  Callers hold the numpy error state.
     """
     A, D, C, T = coeffs
-    u, v = u[:, :, None], U[:, None, :]
-    pad = ~np.isfinite(v)
-    pf, ph = (np.where(pad, 1.0, x).prod(axis=2) for x in (_f(u, v, q), _h(u, v, q)))
-    if C.any():
-        C = C / np.where(pad, 1.0, _b(u / v) * _b(q * u * v)).prod(axis=2)
-    return T + A * pf + D * ph + C
+    pf, ph, den = _root_products(u, U, q, False)
+    return T + A * pf + D * ph + C / den
 
 
 def _functional(kind: str, u: complex, roots, p: ModelParams, sc: StructureConstants) -> complex:

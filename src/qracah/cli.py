@@ -159,20 +159,10 @@ def load_config(path: str) -> RunConfig:
 # serialization helpers
 
 
-def _ser(z: complex) -> list[float]:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _ser_vec(v) -> list[list[float]]:
-    """[_ser(z) for z in v], from one ``tolist`` per part."""
-    v = np.asarray(v, dtype=complex)
-    return [list(z) for z in zip(v.real.tolist(), v.imag.tolist())]
-
-
-def _ser_table(R: np.ndarray) -> list[list[list[float]]]:
-    """table[M][N] == _ser(R[M, N]), from one ``tolist`` per part."""
-    return [[list(z) for z in zip(*parts)] for parts in zip(R.real.tolist(), R.imag.tolist())]
+def _ser(z) -> list:
+    """A complex number or array as nested lists, each entry an [re, im]
+    pair of Python floats: one ``tolist`` of its float view."""
+    return np.asarray(z, dtype=complex)[..., None].view(float).tolist()
 
 
 def _instance_block(cfg: RunConfig) -> dict:
@@ -220,7 +210,8 @@ def _refuse_if_nongeneric(params: ModelParams) -> None:
 def run_verify(cfg: RunConfig) -> dict:
     """Full verification pipeline; returns the report as a plain dict."""
     from .bethe import sweep
-    from .leonard import _setup, eigen_family, verify_aw, verify_cayley_hamilton
+    from .leonard import (GAUGE_THETA, GAUGE_THETA_STAR, _realize, eigen_family, verify_aw,
+                          verify_cayley_hamilton)
     from .transition import (_recurrence_residuals, _recurrence_table, build_transition,
                              orthogonality_residuals, racah_from_scalar_products)
 
@@ -229,10 +220,10 @@ def run_verify(cfg: RunConfig) -> dict:
     tol = cfg.identity_tol
     checks: list[dict] = []
 
-    setup = _setup(p)
-    real, sp = setup.theta_star_basis, setup.theta_star_basis.spectrum
+    sp = spectrum(p)
+    real, theta_basis = _realize(GAUGE_THETA_STAR, p, sp), _realize(GAUGE_THETA, p, sp)
 
-    r1, r2 = verify_aw(real, setup.constants)
+    r1, r2 = verify_aw(real)
     checks.append(_check("aw1", r1, tol))
     checks.append(_check("aw2", r2, tol))
     chA, chAstar = verify_cayley_hamilton(real)
@@ -263,7 +254,7 @@ def run_verify(cfg: RunConfig) -> dict:
         col_res = max(col_res, num / den)
     checks.append(_check("pinv_columns_eigenvectors", col_res, tol))
 
-    rec, qd = _recurrence_residuals(td.R, setup.theta_basis, real)
+    rec, qd = _recurrence_residuals(td.R, theta_basis, real)
     checks.append(_check("recurrence", rec, tol))
     checks.append(_check("q_difference", qd, tol))
     o1, o2 = orthogonality_residuals(td)
@@ -273,7 +264,7 @@ def run_verify(cfg: RunConfig) -> dict:
     R = td.R
     edge = max(float(np.max(np.abs(R[0, :] - 1.0))), float(np.max(np.abs(R[:, 0] - 1.0))))
     checks.append(_check("racah_first_row_col", edge, 1e-12))
-    Rrec = _recurrence_table(sp.theta_star, setup.theta_basis.diagonals)
+    Rrec = _recurrence_table(sp.theta_star, theta_basis.diagonals)
     scale = float(np.max(np.abs(R)))
     checks.append(_check("racah_series_vs_recurrence",
                          float(np.max(np.abs(R - Rrec))) / scale, tol))
@@ -290,8 +281,8 @@ def run_verify(cfg: RunConfig) -> dict:
         checks.append(_check(f"racah_series_vs_{form}", gap, tol))
     rr1 = ratio_tables.get("rac1")
 
-    series = _ser_table(R)
-    ratio = None if rr1 is None else _ser_table(rr1)
+    series = _ser(R)
+    ratio = None if rr1 is None else _ser(rr1)
     racah_rows = [{"M": M, "N": N, "series": series[M][N],
                    "double_ratio": None if ratio is None else ratio[M][N],
                    "recurrence_residual": float(abs(R[M, N] - Rrec[M, N]) / scale)}
@@ -308,8 +299,8 @@ def run_verify(cfg: RunConfig) -> dict:
                 "kind": kind,
                 "index": e.index,
                 "hit": bool(e.hit),
-                "roots": _ser_vec(s.roots) if s is not None else None,
-                "symmetrized": _ser_vec(s.symmetrized) if s is not None else None,
+                "roots": _ser(s.roots) if s is not None else None,
+                "symmetrized": _ser(s.symmetrized) if s is not None else None,
                 "eigenvalue": _ser(s.reconstructed_eigenvalue) if s is not None else None,
                 "matched_index": s.matched_index if s is not None else None,
                 "residual": float(s.residual_max) if s is not None else None,
@@ -366,8 +357,8 @@ def run_bethe(cfg: RunConfig, kind: str, level: int) -> list[dict]:
         rows.append({
             "kind": kind,
             "level": level,
-            "roots": _ser_vec(s.roots),
-            "symmetrized": _ser_vec(s.symmetrized),
+            "roots": _ser(s.roots),
+            "symmetrized": _ser(s.symmetrized),
             "residual": float(s.residual_max),
             "eigenvalue": _ser(s.reconstructed_eigenvalue),
             "matched_index": s.matched_index,
@@ -380,7 +371,7 @@ def run_spectrum(cfg: RunConfig) -> dict:
     p = cfg.params
     _refuse_if_nongeneric(p)
     sp = spectrum(p)
-    return {"theta": _ser_vec(sp.theta), "theta_star": _ser_vec(sp.theta_star)}
+    return {"theta": _ser(sp.theta), "theta_star": _ser(sp.theta_star)}
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,10 @@ banded systems factored by LU with partial pivoting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import (GenericityError, ModelParams, Spectrum, StructureConstants, _dual, spectrum,
-                    structure_constants)
+from .model import GenericityError, ModelParams, Spectrum, _dual, spectrum, structure_constants
 
 __all__ = [
     "GAUGE_THETA_STAR",
@@ -169,20 +167,6 @@ def _realize(gauge: str, p: ModelParams, sp: Spectrum) -> TridiagonalRealization
     else:
         A_mat, Astar_mat = np.diag(sp.theta), tri
     return TridiagonalRealization(gauge, A_mat, Astar_mat, p, sp, (sub, diag, sup))
-
-
-class _Setup(NamedTuple):  # a frozen dataclass adds ~1 ms to every launch's import
-    """What one verify builds once and passes down; the realizations share a spectrum."""
-
-    constants: StructureConstants
-    theta_star_basis: TridiagonalRealization
-    theta_basis: TridiagonalRealization
-
-
-def _setup(p: ModelParams) -> _Setup:
-    sp = spectrum(p)
-    return _Setup(structure_constants(p), _realize(GAUGE_THETA_STAR, p, sp),
-                  _realize(GAUGE_THETA, p, sp))
 
 
 def _maxabs(m: np.ndarray) -> float:

@@ -27,9 +27,8 @@ class QBase:
     """Deformation parameter q with its cached square.
 
     A non-finite q, q = 0 and q = +-1 are rejected outright; proximity of q
-    to other roots of unity is range-dependent and is checked by
-    :meth:`unit_power_violations` with the working range supplied by the
-    caller.
+    to other roots of unity depends on the spin and is checked by
+    :func:`qracah.model.validate_genericity`.
     """
 
     q: complex
@@ -45,16 +44,6 @@ class QBase:
             raise ValueError("QBase: q = +-1 is excluded")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "q2", q * q)
-
-    def unit_power_violations(self, k_max: int, tol: float = 1e-8) -> list[int]:
-        """Exponents 1 <= k <= k_max where q**(2k) is numerically 1."""
-        bad = []
-        p = 1.0 + 0j
-        for k in range(1, k_max + 1):
-            p *= self.q2
-            if abs(p - 1.0) <= tol:
-                bad.append(k)
-        return bad
 
 
 def qnumber(n: int, base: QBase) -> complex:

@@ -124,7 +124,7 @@ def test_pair_products_match_scalar_exchange_loop(L):
     q = p.base.q
     U = np.array([[_rand_point(rng) for _ in range(L)] for _ in range(4)])
     with np.errstate(all="ignore"):
-        F, H, den = bethe._pair_products(U, q)
+        F, H, den = bethe._root_products(U, U, q, True)
     assert F.shape == H.shape == den.shape == U.shape
     for s, row in enumerate(U):
         for i, u in enumerate(row):
@@ -630,7 +630,7 @@ def _reference_residual(kind, U, p):
     # kind's literal powers
     q = p.base.q
     eps = 1 if kind in ("hom_plus", "inhom_plus", "dual_inhom_plus") else -1
-    F, H, den = bethe._pair_products(U, q)
+    F, H, den = bethe._root_products(U, U, q, True)
     bU = _bf(U * U)
     ratio = bU / _bf(q * U * U)
     l1, l2 = bethe._lam1(eps, U, p), bethe._lam2(eps, U, p)
@@ -673,7 +673,7 @@ def test_mixed_kind_residual_matches_each_kind_alone(two_s):
         q = p.base.q
         rows = np.arange(len(k))
         A, D, C, _ = bethe._tq_table(k, U, p, structure_constants(p))[:, rows, rows]
-        F, H, den = bethe._pair_products(U, q)
+        F, H, den = bethe._root_products(U, U, q, True)
     sign = np.where(k < len(bethe.HOM_KINDS), -1.0, 1.0)[:, None]
     gamma = np.array([1, -1, -2, 2, 0, 0])[k][:, None]
     U2 = U * U

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,30 @@ def test_main_invalid_level_is_config_error(tmp_path, capsys):
     assert main(["bethe", cfgfile, "--kind", "inhom_plus", "--level", "1"]) == 2
     err = capsys.readouterr().err
     assert "level" in err
+
+
+_ZETA_LINE = "zeta out of range: |zeta|^2 or its inverse exceeds 1e300"
+_Q_LINE = "q out of range: |q|^132 or its inverse exceeds 1e300"
+
+
+@pytest.mark.parametrize("key, value, two_s, line", [
+    ("zeta", [1e-200, 0.0], 2, _ZETA_LINE),
+    ("zeta", [1e200, 0.0], 2, _ZETA_LINE),
+    ("q", [1e10, 0.0], 32, _Q_LINE),
+    ("q", [1e-10, 0.0], 32, _Q_LINE),
+], ids=["zeta_tiny", "zeta_huge", "q_huge", "q_tiny"])
+def test_out_of_range_parameter_is_refused(key, value, two_s, line, tmp_path, capsys):
+    # powers past binary64's range: every command refuses with the one line
+    # that names the parameter, and evaluates nothing that could warn or raise
+    data = _base_config()
+    data[key], data["two_s"] = value, two_s
+    path = _write(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in (["spectrum"], ["verify"], ["bethe", "--kind", "hom_plus", "--level", "1"],
+                     *(["racah", "--route", r] for r in ("series", "recurrence", "double-ratio"))):
+            assert main([args[0], path, *args[1:]]) == 2, args
+            assert capsys.readouterr() == ("", f"genericity refusal:\n  - {line}\n")
 
 
 # ---------------------------------------------------------------------------

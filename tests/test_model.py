@@ -138,6 +138,15 @@ class TestValidateGenericity:
         msgs = validate_genericity(p)
         assert any("q^(2k) = 1" in m for m in msgs)
 
+    def test_flags_each_unit_power(self):
+        # q = exp(i*pi/3): q^6 = 1, so q^(2k) = 1 at k = 3 and 6, both within
+        # 1 <= k <= 2*two_s + 2 at two_s 2; q = 1.2 has no unit power
+        def unit_lines(p):
+            return [m for m in validate_genericity(p) if m.startswith("q^(2k)")]
+        p = _simple_params(base=QBase(cmath.exp(1j * cmath.pi / 3)))
+        assert unit_lines(p) == ["q^(2k) = 1 at k = 3", "q^(2k) = 1 at k = 6"]
+        assert unit_lines(_simple_params(base=QBase(1.2), two_s=4)) == []
+
     def test_flags_tridiagonal_denominator(self):
         p = _simple_params()
         c = p.b * p.base.q ** 4  # c - b*q^(2k) = 0 at k = 2

@@ -39,12 +39,6 @@ class TestQBase:
         with pytest.raises(TypeError):
             QBase(1.1, 5.0)
 
-    def test_unit_power_violations(self):
-        # q = exp(i*pi/3): q^6 = 1, so q^(2k) = 1 at k = 3
-        base = QBase(cmath.exp(1j * cmath.pi / 3))
-        assert 3 in base.unit_power_violations(6)
-        assert QBase(1.2).unit_power_violations(10) == []
-
 
 class TestQNumber:
     def test_small_orders(self):

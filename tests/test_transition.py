@@ -128,19 +128,48 @@ def _on_the_locus(p, label, j):
     return replace(p, c=c, b_star=bs, c_star=b * c / bs)
 
 
-@pytest.mark.parametrize("label", [
+_LOCI = [
     f"{seq} denominator {what}" for seq in ("k_seq", "k_seq_dual")
     for what in ("(twist, minus branch)", "(twist, plus branch)", "(ratio)")
-] + ["series denominator (twist, plus branch)", "series denominator (twist, minus branch)"])
+] + ["series denominator (twist, plus branch)", "series denominator (twist, minus branch)"]
+
+
+def _screen_line(label, j, n):
+    """The screen's line for the locus ``label`` at order j, at two_s n."""
+    seq, what = label.split(" denominator ")
+    if seq == "k_seq_dual" and what != "(ratio)":
+        # the two sides' twists of a branch multiply to q^(2-2n)
+        return f"k_seq denominator {what} parameter hits 1 at order {n - 1 - j}"
+    if what == "(ratio)":
+        # a rung above two_s of the coupling ladder of the other side
+        ladder = "c - b*q^(2k)" if seq == "k_seq_dual" else "c_star - b_star*q^(2k)"
+        return f"{ladder} vanishes at k = {n + 1 + j}"
+    return f"{label} parameter hits 1 at order {j}"
+
+
+def _loci(label):
+    """(j, p) with p on the locus ``label`` at order j, at two_s 3."""
+    return [(j, _on_the_locus(draw_params(3, np.random.default_rng(6100 + j)), label, j))
+            for j in range(3)]
+
+
+@pytest.mark.parametrize("label", _LOCI)
 def test_screen_flags_what_the_kernels_refuse(label):
-    # each screened parameter set to q^(-2j), j < two_s: the screen names it
-    # and the transition pair, which divides by its q-shifted factorials,
-    # is refused
-    for j in range(3):
-        p = _on_the_locus(draw_params(3, np.random.default_rng(6100 + j)), label, j)
-        assert f"{label} parameter hits 1 at order {j}" in validate_genericity(p)
+    # each screened parameter set to q^(-2j), j < two_s: the screen names the
+    # locus and the transition pair, which divides by its q-shifted
+    # factorials, is refused
+    for j, p in _loci(label):
+        assert _screen_line(label, j, p.two_s) in validate_genericity(p)
         with pytest.raises(ValueError):
             build_transition(p)
+
+
+@pytest.mark.parametrize("label", _LOCI)
+def test_screen_names_each_locus_once(label):
+    for j, p in _loci(label):
+        lines = [m for m in validate_genericity(p)
+                 if "parameter hits 1" in m or "vanishes at k" in m]
+        assert lines == [_screen_line(label, j, p.two_s)]
 
 
 class TestRecurrenceRoute:
