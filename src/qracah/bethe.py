@@ -55,8 +55,6 @@ __all__ = [
     "SolverConfig",
     "BetheSystem",
     "BetheSolution",
-    "CoverageEntry",
-    "CoverageReport",
     "residual",
     "solve",
     "eigenvalue_from_roots",
@@ -122,20 +120,6 @@ class BetheSolution:
     reconstructed_eigenvalue: complex | None
     matched_index: int | None
     match_error: float
-
-
-@dataclass
-class CoverageEntry:
-    index: int
-    hit: bool
-    match_error: float
-    solution: BetheSolution | None
-
-
-@dataclass
-class CoverageReport:
-    kind: str
-    entries: list[CoverageEntry]
 
 
 # ---------------------------------------------------------------------------
@@ -762,29 +746,31 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
                       p, sp, cfg, probe)
 
 
-def coverage(kind: str, p: ModelParams, cfg: SolverConfig = SolverConfig()) -> CoverageReport:
+def coverage(kind: str, p: ModelParams,
+             cfg: SolverConfig = SolverConfig()) -> list[BetheSolution | None]:
     """Spectrum coverage sweep for one system kind; see ``sweep``."""
-    return sweep(p, cfg, (kind,))[0]
+    return sweep(p, cfg, (kind,))[kind]
 
 
 def sweep(p: ModelParams, cfg: SolverConfig = SolverConfig(),
-          kinds: tuple[str, ...] = KINDS) -> list[CoverageReport]:
+          kinds: tuple[str, ...] = KINDS) -> dict[str, list[BetheSolution | None]]:
     """Spectrum coverage of each kind in ``kinds``, from one ``solve`` call.
 
     Homogeneous kinds solve every level and ask the level-L solution to
     reproduce the L-th eigenvalue; inhomogeneous kinds solve once at full
-    size and ask the solution set to cover every index.  Each report equals
-    the kind's sweep alone.  Misses are reported, not raised.
+    size and ask the solution set to cover every index.  Returns, per kind
+    in ``kinds`` order, one entry per spectrum index: the admissible root
+    set that reproduces it with the lowest match error (the first in solve
+    order on a tie), or None for a miss.  Each kind's list equals the
+    kind's sweep alone.  Misses are reported, not raised.
     """
     n = p.two_s
     sols = solve([BetheSystem(kind, L, p) for kind in kinds
                   for L in (range(n + 1) if kind in HOM_KINDS else (n,))], cfg)
-    best: dict[tuple[str, int], BetheSolution] = {}
-    for s in sols:  # the first lowest match error in solve order wins
+    best = {kind: [None] * p.dim for kind in kinds}
+    for s in sols:
         kind, at = s.system.kind, s.matched_index
         if (s.admissible and at is not None and (kind in INHOM_KINDS or s.system.level == at)
-                and ((kind, at) not in best or s.match_error < best[kind, at].match_error)):
-            best[kind, at] = s
-    return [CoverageReport(kind, [
-        CoverageEntry(i, s is not None, np.inf if s is None else s.match_error, s)
-        for i, s in enumerate(best.get((kind, i)) for i in range(p.dim))]) for kind in kinds]
+                and (best[kind][at] is None or s.match_error < best[kind][at].match_error)):
+            best[kind][at] = s
+    return best

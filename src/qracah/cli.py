@@ -246,11 +246,11 @@ def run_verify(cfg: RunConfig) -> dict:
                          float(np.max(np.abs(td.Pinv @ td.P - ident))), tol))
     checks.append(_check("p_pinv_identity",
                          float(np.max(np.abs(td.P @ td.Pinv - ident))), tol))
-    col_res = 0.0
+    col_res, a_max = 0.0, np.max(np.abs(real.A_mat))
     for M in range(dim):
         v = td.Pinv[:, M]
         num = float(np.max(np.abs(real.A_mat @ v - sp.theta[M] * v)))
-        den = float(np.max(np.abs(real.A_mat)) * np.max(np.abs(v)))
+        den = float(a_max * np.max(np.abs(v)))
         col_res = max(col_res, num / den)
     checks.append(_check("pinv_columns_eigenvectors", col_res, tol))
 
@@ -289,22 +289,21 @@ def run_verify(cfg: RunConfig) -> dict:
                   for M in range(dim) for N in range(dim)]
 
     bethe_rows = []
-    for rep in sweep(p, cfg.solver):
-        kind = rep.kind
+    for kind, found in sweep(p, cfg.solver).items():
         worst = 0.0
-        for e in rep.entries:
-            worst = max(worst, e.match_error if e.hit else np.inf)
-            s = e.solution
+        for index, s in enumerate(found):
+            hit = s is not None
+            worst = max(worst, s.match_error if hit else np.inf)
             bethe_rows.append({
                 "kind": kind,
-                "index": e.index,
-                "hit": bool(e.hit),
-                "roots": _ser(s.roots) if s is not None else None,
-                "symmetrized": _ser(s.symmetrized) if s is not None else None,
-                "eigenvalue": _ser(s.reconstructed_eigenvalue) if s is not None else None,
-                "matched_index": s.matched_index if s is not None else None,
-                "residual": float(s.residual_max) if s is not None else None,
-                "match_error": float(e.match_error) if e.hit else None,
+                "index": index,
+                "hit": hit,
+                "roots": _ser(s.roots) if hit else None,
+                "symmetrized": _ser(s.symmetrized) if hit else None,
+                "eigenvalue": _ser(s.reconstructed_eigenvalue) if hit else None,
+                "matched_index": s.matched_index if hit else None,
+                "residual": float(s.residual_max) if hit else None,
+                "match_error": float(s.match_error) if hit else None,
             })
         checks.append(_check(f"bethe_coverage_{kind}", worst, cfg.solver.match_tol))
 
@@ -338,6 +337,10 @@ def run_racah_table(cfg: RunConfig, route: str) -> np.ndarray:
         R = racah_from_scalar_products(fam, idx[:, None], idx, "rac1")
     else:
         raise ConfigError(f"unknown route {route!r}; choose series, recurrence, double-ratio")
+    bad = np.argwhere(~np.isfinite(R))
+    if bad.size:  # past binary64's range: refuse rather than print NaN or Infinity
+        raise ValueError(f"racah {route.replace('_', '-')}: non-finite table entry "
+                         f"at (M, N) = ({bad[0, 0]}, {bad[0, 1]})")
     return R
 
 

@@ -207,10 +207,10 @@ def verify_cayley_hamilton(real: TridiagonalRealization) -> tuple[float, float]:
     out = []
     for mat, vals in ((real.A_mat, sp.theta), (real.Astar_mat, sp.theta_star)):
         prod = eye.astype(complex)
-        scale = 1.0
+        scale, size = 1.0, _maxabs(mat)
         for lam in vals:
             prod = prod @ (mat - lam * eye)
-            scale *= _maxabs(mat) + abs(lam)
+            scale *= size + abs(lam)
         out.append(_maxabs(prod) / scale)
     return out[0], out[1]
 

@@ -361,15 +361,16 @@ def test_hom_coverage_two_s_2():
     p = draw_params(2, rng)
     cfg = SolverConfig()
     for kind in bethe.HOM_KINDS:
-        rep = coverage(kind, p, cfg)
-        assert rep.kind == kind
-        assert len(rep.entries) == 3
-        assert all(e.hit for e in rep.entries), [(e.index, e.hit) for e in rep.entries]
-        for e in rep.entries:
-            assert e.match_error < 1e-6
-            if e.index > 0:
-                assert e.solution.roots.shape == (e.index,)
-                assert e.solution.residual_max < 1e-9
+        found = coverage(kind, p, cfg)
+        assert len(found) == 3
+        assert all(s is not None for s in found), [s is not None for s in found]
+        for index, s in enumerate(found):
+            assert (s.system.kind, s.matched_index) == (kind, index)
+            assert s.match_error < 1e-6
+            if index > 0:
+                assert s.roots.shape == (index,)
+                assert s.residual_max < 1e-9
+    assert list(bethe.sweep(p, cfg, bethe.HOM_KINDS[::-1])) == list(bethe.HOM_KINDS[::-1])
 
 
 def test_inhom_coverage_two_s_2():
@@ -377,13 +378,14 @@ def test_inhom_coverage_two_s_2():
     p = draw_params(2, rng)
     cfg = SolverConfig()
     for kind in bethe.INHOM_KINDS:
-        rep = coverage(kind, p, cfg)
-        assert len(rep.entries) == 3
-        assert all(e.hit for e in rep.entries), [(e.index, e.hit) for e in rep.entries]
-        for e in rep.entries:
-            assert e.solution.roots.shape == (2,)
-            assert e.solution.residual_max < 1e-9
-            assert e.match_error < 1e-6
+        found = coverage(kind, p, cfg)
+        assert len(found) == 3
+        assert all(s is not None for s in found), [s is not None for s in found]
+        for index, s in enumerate(found):
+            assert (s.system.kind, s.matched_index) == (kind, index)
+            assert s.roots.shape == (2,)
+            assert s.residual_max < 1e-9
+            assert s.match_error < 1e-6
 
 
 def test_dual_functional_agrees_with_closed_form():
@@ -442,18 +444,18 @@ def test_every_kind_functional_matches_an_independent_eigenvalue(two_s):
     p, = draw_many(two_s, 1, 5100 + two_s)
     sp, sc = spectrum(p), structure_constants(p)
     rng = np.random.default_rng(5200 + two_s)
-    for rep in bethe.sweep(p):
-        for e in rep.entries:
-            assert e.hit, f"{rep.kind}: index {e.index} not covered"
-            roots = e.solution.roots
-            if rep.kind in bethe.INHOM_KINDS:
-                k = np.array([bethe.KINDS.index(rep.kind)])
+    for kind, found in bethe.sweep(p).items():
+        for index, s in enumerate(found):
+            assert s is not None, f"{kind}: index {index} not covered"
+            roots = s.roots
+            if kind in bethe.INHOM_KINDS:
+                k = np.array([bethe.KINDS.index(kind)])
                 ref = bethe._closed_form_eigenvalues(k, roots[None, :], p)[0]
             else:
-                ref = getattr(sp, bethe.TARGET_SPECTRUM[rep.kind])[e.index]
+                ref = getattr(sp, bethe.TARGET_SPECTRUM[kind])[index]
             for u in _screened_probes(roots, p, rng):
-                lam = bethe._functional(rep.kind, u, roots, p, sc)
-                assert abs(lam - ref) <= 1e-8 * abs(ref), (rep.kind, e.index, u)
+                lam = bethe._functional(kind, u, roots, p, sc)
+                assert abs(lam - ref) <= 1e-8 * abs(ref), (kind, index, u)
 
 
 def test_hom_functional_refuses_an_invalid_eps():
@@ -508,9 +510,9 @@ def test_default_solver_covers_every_index_of_every_kind(two_s):
     misses = []
     for d, p in enumerate(draw_many(two_s, 3, seed=1000 + two_s)):
         for kind in bethe.KINDS:
-            for e in coverage(kind, p, SolverConfig()).entries:
-                if not (e.hit and e.solution.residual_max < 1e-9 and e.match_error < 1e-6):
-                    misses.append((d, kind, e.index))
+            for index, s in enumerate(coverage(kind, p, SolverConfig())):
+                if not (s is not None and s.residual_max < 1e-9 and s.match_error < 1e-6):
+                    misses.append((d, kind, index))
     assert not misses
 
 
@@ -754,9 +756,9 @@ def test_coverage_floor_two_s_8():
     hits = total = 0
     for p in draw_many(8, 12, seed=1008):
         for kind in bethe.KINDS:
-            entries = coverage(kind, p, SolverConfig()).entries
-            total += len(entries)
-            hits += sum(e.hit for e in entries)
+            found = coverage(kind, p, SolverConfig())
+            total += len(found)
+            hits += sum(s is not None for s in found)
     assert total == 648
     assert hits >= 619
 
@@ -767,9 +769,9 @@ def test_coverage_floor_past_two_s_8(two_s, seed):
     floor, total = {10: (309, 396), 12: (294, 468)}[two_s]
     hits = count = 0
     for p in draw_many(two_s, 6, seed=seed):
-        for rep in bethe.sweep(p, SolverConfig()):
-            count += len(rep.entries)
-            hits += sum(e.hit for e in rep.entries)
+        for found in bethe.sweep(p, SolverConfig()).values():
+            count += len(found)
+            hits += sum(s is not None for s in found)
     assert count == total
     assert hits >= floor
 
@@ -792,7 +794,7 @@ def _assert_same_solution(a, b):
 def test_sweep_rows_do_not_depend_on_their_batch(two_s):
     # one solve over every system of every kind against each system solved
     # alone, and the all-kinds sweep against each kind's coverage alone: every
-    # root set and coverage entry must agree bit for bit
+    # root set and every index's verdict must agree bit for bit
     for p in draw_many(two_s, 2, seed=4000 + two_s):
         n = p.two_s
         systems = [BetheSystem(kind, L, p) for kind in bethe.KINDS
@@ -804,13 +806,13 @@ def test_sweep_rows_do_not_depend_on_their_batch(two_s):
             assert len(mine) == len(alone), system
             for a, b in zip(mine, alone):
                 _assert_same_solution(a, b)
-        for rep in bethe.sweep(p):
-            alone = coverage(rep.kind, p).entries
-            assert [e.index for e in rep.entries] == [e.index for e in alone]
-            for a, b in zip(rep.entries, alone):
-                assert a.hit == b.hit
-                assert _bits(a.match_error) == _bits(b.match_error)
-                _assert_same_solution(a.solution, b.solution)
+        together = bethe.sweep(p)
+        assert list(together) == list(bethe.KINDS)
+        for kind, found in together.items():
+            alone = coverage(kind, p)
+            assert len(found) == len(alone) == p.dim
+            for a, b in zip(found, alone):
+                _assert_same_solution(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -981,8 +983,8 @@ def _counting(monkeypatch, *names):
 def test_a_sweep_fits_per_root_count_and_polishes_once(monkeypatch):
     p, = draw_many(4, 1, 4300)
     calls = _counting(monkeypatch, "_tq_roots", "_polish", "_solutions")
-    reports = bethe.sweep(p)
-    assert all(e.hit for rep in reports for e in rep.entries)
+    found = bethe.sweep(p)
+    assert all(s is not None for row in found.values() for s in row)
     assert sorted(args[2] for args in calls["_tq_roots"]) == [1, 2, 3, 4]
     assert len(calls["_polish"]) == len(calls["_solutions"]) == 1
     # every level's fitted rows, padded to width two_s, in one stack
@@ -1013,16 +1015,14 @@ def test_sweep_keeps_the_first_lowest_match_error(monkeypatch):
     stacked = sols + extra
     monkeypatch.setattr(bethe, "solve", lambda systems, cfg: stacked)
     won = set()
-    for rep in bethe.sweep(p):
-        for e in rep.entries:
-            hits = [s for s in stacked if s.system.kind == rep.kind and s.admissible
-                    and s.matched_index == e.index
-                    and (rep.kind in bethe.INHOM_KINDS or s.system.level == e.index)]
+    for kind, found in bethe.sweep(p).items():
+        for index, chosen in enumerate(found):
+            hits = [s for s in stacked if s.system.kind == kind and s.admissible
+                    and s.matched_index == index
+                    and (kind in bethe.INHOM_KINDS or s.system.level == index)]
             best = min(hits, key=lambda s: s.match_error, default=None)
-            assert e.solution is best
-            assert e.hit == (best is not None)
-            assert e.match_error == (best.match_error if best else np.inf)
-            won.add(id(e.solution))
+            assert chosen is best
+            won.add(id(chosen))
     assert won & {id(s) for s in extra[1::4]}
 
 

@@ -24,7 +24,7 @@ from qracah.cli import (
 from qracah.bethe import KINDS
 from qracah.leonard import build, eigen_family
 from qracah.model import spectrum
-from qracah.transition import racah_from_scalar_products
+from qracah.transition import racah_from_scalar_products, racah_matrix
 
 from conftest import cli_env, draw_many
 
@@ -222,6 +222,22 @@ def test_out_of_range_parameter_is_refused(key, value, two_s, line, tmp_path, ca
             assert capsys.readouterr() == ("", f"genericity refusal:\n  - {line}\n")
 
 
+@pytest.mark.parametrize("zeta", [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+                         ids=["1", "-1", "i", "-i"])
+@pytest.mark.parametrize("two_s", [1, 2, 3, 4, 6])
+def test_verify_passes_on_the_untwisted_and_imaginary_twists(zeta, two_s, tmp_path, capsys):
+    # draw_params draws a random phase, so no other test reaches zeta = ±1 or ±i
+    data = json.loads(Path(SHIPPED_CONFIG).read_text())
+    data["zeta"], data["two_s"] = zeta, two_s
+    path = _write(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == []
+    assert all(r["hit"] for r in rep["bethe"])
+
+
 # ---------------------------------------------------------------------------
 # report content
 
@@ -364,6 +380,55 @@ def test_racah_routes_agree(fast_cfg):
 def test_racah_unknown_route_rejected(fast_cfg):
     with pytest.raises(ConfigError, match="route"):
         run_racah_table(fast_cfg, "bisection")
+
+
+def _overflow_config():
+    # the shipped couplings with b at binary64's floor: the series table
+    # leaves binary64's range, the recurrence route refuses its vanishing
+    # up-coupling, and the double-ratio table stays finite
+    data = _base_config()
+    c_star = 1e-300 * complex(*data["c"]) / complex(*data["b_star"])
+    data["b"], data["c_star"] = [1e-300, 0.0], [c_star.real, c_star.imag]
+    return data
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_racah_refuses_a_table_past_binary64(fmt, tmp_path, capsys):
+    # the first non-finite entry in row-major order, found by a scalar loop
+    data = _overflow_config()
+    data["output"]["format"] = fmt
+    path = _write(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        R = racah_matrix(load_config(path).params)
+        first = next((M, N) for M in range(len(R)) for N in range(len(R))
+                     if not np.isfinite(R[M, N]))
+        assert main(["racah", path, "--route", "series"]) == 1
+        assert capsys.readouterr() == (
+            "", f"numerical failure: ValueError: racah series: non-finite table entry "
+                f"at (M, N) = {first}\n")
+        assert main(["racah", path, "--route", "recurrence"]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(["racah", path, "--route", "double-ratio"]) == 0
+        out = capsys.readouterr().out
+    assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("route, name", [("series", "racah_matrix"),
+                                         ("recurrence", "racah_by_recurrence"),
+                                         ("double-ratio", "racah_from_scalar_products")])
+def test_every_racah_route_refuses_a_non_finite_table(route, name, tmp_path, monkeypatch,
+                                                      capsys):
+    import qracah.transition as transition
+
+    R = np.ones((3, 3), dtype=complex)
+    R[1, 2], R[2, 0] = complex(np.inf, 0.0), complex(np.nan, 1.0)
+    monkeypatch.setattr(transition, name, lambda *args: R)
+    path = _write(tmp_path, _base_config())
+    assert main(["racah", path, "--route", route]) == 1
+    assert capsys.readouterr() == (
+        "", f"numerical failure: ValueError: racah {route}: non-finite table entry "
+            f"at (M, N) = (1, 2)\n")
 
 
 def test_bethe_rows_cover_spectrum(fast_cfg):
