@@ -281,11 +281,14 @@ def run_verify(cfg: RunConfig) -> dict:
         checks.append(_check(f"racah_series_vs_{form}", gap, tol))
     rr1 = ratio_tables.get("rac1")
 
-    series = _ser(R)
+    # a table past binary64's range is written as null, as a refused route is
+    series = _ser(R) if np.isfinite(R).all() else None
     ratio = None if rr1 is None else _ser(rr1)
-    racah_rows = [{"M": M, "N": N, "series": series[M][N],
+    residuals = series is not None and np.isfinite(Rrec).all()
+    racah_rows = [{"M": M, "N": N, "series": None if series is None else series[M][N],
                    "double_ratio": None if ratio is None else ratio[M][N],
-                   "recurrence_residual": float(abs(R[M, N] - Rrec[M, N]) / scale)}
+                   "recurrence_residual":
+                   float(abs(R[M, N] - Rrec[M, N]) / scale) if residuals else None}
                   for M in range(dim) for N in range(dim)]
 
     bethe_rows = []
@@ -399,17 +402,13 @@ def _emit(payload: str, cfg: RunConfig) -> None:
 # one sample row, and any other report's all at once; the bytes equal
 # ``json.dumps(obj, indent=2)``.
 
-# ``json``'s words for the reprs ``nan`` and ``inf`` (so ``-inf`` too); no
-# digit string holds these letters
-_JSON_WORDS = (("nan", "NaN"), ("inf", "Infinity"))
 
-
-def _reprs(column: list, words=()) -> list[str]:
+def _reprs(column: list) -> list[str]:
     """``repr`` of each int or Python float in ``column``, from one ``repr``
-    of the list, with each ``(old, new)`` of ``words`` replaced."""
+    of the list; strict JSON has no NaN or infinity, so these raise ``ValueError``."""
     text = repr(column)[1:-1]
-    for old, new in words:
-        text = text.replace(old, new)
+    if "n" in text:  # only ``nan``, ``inf`` and ``-inf``: no digit string holds an n
+        raise ValueError("report holds a non-finite number")
     return text.split(", ") if column else []
 
 
@@ -440,20 +439,20 @@ def _verify_json(obj) -> str:
     its numbers."""
     numbers: list = []
     template = _json_text(obj, "", numbers.append)
-    return template % tuple(_reprs(numbers, _JSON_WORDS)) + "\n"
+    return template % tuple(_reprs(numbers)) + "\n"
 
 
-def _table_cells(R: np.ndarray, words=()) -> list[list[str]]:
+def _table_cells(R: np.ndarray) -> list[list[str]]:
     """The columns M, N, re and im of table ``R`` in row-major order, each
     rendered by one ``_reprs`` call."""
-    return [_reprs(a.ravel().tolist(), words) for a in (*np.indices(R.shape), R.real, R.imag)]
+    return [_reprs(a.ravel().tolist()) for a in (*np.indices(R.shape), R.real, R.imag)]
 
 
 def _racah_json(R: np.ndarray) -> str:
     """``json.dumps(rows, indent=2)`` and a newline, for the rows
     ``{"M": M, "N": N, "value": [re, im]}`` of table ``R`` in row-major order."""
     row = _json_text({"M": 0, "N": 0, "value": [0.0, 0.0]}, "  ", lambda _: None)
-    rows = (row % cells for cells in zip(*_table_cells(R, _JSON_WORDS)))
+    rows = (row % cells for cells in zip(*_table_cells(R)))
     return "[\n  " + ",\n  ".join(rows) + "\n]\n"
 
 

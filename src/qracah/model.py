@@ -98,6 +98,9 @@ class ModelParams:
                 raise ValueError(f"ModelParams: {name} must be nonzero")
         lhs = self.b * self.c
         rhs = self.b_star * self.c_star
+        if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):  # inf > 1e-10 * inf is False
+            raise ValueError("ModelParams: coupling constraint b*c = b_star*c_star "
+                             "cannot be checked: a product is not finite")
         if abs(lhs - rhs) > _COUPLING_REL_TOL * max(abs(lhs), abs(rhs)):
             raise ValueError(
                 "ModelParams: coupling constraint b*c = b_star*c_star violated: "
@@ -204,14 +207,19 @@ def validate_genericity(p: ModelParams, tol: float = 1e-8) -> list[str]:
     divide by.  The other side's twists are these inverted, at the mirrored
     order, and the ratios' factors are the ladder rungs above two_s, so
     neither needs a row of its own.  A q or zeta with a power that the
-    screen forms above 1e300 or below 1e-300 gets one line that names it,
-    and nothing else is evaluated.
+    screen forms above 1e300 or below 1e-300, or a b or b_star with a
+    ladder rung above 1e300, gets one line that names it, and nothing else
+    is evaluated.
     """
     q, n = p.base.q, p.two_s
     # q^(2k) up to k = 2*two_s + 2 and zeta^2 are the largest powers formed
     for name, x, order in (("q", q, 4 * n + 4), ("zeta", p.zeta, 2)):
         if abs(cmath.log(x).real) * order > _LOG_RANGE:
             return [f"{name} out of range: |{name}|^{order} or its inverse exceeds 1e300"]
+    # and b*q^(2k), b_star*q^(2k) up to k = 2*two_s are the largest couplings formed
+    for name, y in (("b", p.b), ("b_star", p.b_star)):
+        if math.log(abs(y)) + max(0.0, math.log(abs(q)) * 4 * n) > _LOG_RANGE:
+            return [f"{name} out of range: |{name}*q^(2k)| exceeds 1e300 for some k <= {2 * n}"]
 
     issues: list[str] = []
     qk = 1.0 + 0j

@@ -137,6 +137,21 @@ def test_parse_rejects_violated_coupling_constraint():
         parse_config(data)
 
 
+@pytest.mark.parametrize("warn", ["ignore", "error"])
+@pytest.mark.parametrize("couplings", [{"b": [1.5e308, 0.0], "c_star": [1.0, 0.0]},
+                                       {"b_star": [1.5e308, 0.0], "c_star": [1.2, 0.0]}],
+                         ids=["b*c", "b_star*c_star"])
+def test_overflowed_coupling_product_is_config_error(couplings, warn, tmp_path, capsys):
+    # a product past binary64's range cannot be compared: inf > 1e-10 * inf is False
+    path = _write(tmp_path, {**_base_config(), **couplings})
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        for args in (["spectrum"], ["verify"], ["racah", "--route", "series"]):
+            assert main([args[0], path, *args[1:]]) == 2, args
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("config error: ModelParams: coupling constraint")
+
+
 def test_load_config_missing_file(tmp_path, capsys):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "nope.json"))
@@ -207,12 +222,18 @@ _Q_LINE = "q out of range: |q|^132 or its inverse exceeds 1e300"
     ("zeta", [1e200, 0.0], 2, _ZETA_LINE),
     ("q", [1e10, 0.0], 32, _Q_LINE),
     ("q", [1e-10, 0.0], 32, _Q_LINE),
-], ids=["zeta_tiny", "zeta_huge", "q_huge", "q_tiny"])
+    # b*q^(2k) is inf from k = 9 on; the screen once read that as c - b*q^(2k) vanishing
+    ("b", [1e307, 0.0], 8, "b out of range: |b*q^(2k)| exceeds 1e300 for some k <= 16"),
+    ("b_star", [1e307, 0.0], 8,
+     "b_star out of range: |b_star*q^(2k)| exceeds 1e300 for some k <= 16"),
+], ids=["zeta_tiny", "zeta_huge", "q_huge", "q_tiny", "b_rung", "b_star_rung"])
 def test_out_of_range_parameter_is_refused(key, value, two_s, line, tmp_path, capsys):
     # powers past binary64's range: every command refuses with the one line
     # that names the parameter, and evaluates nothing that could warn or raise
     data = _base_config()
     data[key], data["two_s"] = value, two_s
+    c_star = complex(*data["b"]) * complex(*data["c"]) / complex(*data["b_star"])
+    data["c_star"] = [c_star.real, c_star.imag]
     path = _write(tmp_path, data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -412,6 +433,36 @@ def test_racah_refuses_a_table_past_binary64(fmt, tmp_path, capsys):
         assert main(["racah", path, "--route", "double-ratio"]) == 0
         out = capsys.readouterr().out
     assert "NaN" not in out and "Infinity" not in out
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity."""
+    def refuse(word):
+        raise ValueError(f"not strict JSON: {word}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_writes_a_table_past_binary64_as_null(tmp_path, capsys):
+    # at two_s 8 with b at 1e40 the series table and its recurrence copy
+    # leave binary64's range; the report holds null where they would print
+    data = _base_config()
+    c_star = 1e40 * complex(*data["c"]) / complex(*data["b_star"])
+    data["b"], data["c_star"], data["two_s"] = [1e40, 0.0], [c_star.real, c_star.imag], 8
+    path = _write(tmp_path, data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        R = racah_matrix(load_config(path).params)
+        assert main(["verify", path]) == 1
+    assert not np.isfinite(R).all()
+    out = capsys.readouterr().out
+    rep = _strict_json(out)
+    assert out == _dumps(rep)
+    assert len(rep["racah"]) == 81
+    assert all(r["series"] is None and r["recurrence_residual"] is None for r in rep["racah"])
+    checks = {c["name"]: c for c in rep["checks"]}
+    for name in ("racah_series_vs_recurrence", "racah_series_vs_rac1", "racah_series_vs_rac2"):
+        assert checks[name]["residual"] is None and not checks[name]["pass"]
+    assert len(rep["bethe"]) == 6 * 9
 
 
 @pytest.mark.parametrize("route, name", [("series", "racah_matrix"),
@@ -623,26 +674,39 @@ def test_verify_json_bytes_equal_json_dumps(draw, tmp_path, monkeypatch, capsys)
         assert out == _dumps(returned)
 
 
-# every float repr format switch: non-finite, signed zero, subnormal, the
-# exponent form from 1e16 up and below 1e-4, and the fixed form between
-_EDGE_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, -5e-324,
-                1e16, -1e16, 9999999999999998.0, 1e-5, 1e-4, 0.1, 1.0, -1.5,
-                123456.789, 1.7976931348623157e308, 2.2250738585072014e-308]
+# every finite float repr format switch: signed zero, subnormal, the exponent
+# form from 1e16 up and below 1e-4, and the fixed form between
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 9999999999999998.0, 1e-5, 1e-4,
+                0.1, 1.0, -1.5, 123456.789, 1.7976931348623157e308, 2.2250738585072014e-308]
+# strict JSON has no words for these, so every writer refuses them
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 def _edge_table():
-    """A 6 x 6 table that holds every edge float as a real and as an imaginary part."""
+    """A 5 x 6 table that holds every edge float as a real and as an imaginary part."""
     vals = _EDGE_FLOATS + _EDGE_FLOATS[::-1]
-    R = np.empty((6, 6), dtype=complex)
-    R.real = np.reshape(vals, (6, 6))
-    R.imag = np.reshape(vals[::-1], (6, 6))
+    R = np.empty((5, 6), dtype=complex)
+    R.real = np.reshape(vals, (5, 6))
+    R.imag = np.reshape(vals[::-1], (5, 6))
     return R
+
+
+def _with_non_finite_entries(R):
+    """Copies of ``R`` with one entry's real or imaginary part NaN or infinite."""
+    for x in _NON_FINITE:
+        for entry in (complex(x, 0.0), complex(0.0, x)):
+            bad = R.copy()
+            bad[-1, 2] = entry
+            yield bad
 
 
 def test_racah_json_of_edge_floats_equals_json_dumps():
     R = _edge_table()
     assert cli._racah_json(R) == _dumps(_rows_of(R))
     assert cli._racah_json(R[:1, :1]) == _dumps(_rows_of(R[:1, :1]))
+    for bad in _with_non_finite_entries(R):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._racah_json(bad)
 
 
 @pytest.mark.parametrize("double_ratio", ["pairs", "null"])
@@ -691,6 +755,13 @@ def test_verify_json_of_edge_floats_equals_json_dumps(double_ratio):
     numpy_row = {**bethe_rows[1], "residual": np.float64(0.5)}
     with pytest.raises(ValueError, match="not a Python number"):
         cli._verify_json({**report, "bethe": bethe_rows + [numpy_row]})
+    for x in _NON_FINITE:
+        for bad in ({**report, "racah": racah_rows + [{**racah_rows[0], "series": [0.5, x]}]},
+                    {**report, "checks": report["checks"] + [{"name": "a", "residual": x}]},
+                    bethe_report + [{**bethe_report[0], "match_error": x}],
+                    {"theta": pairs + [[x, 0.0]], "theta_star": pairs}):
+            with pytest.raises(ValueError, match="non-finite"):
+                cli._verify_json(bad)
 
 
 def _racah_csv_by_rows(rows):
@@ -705,7 +776,9 @@ def _racah_csv_by_rows(rows):
 def test_racah_csv_equals_the_row_by_row_writer(fast_cfg):
     R = _edge_table()
     assert cli._racah_csv(R) == _racah_csv_by_rows(_rows_of(R))
-    assert "nan" in cli._racah_csv(R) and "NaN" not in cli._racah_csv(R)
+    for bad in _with_non_finite_entries(R):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._racah_csv(bad)
     for route in ("series", "recurrence", "double-ratio"):
         R = run_racah_table(fast_cfg, route)
         assert cli._racah_csv(R) == _racah_csv_by_rows(_rows_of(R))
@@ -729,3 +802,53 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     assert exc.value.code == 2
     assert main(["spectrum", cfgfile]) == 0
     assert capsys.readouterr().out.encode() == in_process[1]
+
+
+# ---------------------------------------------------------------------------
+# seeded fuzz: every run ends in strict JSON or a refusal
+
+
+def _fuzz_config(rng, E):
+    """Couplings log-uniform in [10^-E, 10^E], |q| in [1.02, 1.3], |zeta| in
+    [0.01, 100], random phases, and c_star solving the coupling constraint."""
+    def draw(lo, hi):
+        z = np.exp(rng.uniform(np.log(lo), np.log(hi)) + 1j * rng.uniform(0.0, 2.0 * np.pi))
+        return complex(z)
+
+    b, c, b_star = (draw(10.0 ** -E, 10.0 ** E) for _ in range(3))
+    pairs = {"q": draw(1.02, 1.3), "b": b, "c": c, "b_star": b_star, "c_star": b * c / b_star,
+             "zeta": draw(0.01, 100.0)}
+    two_s = int(rng.choice([1, 2, 4, 8, 16, 32]))
+    return {**{k: [z.real, z.imag] for k, z in pairs.items()}, "two_s": two_s}
+
+
+@pytest.mark.parametrize("E", [6, 20, 100])
+def test_every_run_ends_in_strict_json_or_a_refusal(E, tmp_path, capsys):
+    # a report, a numerical failure line, or a config or genericity refusal;
+    # at E = 100 verify once printed NaN for a series table past binary64
+    rng = np.random.default_rng(2200 + E)
+    endings = set()
+    for i in range(40):
+        data = _fuzz_config(rng, E)
+        path = _write(tmp_path, data, f"fuzz{i}.json")
+        commands = [["racah", path, "--route", r]
+                    for r in ("series", "recurrence", "double-ratio")]
+        commands += [["bethe", path, "--kind", "hom_minus", "--level", str(min(2, data["two_s"]))],
+                     ["spectrum", path]]
+        commands += [["verify", path]] if data["two_s"] <= 8 else []
+        for argv in commands:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                rc = main(argv)
+            out, err = capsys.readouterr()
+            if out:
+                assert rc in (0, 1), (argv, data)
+                _strict_json(out)
+                endings.add("report")
+            elif rc == 1:
+                assert err.startswith("numerical failure: ") and err.count("\n") == 1, (argv, data)
+                endings.add("failure")
+            else:
+                assert rc == 2, (argv, data, rc, err)
+                endings.add("refusal")
+    assert "report" in endings
