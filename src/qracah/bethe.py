@@ -549,6 +549,8 @@ def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
     eigenvalues, with rows and columns scaled, are solved by one stacked
     SVD.  Each W root is inverted to one of its four u representatives
     (u, -u, 1/(q*u), -1/(q*u)), all of which solve the Bethe equations.
+    A row whose scaled matrix or fitted coefficients are not finite gets
+    NaN roots; the other rows do not depend on it.
     """
     S = len(lams)
     q = p.base.q
@@ -567,11 +569,18 @@ def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
         M = np.where(ok[:, :, None], M / row[:, :, None], 0.0)
         rhs = np.where(ok, rhs / row, 0.0)
         col = np.linalg.norm(M, axis=1)
-        coef = _lstsq(M / col[:, None, :], rhs) / col
+        M = M / col[:, None, :]
+        fit = np.isfinite(M).all(axis=(1, 2))  # rhs is finite: |rhs| <= row
+        coef = np.full((S, L), np.nan, dtype=complex)
+        if fit.any():
+            coef[fit] = _lstsq(M[fit], rhs[fit]) / col[fit]
+    fit &= np.isfinite(coef).all(axis=1)
     companion = np.zeros((S, L, L), dtype=complex)
     companion[:, 0, :] = -coef[:, ::-1]
     companion[:, np.arange(1, L), np.arange(L - 1)] = 1.0
-    w = np.linalg.eigvals(companion)
+    w = np.full((S, L), np.nan, dtype=complex)
+    if fit.any():
+        w[fit] = np.linalg.eigvals(companion[fit])
     # y + 1/y = w with y = q*u**2; take the root with |y| >= 1, free of
     # cancellation (the other root is 1/y, the representative 1/(q*u))
     r = np.sqrt(0.25 * w * w - 1.0)

@@ -8,12 +8,12 @@ pair, whose starred and unstarred couplings are exchanged and whose twist is
 inverted.  Matrix entries follow the column convention: entry (row, col)
 multiplies basis vector ``row`` in the image of basis vector ``col``.
 
-Eigenvectors are recovered by shifted solves against the analytically known
-eigenvalues (regularized inverse iteration with a pinned component), not by
+Eigenvectors are read off a twisted factorization of each shifted matrix at
+the analytically known eigenvalues, with a pinned component, not taken from
 a general-purpose eigensolver, so agreement between the extracted family and
 the closed-form spectrum is itself a check.  The input must be tridiagonal:
-all right and left shifted systems are solved together, as one stack of
-banded systems factored by LU with partial pivoting.
+one forward and one backward pivot sweep serve every eigenvalue, and the
+right and left vectors alike.
 """
 
 from __future__ import annotations
@@ -215,100 +215,65 @@ def verify_cayley_hamilton(real: TridiagonalRealization) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _band_lu(lo: np.ndarray, dg: np.ndarray, up: np.ndarray) -> tuple:
-    """LU with partial pivoting (LAPACK gttrf) of tridiagonal matrices B stacked
-    on axis 1: lo[i] = B[i, i-1], dg[i] = B[i, i], up[i] = B[i, i+1].  U gains
-    the fill-in superdiagonal up2; a zero pivot gives non-finite factors."""
-    lo, dg, up = lo.copy(), dg.copy(), up.copy()
-    up2 = np.zeros_like(dg)
-    swap = np.zeros(dg.shape, dtype=bool)
-    for i in range(dg.shape[0] - 1):
-        s = swap[i] = np.abs(lo[i + 1]) > np.abs(dg[i])  # rows i, i+1 exchange
-        piv = np.where(s, lo[i + 1], dg[i])
-        fact = np.where(s, dg[i], lo[i + 1]) / piv
-        u1 = np.where(s, dg[i + 1], up[i])
-        dg[i + 1] = np.where(s, up[i], dg[i + 1]) - fact * u1
-        dg[i], lo[i + 1], up[i] = piv, fact, u1
-        up2[i] = np.where(s, up[i + 1], 0.0)
-        up[i + 1] = np.where(s, -fact * up[i + 1], up[i + 1])
-    return lo, dg, up, up2, swap
-
-
-def _band_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
-    """Solve with the factors of :func:`_band_lu` (LAPACK gttrs)."""
-    lo, dg, up, up2, swap = factors
-    D = dg.shape[0]
-    x = np.concatenate((b, np.zeros((2,) + b.shape[1:])))
-    for i in range(D - 1):
-        head = np.where(swap[i], x[i + 1], x[i])
-        x[i + 1] = np.where(swap[i], x[i], x[i + 1]) - lo[i + 1] * head
-        x[i] = head
-    for i in range(D - 1, -1, -1):
-        x[i] = (x[i] - up[i] * x[i + 1] - up2[i] * x[i + 2]) / dg[i]
-    return x[:D]
-
-
 def eigen_family(matrix: np.ndarray, values: np.ndarray) -> EigenFamily:
     """Right and left eigenvector families of a tridiagonal matrix for the
-    given eigenvalue list: regularized inverse iteration on every shifted
-    system (T - lambda_k I for a right vector, its transpose for a left one),
-    all solved as one stack of banded LU factorizations per regularization.
-    Each vector is pinned so its largest-magnitude component is exactly 1
-    (ties broken by lowest index).
+    given eigenvalue list, by one twisted factorization of B = T - lambda_k I
+    per value, all values at once (Parlett & Dhillon, Linear Algebra Appl.
+    267 (1997)).
 
-    Raises ValueError on an entry outside the band, or when a shifted system
-    is not rank-deficient within ``_FAMILY_TOL`` (the value is not an
-    eigenvalue).
+    The forward pivots d+ and backward pivots d- of every B take one sweep
+    each way; B and its transpose share them, since only sub*sup enters.  The
+    twist r of each value is the index k of the smallest finite
+    |d+_k + d-_k - B_kk|.  The right vector is 1 at r and, away from it, the
+    running product of -sup/d+ above r and of -sub/d- below r; the left
+    vector exchanges sub and sup.  Each vector is pinned so its
+    largest-magnitude component is exactly 1 (ties broken by lowest index).
+
+    Raises ValueError on an entry outside the band, on a non-finite vector,
+    or when a shifted system is not rank-deficient within ``_FAMILY_TOL``
+    (the value is not an eigenvalue).
     """
     matrix = np.asarray(matrix, dtype=complex)
     values = np.asarray(values, dtype=complex)
     D = matrix.shape[0]
-    i, j = np.nonzero(np.triu(matrix, 2) + np.tril(matrix, -2))
-    if i.size:
-        raise ValueError(f"eigen_family: entry ({i[0]}, {j[0]}) lies outside the tridiagonal band")
+    i, j = np.divmod(np.flatnonzero(matrix), D)
+    out = np.flatnonzero(np.abs(i - j) > 1)
+    if out.size:
+        raise ValueError(f"eigen_family: entry ({i[out[0]]}, {j[out[0]]}) lies outside the "
+                         "tridiagonal band")
     scale = max(_maxabs(matrix), float(np.max(np.abs(values))), 1e-300)
+    # sub[k] = T[k + 1, k], sup[k] = T[k, k + 1]; column j of dg is the diagonal
+    # of B for value j.  sub*sup is summed both ways round: a fused complex
+    # product is not commutative, and T and its transpose must share pivots.
     sub, sup = np.diagonal(matrix, -1), np.diagonal(matrix, 1)
-    # systems 0..D-1 are T - lambda_k I, systems D..2D-1 their transposes
-    lo = np.repeat(np.stack([np.append(0, sub), np.append(0, sup)], 1), D, 1)
-    up = np.repeat(np.stack([np.append(sup, 0), np.append(sub, 0)], 1), D, 1)
-    dg = np.diagonal(matrix)[:, None] - np.concatenate((values, values))
-    best = np.zeros((D, 2 * D), dtype=complex)
-    best_r = np.full(2 * D, np.inf)
+    ss = 0.5 * (sub * sup + sup * sub)
+    dg = np.diagonal(matrix)[:, None] - values
+    # row m of piv holds the forward pivot m and the backward pivot D-1-m
+    piv, ss = np.stack((dg, dg[::-1]), 1), np.stack((ss, ss[::-1]), 1)[:, :, None]
+    k, cols = np.arange(D)[:, None], np.arange(D)
+    vectors = []
     with np.errstate(all="ignore"):
-        for delta in (1e-13 * scale, 1e-10 * scale, 1e-7 * scale):
-            rows = np.flatnonzero(best_r > 1e-13)
-            if not rows.size:
-                break
-            b_lo, b_dg, b_up = lo[:, rows], dg[:, rows], up[:, rows]
-            factors = _band_lu(b_lo, b_dg + delta, b_up)
-            x = np.ones((D, rows.size), dtype=complex)
-            live = np.ones(rows.size, dtype=bool)
-            for _ in range(3):
-                y = _band_solve(factors, x)
-                ny = np.max(np.abs(y), axis=0)
-                live &= np.isfinite(ny) & (ny != 0.0)
-                x = np.where(live, y / ny, x)
-                bx = b_dg * x
-                bx[1:] += b_lo[1:] * x[:-1]
-                bx[:-1] += b_up[:-1] * x[1:]
-                r = np.max(np.abs(bx), axis=0) / scale
-                keep = live & (r < best_r[rows])
-                best[:, rows[keep]] = x[:, keep]
-                best_r[rows[keep]] = r[keep]
-                live &= r > 1e-13
-                if not live.any():
-                    break
-    if np.isinf(best_r).any():
-        raise ValueError("eigen_family: shifted solve failed to produce a vector")
-    cols = np.arange(2 * D)
-    pin = np.argmax(np.abs(best), axis=0)
-    best = best / best[pin, cols]
-    best[pin, cols] = 1.0
-    right, left = best[:, :D], best[:, D:].T
-    r_right = np.max(np.abs(matrix @ right - right * values), axis=0) / scale
-    r_left = np.max(np.abs(left @ matrix - values[:, None] * left), axis=1) / scale
+        for m in range(1, D):
+            piv[m] -= ss[m - 1] / piv[m - 1]
+        fwd, bwd = piv[:, 0], piv[::-1, 1]
+        gamma = np.abs(fwd + bwd - dg)
+        twist = np.argmin(np.where(np.isfinite(gamma), gamma, np.inf), axis=0)
+        above, below = k[:-1] < twist, k[1:] > twist
+        for up, down in ((sup, sub), (sub, sup)):  # right vectors, then left ones
+            x = np.ones((D, D), dtype=complex)
+            x[:-1] = np.where(above, -up[:, None] / fwd[:-1], 1.0)[::-1].cumprod(0)[::-1]
+            x[1:] *= np.where(below, -down[:, None] / bwd[1:], 1.0).cumprod(0)
+            if not np.isfinite(x).all():
+                raise ValueError("eigen_family: shifted solve failed to produce a vector")
+            pin = np.argmax(np.abs(x), axis=0)
+            x = x / x[pin, cols]
+            x[pin, cols] = 1.0
+            vectors.append(x)
+        right, left = vectors[0], vectors[1].T
+        r_right = np.max(np.abs(matrix @ right - right * values), axis=0) / scale
+        r_left = np.max(np.abs(left @ matrix - values[:, None] * left), axis=1) / scale
     residuals = np.maximum(r_right, r_left)
-    bad = np.flatnonzero(residuals > _FAMILY_TOL)
+    bad = np.flatnonzero(~(residuals <= _FAMILY_TOL))
     if bad.size:
         raise ValueError(f"eigen_family: shifted system at value index {bad[0]} is not "
                          f"rank-deficient within tolerance (residual {residuals[bad[0]]:.3e})")

@@ -538,6 +538,24 @@ def test_tq_fit_at_a_wrong_eigenvalue_is_off_shell():
                 assert res > 1e-3, (kind, level, index, res)
 
 
+def test_tq_fit_rows_do_not_depend_on_a_non_finite_row():
+    # a NaN target makes its row's scaled fit non-finite: that row gets NaN
+    # roots, and every finite row keeps its roots bit for bit
+    p = draw_params(3, np.random.default_rng(26))
+    sc = structure_constants(p)
+    k = np.repeat([bethe.KINDS.index(kind) for kind in bethe.HOM_KINDS], p.dim)
+    targets = np.concatenate([getattr(spectrum(p), bethe.TARGET_SPECTRUM[kind])
+                              for kind in bethe.HOM_KINDS])
+    for level in (1, 2, 3):
+        fit = _tables(level, p, sc)[0]
+        clean = bethe._tq_roots(k, targets, level, p, fit)
+        for at in (0, 5, len(targets)):
+            roots = bethe._tq_roots(np.insert(k, at, k[at % len(k)]),
+                                    np.insert(targets, at, np.nan), level, p, fit)
+            assert np.isnan(roots[at]).all()
+            assert np.delete(roots, at, axis=0).tobytes() == clean.tobytes()
+
+
 def test_coverage_rejects_unknown_kind():
     rng = np.random.default_rng(25)
     p = draw_params(1, rng)

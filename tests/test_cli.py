@@ -341,10 +341,11 @@ def test_main_emits_the_report_when_a_route_refuses(refused_rac1_path, capsys):
 
 @pytest.fixture(scope="module")
 def refused_family_path(tmp_path_factory):
-    """Config of draw_many(8, 5, 85)[1], on which eigen_family refuses: a
-    shifted system is not rank-deficient within its tolerance."""
+    """Config of the first E = 100 fuzz draw (two_s 4), on which eigen_family
+    refuses: its couplings overflow, so A_mat holds a NaN and no shifted
+    solve gives a finite vector."""
     path = tmp_path_factory.mktemp("refused_family") / "cfg.json"
-    path.write_text(json.dumps(_draw_config(draw_many(8, 5, 85)[1])))
+    path.write_text(json.dumps(_fuzz_config(np.random.default_rng(2300), 100)))
     return str(path)
 
 
@@ -353,23 +354,42 @@ def _assert_family_refusal_reported(rep):
     for name in ("eigenvector_residual_A", "racah_series_vs_rac1", "racah_series_vs_rac2"):
         assert by_name[name] == {"name": name, "residual": None, "threshold": 1e-8, "pass": False}
     assert rep["pass"] is False
-    assert len(rep["racah"]) == 9 * 9
+    assert len(rep["racah"]) == 5 * 5
     assert all(r["double_ratio"] is None and r["series"] is not None for r in rep["racah"])
     assert {r["kind"] for r in rep["bethe"]} == set(KINDS)
 
 
 def test_verify_reports_a_refused_eigen_family(refused_family_path):
     cfg = load_config(refused_family_path)
-    with pytest.raises(ValueError, match="not rank-deficient"):
-        eigen_family(build(cfg.params).A_mat, spectrum(cfg.params).theta)
-    _assert_family_refusal_reported(run_verify(cfg))
+    with warnings.catch_warnings():  # the overflowed couplings warn as they are built
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match="failed to produce a vector"):
+            eigen_family(build(cfg.params).A_mat, spectrum(cfg.params).theta)
+        rep = run_verify(cfg)
+    _assert_family_refusal_reported(rep)
 
 
 def test_main_emits_the_report_when_the_eigen_family_refuses(refused_family_path, capsys):
-    assert main(["verify", refused_family_path]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["verify", refused_family_path]) == 1
     out = capsys.readouterr()
     assert "numerical failure" not in out.err
     _assert_family_refusal_reported(json.loads(out.out))
+
+
+def test_precision_limit_draw_has_an_eigen_family(tmp_path):
+    # draw_many(8, 5, 85)[1]: its eigen family is accepted near rounding,
+    # while the pinv identities still fail on the pair's conditioning
+    # (kappa(P) ~ 5.7e12), a precision limit of binary64
+    p = draw_many(8, 5, 85)[1]
+    assert np.max(eigen_family(build(p).A_mat, spectrum(p).theta).residuals) <= 1e-14
+    rep = run_verify(load_config(_write(tmp_path, _draw_config(p))))
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert checks["eigenvector_residual_A"]["pass"]
+    assert checks["eigenvector_residual_A"]["residual"] <= 1e-14
+    for name in ("pinv_p_identity", "p_pinv_identity"):
+        assert not checks[name]["pass"] and checks[name]["residual"] > 1e-4
 
 
 def test_racah_double_ratio_refusal_names_the_entry(refused_rac1_path, capsys):
@@ -384,6 +404,19 @@ def test_racah_double_ratio_refusal_names_the_entry(refused_rac1_path, capsys):
     assert out.out == ""
     assert "vanishing scalar product" in out.err
     assert f"at (M, N) = {first}, |den| = {abs(w[0, first[1]] * w[first[0], 0]):.3e}" in out.err
+
+
+def test_bethe_on_a_non_finite_fit_is_strict_json(tmp_path, capsys):
+    # the 39th E = 100 fuzz draw (two_s 16): the scaled TQ fit of the level-2
+    # target is not finite, so that target gets no root set; the SVD never
+    # sees it
+    rng = np.random.default_rng(2300)
+    for _ in range(39):
+        data = _fuzz_config(rng, 100)
+    path = _write(tmp_path, data)
+    assert main(["bethe", path, "--kind", "hom_minus", "--level", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert _strict_json(out) == [] and err == ""
 
 
 def test_racah_routes_agree(fast_cfg):
@@ -406,7 +439,7 @@ def test_racah_unknown_route_rejected(fast_cfg):
 def _overflow_config():
     # the shipped couplings with b at binary64's floor: the series table
     # leaves binary64's range, the recurrence route refuses its vanishing
-    # up-coupling, and the double-ratio table stays finite
+    # up-coupling, and the double ratios meet a vanishing scalar product
     data = _base_config()
     c_star = 1e-300 * complex(*data["c"]) / complex(*data["b_star"])
     data["b"], data["c_star"] = [1e-300, 0.0], [c_star.real, c_star.imag]
@@ -430,9 +463,10 @@ def test_racah_refuses_a_table_past_binary64(fmt, tmp_path, capsys):
                 f"at (M, N) = {first}\n")
         assert main(["racah", path, "--route", "recurrence"]) == 2
         assert capsys.readouterr().out == ""
-        assert main(["racah", path, "--route", "double-ratio"]) == 0
-        out = capsys.readouterr().out
-    assert "NaN" not in out and "Infinity" not in out
+        assert main(["racah", path, "--route", "double-ratio"]) == 1
+        out, err = capsys.readouterr()
+    assert out == ""
+    assert "vanishing scalar product in denominator at (M, N) = (0, 1)" in err
 
 
 def _strict_json(text):
@@ -650,7 +684,8 @@ def test_racah_json_bytes_equal_json_dumps(two_s, tmp_path, monkeypatch, capsys)
 
 
 # (two_s, count, seed, index) of draw_many draws; None is the shipped config.
-# The last two are the draws on which eigen_family and the rac1 route refuse.
+# The last two are a draw whose pinv identities fail at binary64's precision
+# limit, and the draw on which the rac1 route refuses.
 _VERIFY_DRAWS = ([None] + [(n, 3, 9000 + n, i) for n in (1, 2, 3, 4, 8) for i in range(3)]
                  + [(8, 5, 85, 1), (16, 12, 1016, 0)])
 

@@ -198,6 +198,17 @@ class TestEigenFamily:
         with pytest.raises(ValueError, match="rank-deficient"):
             eigen_family(real.A_mat, vals)
 
+    def test_values_off_the_spectrum_refused(self):
+        # every value off the spectrum; an infinite value gives a NaN
+        # residual, which refuses too
+        p = _params(3)
+        real = build(p, GAUGE_THETA_STAR)
+        theta = spectrum(p).theta
+        with pytest.raises(ValueError, match="value index 0 is not rank-deficient"):
+            eigen_family(real.A_mat, theta + 0.5)
+        with pytest.raises(ValueError, match=r"index 2 is not rank-deficient .*\(residual nan\)"):
+            eigen_family(real.A_mat, np.where(np.arange(p.dim) == 2, np.inf, theta))
+
 
 def _dense_null_vector(B, scale):
     """Reference copy of the dense one-system-at-a-time inverse iteration
@@ -248,8 +259,8 @@ class TestBandedKernel:
     @pytest.mark.parametrize("two_s", range(1, 13))
     def test_tables_match_the_dense_family(self, two_s):
         # the tables agree to 1e-10 normwise; where the two differ by more
-        # (ill-conditioned draws, e.g. two_s 9, draw 3: 1.6e-9), the banded
-        # table must be the closer one to the mpmath reference
+        # (11 tables at two_s 8-12, up to 6.1e-7 at two_s 12, draw 0), the
+        # eigen_family table must be the closer one to the mpmath reference
         for p in draw_many(two_s, 4, 4400 + two_s):
             A, theta = build(p).A_mat, spectrum(p).theta
             banded, dense = eigen_family(A, theta), _dense_family(A, theta)

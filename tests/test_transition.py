@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import bench_reference, draw_many, draw_params
-from qracah.leonard import build, coeff, eigen_family
+from qracah.leonard import GAUGE_THETA, build, coeff, eigen_family
 from qracah.model import spectrum, validate_genericity
 from qracah.qnum import phi43
 from qracah.transition import (
@@ -103,6 +103,50 @@ class TestDoubleRatioOracle:
             want = ref.racah_reference(p)
             for table in self._tables(p):
                 assert np.median(ref.entry_digits(table, want)) >= 9.5
+
+    @pytest.mark.parametrize("two_s", [1, 2, 3, 4])
+    def test_every_entry_keeps_thirteen_digits(self, two_s):
+        ref = bench_reference()
+        for p in draw_many(two_s, 6, 4000 + two_s):
+            want = ref.racah_reference(p)
+            for table in self._tables(p):
+                assert ref.entry_digits(table, want).min() >= 13.0
+
+    @pytest.mark.parametrize("two_s", [8, 12, 16])
+    def test_every_computed_entry_keeps_twelve_digits(self, two_s):
+        # a form that meets a vanishing scalar product refuses its table
+        # (1 of 12 at two_s 12, 3 of 12 at 16); every table it computes
+        # keeps 12 digits in its worst entry
+        ref = bench_reference()
+        computed = 0
+        for p in draw_many(two_s, 6, 4000 + two_s):
+            want = ref.racah_reference(p)
+            fam = eigen_family(build(p).A_mat, spectrum(p).theta)
+            idx = np.arange(p.dim)
+            for form in ("rac1", "rac2"):
+                try:
+                    table = racah_from_scalar_products(fam, idx[:, None], idx[None, :], form)
+                except ValueError:
+                    continue
+                computed += 1
+                assert ref.entry_digits(table, want).min() >= 12.0
+        assert computed >= 9
+
+    @pytest.mark.parametrize("two_s", range(1, 33))
+    def test_family_residual_floor(self, two_s):
+        # generic draws, the tridiagonal generator of each gauge
+        for p in draw_many(two_s, 6, 5000 + two_s):
+            sp = spectrum(p)
+            for T, values in ((build(p).A_mat, sp.theta),
+                              (build(p, GAUGE_THETA).Astar_mat, sp.theta_star)):
+                assert np.max(eigen_family(T, values).residuals) <= 1e-14
+
+    @pytest.mark.parametrize("two_s", [1, 2, 8, 32])
+    def test_left_family_is_the_right_family_of_the_transpose(self, two_s):
+        for p in draw_many(two_s, 3, 5100 + two_s):
+            T, values = build(p).A_mat, spectrum(p).theta
+            left = eigen_family(T, values).left
+            assert left.tobytes() == eigen_family(T.T, values).right.T.tobytes()
 
 
 def _on_the_locus(p, label, j):
