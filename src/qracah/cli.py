@@ -13,6 +13,13 @@ internal numerical failure.  Complex numbers serialize as two-element
 [re, im] arrays.  Output is deterministic: identical configs produce
 byte-identical reports.
 
+``verify``'s table rule: the eigen family, the recurrence table and each
+double-ratio form are refused when their route raises a numerical
+``ValueError`` or takes a refused table, and they or the series table when
+past binary64's range, by the test with which ``racah`` exits 1.  A check that
+reads a refused table (the series one: each check against another route)
+fails with a null residual, and a report column that reads it is null.
+
 Each subcommand body imports the library modules it runs (``leonard``,
 ``transition``, ``bethe``), so a launch compiles only those: ``spectrum``
 loads ``model`` and ``qnum`` alone, ``racah`` adds ``leonard`` and
@@ -25,7 +32,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -184,8 +191,10 @@ def _instance_block(cfg: RunConfig) -> dict:
     }
 
 
-def _check(name: str, residual: float, threshold: float) -> dict:
-    residual = float(residual)
+def _check(name: str, residual, threshold: float) -> dict:
+    """One check's record; ``residual``, folded by ``np.max`` (which keeps a
+    NaN), is null and fails when not finite or None (a refused table)."""
+    residual = np.nan if residual is None else float(residual)
     finite = np.isfinite(residual)
     return {
         "name": name,
@@ -193,6 +202,32 @@ def _check(name: str, residual: float, threshold: float) -> dict:
         "threshold": threshold,
         "pass": bool(finite and residual < threshold),
     }
+
+
+def _refuse_past_binary64(table, route: str):
+    """``table``, or a ``ValueError`` naming ``route`` and the first entry in
+    row-major order past binary64's range: NaN or infinite."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        bad = tuple(map(int, np.argwhere(~finite)[0]))
+        raise ValueError(f"{route}: non-finite table entry at (M, N) = {bad}")
+    return table
+
+
+def _table(route, *args):
+    """``route(*args)`` under ``verify``'s table rule (module docstring), for
+    a value that is a table or a dataclass of tables."""
+    if any(a is None for a in args):
+        return None
+    try:
+        value = route(*args)
+        for table in vars(value).values() if is_dataclass(value) else (value,):
+            _refuse_past_binary64(table, "verify")
+    except GenericityError:
+        raise
+    except ValueError:
+        return None
+    return value
 
 
 def _refuse_if_nongeneric(params: ModelParams) -> None:
@@ -218,85 +253,52 @@ def run_verify(cfg: RunConfig) -> dict:
     p = cfg.params
     _refuse_if_nongeneric(p)
     tol = cfg.identity_tol
-    checks: list[dict] = []
 
     sp = spectrum(p)
     real, theta_basis = _realize(GAUGE_THETA_STAR, p, sp), _realize(GAUGE_THETA, p, sp)
+    checks = [_check(name, res, tol) for name, res in zip(
+        ("aw1", "aw2", "cayley_hamilton_A", "cayley_hamilton_Astar"),
+        (*verify_aw(real), *verify_cayley_hamilton(real)))]
 
-    r1, r2 = verify_aw(real)
-    checks.append(_check("aw1", r1, tol))
-    checks.append(_check("aw2", r2, tol))
-    chA, chAstar = verify_cayley_hamilton(real)
-    checks.append(_check("cayley_hamilton_A", chA, tol))
-    checks.append(_check("cayley_hamilton_Astar", chAstar, tol))
-
-    try:
-        fam = eigen_family(real.A_mat, sp.theta)
-    except ValueError:  # the iteration refused: failed checks, not a crash
-        fam, eig_res = None, np.nan
-    else:
-        eig_res = float(np.max(fam.residuals))
-    checks.append(_check("eigenvector_residual_A", eig_res, tol))
+    fam = _table(eigen_family, real.A_mat, sp.theta)
+    checks.append(_check("eigenvector_residual_A", None if fam is None else np.max(fam.residuals),
+                         tol))
 
     td = build_transition(p)
     dim = p.dim
-    idx = np.arange(dim)
-    ident = np.eye(dim)
-    checks.append(_check("pinv_p_identity",
-                         float(np.max(np.abs(td.Pinv @ td.P - ident))), tol))
-    checks.append(_check("p_pinv_identity",
-                         float(np.max(np.abs(td.P @ td.Pinv - ident))), tol))
-    col_res, a_max = 0.0, np.max(np.abs(real.A_mat))
-    for M in range(dim):
-        v = td.Pinv[:, M]
-        num = float(np.max(np.abs(real.A_mat @ v - sp.theta[M] * v)))
-        den = float(a_max * np.max(np.abs(v)))
-        col_res = max(col_res, num / den)
-    checks.append(_check("pinv_columns_eigenvectors", col_res, tol))
-
-    rec, qd = _recurrence_residuals(td.R, theta_basis, real)
-    checks.append(_check("recurrence", rec, tol))
-    checks.append(_check("q_difference", qd, tol))
-    o1, o2 = orthogonality_residuals(td)
-    checks.append(_check("orthogonality_rows", o1, tol))
-    checks.append(_check("orthogonality_columns", o2, tol))
+    checks.append(_check("pinv_p_identity", np.max(np.abs(td.Pinv @ td.P - np.eye(dim))), tol))
+    checks.append(_check("p_pinv_identity", np.max(np.abs(td.P @ td.Pinv - np.eye(dim))), tol))
+    a_max = np.max(np.abs(real.A_mat))
+    col_res = [float(np.max(np.abs(real.A_mat @ v - theta * v))) / float(a_max * np.max(np.abs(v)))
+               for theta, v in zip(sp.theta, td.Pinv.T)]
+    checks.append(_check("pinv_columns_eigenvectors", np.max(col_res), tol))
 
     R = td.R
-    edge = max(float(np.max(np.abs(R[0, :] - 1.0))), float(np.max(np.abs(R[:, 0] - 1.0))))
-    checks.append(_check("racah_first_row_col", edge, 1e-12))
-    Rrec = _recurrence_table(sp.theta_star, theta_basis.diagonals)
+    checks += [_check(name, res, tol) for name, res in zip(
+        ("recurrence", "q_difference", "orthogonality_rows", "orthogonality_columns"),
+        (*_recurrence_residuals(R, theta_basis, real), *orthogonality_residuals(td)))]
+    checks.append(_check("racah_first_row_col",
+                         np.max(np.abs(np.concatenate((R[0, :], R[:, 0])) - 1.0)), 1e-12))
+    series = _table(lambda: R)  # the series table, refused past binary64 by the same test
+    idx = np.arange(dim)
+    rec_table = _table(_recurrence_table, sp.theta_star, theta_basis.diagonals)
+    rac1, rac2 = (_table(racah_from_scalar_products, fam, idx[:, None], idx, form)
+                  for form in ("rac1", "rac2"))
     scale = float(np.max(np.abs(R)))
-    checks.append(_check("racah_series_vs_recurrence",
-                         float(np.max(np.abs(R - Rrec))) / scale, tol))
-    ratio_tables = {}
-    for form in ("rac1", "rac2"):
-        gap = np.nan  # no family, or the route refused: a failed check
-        if fam is not None:
-            try:
-                ratio_tables[form] = racah_from_scalar_products(fam, idx[:, None], idx, form)
-            except ValueError:
-                pass
-            else:
-                gap = float(np.max(np.abs(R - ratio_tables[form]))) / scale
-        checks.append(_check(f"racah_series_vs_{form}", gap, tol))
-    rr1 = ratio_tables.get("rac1")
-
-    # a table past binary64's range is written as null, as a refused route is
-    series = _ser(R) if np.isfinite(R).all() else None
-    ratio = None if rr1 is None else _ser(rr1)
-    residuals = series is not None and np.isfinite(Rrec).all()
-    racah_rows = [{"M": M, "N": N, "series": None if series is None else series[M][N],
-                   "double_ratio": None if ratio is None else ratio[M][N],
-                   "recurrence_residual":
-                   float(abs(R[M, N] - Rrec[M, N]) / scale) if residuals else None}
-                  for M in range(dim) for N in range(dim)]
+    gaps = [_table(lambda S, T: np.abs(S - T) / scale, series, T) for T in (rec_table, rac1, rac2)]
+    checks += [_check(f"racah_series_vs_{name}", None if gap is None else np.max(gap), tol)
+               for name, gap in zip(("recurrence", "rac1", "rac2"), gaps)]
+    # row-major cells; each residual by Python's abs, whose last bit np.abs may round apart
+    none = [None] * dim**2
+    series_col, ratio_col = (none if T is None else _ser(T.ravel()) for T in (series, rac1))
+    res_col = none if gaps[0] is None else [float(abs(d) / scale) for d in (R - rec_table).flat]
+    racah_rows = [{"M": M, "N": N, "series": s, "double_ratio": d, "recurrence_residual": r}
+                  for (M, N), s, d, r in zip(np.ndindex(dim, dim), series_col, ratio_col, res_col)]
 
     bethe_rows = []
     for kind, found in sweep(p, cfg.solver).items():
-        worst = 0.0
         for index, s in enumerate(found):
             hit = s is not None
-            worst = max(worst, s.match_error if hit else np.inf)
             bethe_rows.append({
                 "kind": kind,
                 "index": index,
@@ -308,9 +310,11 @@ def run_verify(cfg: RunConfig) -> dict:
                 "residual": float(s.residual_max) if hit else None,
                 "match_error": float(s.match_error) if hit else None,
             })
-        checks.append(_check(f"bethe_coverage_{kind}", worst, cfg.solver.match_tol))
+        checks.append(_check(f"bethe_coverage_{kind}",
+                             np.max([np.inf if s is None else s.match_error for s in found]),
+                             cfg.solver.match_tol))
 
-    report = {
+    return {
         "instance": _instance_block(cfg),
         "checks": checks,
         "bethe": bethe_rows,
@@ -318,7 +322,6 @@ def run_verify(cfg: RunConfig) -> dict:
         "pass": all(c["pass"] for c in checks),
         "versions": {"spec": _SCHEMA_VERSION},
     }
-    return report
 
 
 def run_racah_table(cfg: RunConfig, route: str) -> np.ndarray:
@@ -340,11 +343,7 @@ def run_racah_table(cfg: RunConfig, route: str) -> np.ndarray:
         R = racah_from_scalar_products(fam, idx[:, None], idx, "rac1")
     else:
         raise ConfigError(f"unknown route {route!r}; choose series, recurrence, double-ratio")
-    bad = np.argwhere(~np.isfinite(R))
-    if bad.size:  # past binary64's range: refuse rather than print NaN or Infinity
-        raise ValueError(f"racah {route.replace('_', '-')}: non-finite table entry "
-                         f"at (M, N) = ({bad[0, 0]}, {bad[0, 1]})")
-    return R
+    return _refuse_past_binary64(R, f"racah {route.replace('_', '-')}")
 
 
 def run_bethe(cfg: RunConfig, kind: str, level: int) -> list[dict]:

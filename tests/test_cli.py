@@ -24,7 +24,7 @@ from qracah.cli import (
 from qracah.bethe import KINDS
 from qracah.leonard import build, eigen_family
 from qracah.model import spectrum
-from qracah.transition import racah_from_scalar_products, racah_matrix
+from qracah.transition import build_transition, racah_from_scalar_products, racah_matrix
 
 from conftest import cli_env, draw_many
 
@@ -463,6 +463,9 @@ def test_racah_refuses_a_table_past_binary64(fmt, tmp_path, capsys):
                 f"at (M, N) = {first}\n")
         assert main(["racah", path, "--route", "recurrence"]) == 2
         assert capsys.readouterr().out == ""
+        # verify's recurrence table meets the same genericity refusal: not a null table
+        assert main(["verify", path]) == 2
+        assert capsys.readouterr() == ("", "racah_by_recurrence: vanishing up-coupling\n")
         assert main(["racah", path, "--route", "double-ratio"]) == 1
         out, err = capsys.readouterr()
     assert out == ""
@@ -497,6 +500,74 @@ def test_verify_writes_a_table_past_binary64_as_null(tmp_path, capsys):
     for name in ("racah_series_vs_recurrence", "racah_series_vs_rac1", "racah_series_vs_rac2"):
         assert checks[name]["residual"] is None and not checks[name]["pass"]
     assert len(rep["bethe"]) == 6 * 9
+
+
+# each table run_verify reads: the checks and the racah report columns that read it
+_SERIES_CHECKS = {"recurrence", "q_difference", "orthogonality_rows", "orthogonality_columns",
+                  "racah_first_row_col", "racah_series_vs_recurrence", "racah_series_vs_rac1",
+                  "racah_series_vs_rac2"}
+_TABLE_READERS = {
+    "eigen_family": ({"eigenvector_residual_A", "racah_series_vs_rac1", "racah_series_vs_rac2"},
+                     {"double_ratio"}),
+    "P": ({"pinv_p_identity", "p_pinv_identity"}, set()),
+    "Pinv": ({"pinv_p_identity", "p_pinv_identity", "pinv_columns_eigenvectors"}, set()),
+    "R": (_SERIES_CHECKS, {"series", "recurrence_residual"}),
+    "_recurrence_table": ({"racah_series_vs_recurrence"}, {"recurrence_residual"}),
+    "rac1": ({"racah_series_vs_rac1"}, {"double_ratio"}),
+    "rac2": ({"racah_series_vs_rac2"}, set()),
+}
+
+
+@pytest.fixture(scope="module")
+def shipped_report():
+    return run_verify(load_config(SHIPPED_CONFIG))
+
+
+def _with_entry(table, value):
+    """A copy of ``table`` holding ``value`` at (0, 1), in the first row,
+    which every check of the series table reads."""
+    out = np.array(table, dtype=complex)
+    out[0, 1] = value
+    return out
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("table", list(_TABLE_READERS))
+def test_verify_reads_a_non_finite_table_as_refused(table, value, shipped_report, monkeypatch):
+    # one non-finite entry in one table fails every check that reads it with
+    # a null residual and nulls its report columns; nothing else moves
+    import dataclasses
+
+    import qracah.leonard as leonard
+    import qracah.transition as transition
+
+    def patch(module, name, transform):  # transform(value returned, *call arguments)
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: transform(original(*args), *args))
+
+    if table == "eigen_family":
+        patch(leonard, table, lambda fam, *_: dataclasses.replace(
+            fam, right=_with_entry(fam.right, value)))
+    elif table in ("P", "Pinv", "R"):
+        patch(transition, "build_transition", lambda td, _: dataclasses.replace(
+            td, **{table: _with_entry(getattr(td, table), value)}))
+    elif table == "_recurrence_table":
+        patch(transition, table, lambda R, *_: _with_entry(R, value))
+    else:
+        patch(transition, "racah_from_scalar_products",
+              lambda R, *args: _with_entry(R, value) if args[-1] == table else R)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = run_verify(load_config(SHIPPED_CONFIG))
+    checks, columns = _TABLE_READERS[table]
+    assert rep["pass"] is False
+    for got, before in zip(rep["checks"], shipped_report["checks"], strict=True):
+        name = got["name"]
+        assert got == ({**before, "residual": None, "pass": False} if name in checks
+                       else before), name
+    for got, before in zip(rep["racah"], shipped_report["racah"], strict=True):
+        assert got == {**before, **dict.fromkeys(columns)}
+    assert rep["bethe"] == shipped_report["bethe"]
 
 
 @pytest.mark.parametrize("route, name", [("series", "racah_matrix"),
@@ -878,8 +949,15 @@ def test_every_run_ends_in_strict_json_or_a_refusal(E, tmp_path, capsys):
             out, err = capsys.readouterr()
             if out:
                 assert rc in (0, 1), (argv, data)
-                _strict_json(out)
+                report = _strict_json(out)
                 endings.add("report")
+                if argv[0] == "verify":  # a non-finite Pinv is no eigenvector check's pass
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        finite = np.isfinite(build_transition(load_config(path).params).Pinv).all()
+                    check = next(c for c in report["checks"]
+                                 if c["name"] == "pinv_columns_eigenvectors")
+                    assert finite or (check["residual"], check["pass"]) == (None, False), data
             elif rc == 1:
                 assert err.startswith("numerical failure: ") and err.count("\n") == 1, (argv, data)
                 endings.add("failure")
