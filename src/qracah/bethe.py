@@ -486,11 +486,15 @@ _FD_STEP = 1e-7  # relative step of the finite-difference Jacobian
 _GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
+@functools.cache
 def _sample_points(count: int) -> np.ndarray:
-    """Golden-angle spiral with |u| log-spaced over [0.3, 4]."""
+    """Golden-angle spiral with |u| log-spaced over [0.3, 4]; built once per
+    count, and read-only."""
     k = np.arange(count)
     radius = 0.3 * (4.0 / 0.3) ** ((k + 0.5) / count)
-    return radius * np.exp(1j * _GOLDEN_ANGLE * k)
+    points = radius * np.exp(1j * _GOLDEN_ANGLE * k)
+    points.flags.writeable = False
+    return points
 
 
 def _tq_table(kinds, u, p: ModelParams, sc: StructureConstants) -> np.ndarray:
@@ -556,7 +560,9 @@ def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
     q = p.base.q
     u = _sample_points(coeffs.shape[-1])
     powers = np.arange(L + 1)
-    kinds, of_row = np.unique(k, return_inverse=True)
+    present = np.zeros(len(KINDS), dtype=bool)
+    present[k] = True
+    kinds, of_row = np.flatnonzero(present), np.cumsum(present)[k] - 1
     with np.errstate(all="ignore"):
         Wk = _w(u, q)[:, None] ** powers
         Wm, Wp = _w(u / q, q)[:, None] ** powers, _w(q * u, q)[:, None] ** powers
@@ -637,7 +643,8 @@ def _polish(k: np.ndarray, U: np.ndarray, p: ModelParams, tol: float):
     moved = np.zeros(len(U), dtype=bool)
     U = U.copy()
     count = np.isfinite(U).sum(axis=1)
-    # not np.unique, whose first call imports numpy.ma
+    # not np.unique: on numpy 2.4 a call for the values alone reads np.ma, so
+    # the first such call imports numpy.ma
     for L in sorted(set(count[res > tol].tolist())):
         live = (count == L) & (res > tol)
         for _ in range(_POLISH_STEPS):

@@ -397,9 +397,9 @@ def _emit(payload: str, cfg: RunConfig) -> None:
 # With ``indent`` set, ``json`` encodes in pure Python, one generator step per
 # row, key and number.  Here ``_json_text`` lays out a report with a
 # placeholder for each number, and the numbers are rendered by one C-level
-# ``repr`` of their list: a table's by column, its rows filling the layout of
-# one sample row, and any other report's all at once; the bytes equal
-# ``json.dumps(obj, indent=2)``.
+# ``repr`` of their list: a table's by column, its columns slice-assigned
+# between the fragments of one sample row's layout, and any other report's all
+# at once; the bytes equal ``json.dumps(obj, indent=2)``.
 
 
 def _reprs(column: list) -> list[str]:
@@ -422,9 +422,21 @@ def _json_text(value, pad: str, put) -> str:
         ends, inner = "[]" if t is list else "{}", pad + "  "
         if not value:
             return ends
-        items = ([_json_text(v, inner, put) for v in value] if t is list else
-                 [f"{_json_str(k).replace('%', '%%')}: {_json_text(v, inner, put)}"
-                  for k, v in value.items()])
+        # a number or an [re, im] pair of floats is laid out here, not by a call
+        pair, items = f"[\n{inner}  %s,\n{inner}  %s\n{inner}]", []
+        for v in value if t is list else value.values():
+            tv = type(v)
+            if tv is float or tv is int:
+                put(v)
+                items.append("%s")
+            elif tv is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float:
+                put(v[0])
+                put(v[1])
+                items.append(pair)
+            else:
+                items.append(_json_text(v, inner, put))
+        if t is dict:
+            items = [f"{_json_str(k).replace('%', '%%')}: {item}" for k, item in zip(value, items)]
         return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
     if t is str:
         return _json_str(value).replace("%", "%%")
@@ -441,22 +453,30 @@ def _verify_json(obj) -> str:
     return template % tuple(_reprs(numbers)) + "\n"
 
 
-def _table_cells(R: np.ndarray) -> list[list[str]]:
-    """The columns M, N, re and im of table ``R`` in row-major order, each
-    rendered by one ``_reprs`` call."""
-    return [_reprs(a.ravel().tolist()) for a in (*np.indices(R.shape), R.real, R.imag)]
+def _table_text(R: np.ndarray, layout: str, sep: str) -> str:
+    """The rows of table ``R`` in row-major order joined by ``sep``, each
+    ``layout`` with its four ``%s`` filled by M, N, re and im: one list holds
+    the layout's fragments and, slice-assigned between them, the columns."""
+    (rows, cols), size = R.shape, R.size
+    *head, tail = layout.split("%s")
+    parts = [tail + sep] * (9 * size)
+    columns = ([str(M) for M in range(rows) for _ in range(cols)], [str(N) for N in range(cols)] * rows,
+               _reprs(R.real.ravel().tolist()), _reprs(R.imag.ravel().tolist()))
+    for i, column in enumerate(columns):
+        parts[2 * i::9], parts[2 * i + 1::9] = [head[i]] * size, column
+    parts[-1] = tail
+    return "".join(parts)
 
 
 def _racah_json(R: np.ndarray) -> str:
     """``json.dumps(rows, indent=2)`` and a newline, for the rows
     ``{"M": M, "N": N, "value": [re, im]}`` of table ``R`` in row-major order."""
     row = _json_text({"M": 0, "N": 0, "value": [0.0, 0.0]}, "  ", lambda _: None)
-    rows = (row % cells for cells in zip(*_table_cells(R)))
-    return "[\n  " + ",\n  ".join(rows) + "\n]\n"
+    return "[\n  " + _table_text(R, row, ",\n  ") + "\n]\n"
 
 
 def _racah_csv(R: np.ndarray) -> str:
-    return "M,N,re,im\n" + "".join("%s,%s,%s,%s\n" % row for row in zip(*_table_cells(R)))
+    return "M,N,re,im\n" + _table_text(R, "%s,%s,%s,%s\n", "")
 
 
 @functools.cache

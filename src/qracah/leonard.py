@@ -71,48 +71,6 @@ class EigenFamily:
     residuals: np.ndarray
 
 
-def _check_den(factors, scale) -> complex:
-    den = 1.0 + 0j
-    for f in factors:
-        if abs(f) <= _DEN_TOL * scale:
-            raise GenericityError(
-                f"coeff: tridiagonal denominator factor vanishes (|{f:.3e}|)"
-            )
-        den *= f
-    return den
-
-
-def _sub_entry(M: int, p: ModelParams) -> complex:
-    """Entry (M, M-1) of the ``Astar`` action: coupling down the index,
-    1 <= M <= two_s."""
-    q, n, b, c, bs, cs, zeta = p.base.q, p.two_s, p.b, p.c, p.b_star, p.c_star, p.zeta
-    num = (
-        q ** (2 - 2 * n)
-        * (1.0 - q ** (2 * M))
-        * (c - b * q ** (2 * M + 2 * n))
-        * (bs * q ** (n - 1) / zeta**2 + b * q ** (2 * M - 2))
-        * (c * q ** (n - 1) * zeta**2 + cs * q ** (2 * M - 2))
-    )
-    scale = max(abs(c), abs(b))
-    den = _check_den((c - b * q ** (4 * M - 2), c - b * q ** (4 * M)), scale)
-    return num / den
-
-
-def _sup_entry(M: int, p: ModelParams) -> complex:
-    """Entry (M-1, M) of the ``Astar`` action: coupling up the index,
-    1 <= M <= two_s."""
-    q, n, b, c, bs, cs, zeta = p.base.q, p.two_s, p.b, p.c, p.b_star, p.c_star, p.zeta
-    num = (
-        (1.0 - q ** (2 * M - 2 * n - 2))
-        * (c - b * q ** (2 * M - 2))
-        * (c + bs / zeta**2 * q ** (2 * M + n - 1))
-        * (cs + b * zeta**2 * q ** (2 * M + n - 1))
-    )
-    scale = max(abs(c), abs(b))
-    den = _check_den((c - b * q ** (4 * M - 4), c - b * q ** (4 * M - 2)), scale)
-    return num / den
-
-
 def coeff(kind: str, row: int, col: int, p: ModelParams) -> complex:
     """Tridiagonal action coefficient of the requested kind at (row, col).
 
@@ -140,10 +98,25 @@ def _diagonals(kind: str, p: ModelParams) -> tuple[list, list, list]:
         raise ValueError(f"coeff: unknown kind {kind!r}; choose one of {COEFF_KINDS}")
     if kind == "A":
         p = _dual(p)
+    q, n, b, c, bs, cs, z2 = p.base.q, p.two_s, p.b, p.c, p.b_star, p.c_star, p.zeta**2
+    # q**e for each exponent e the entries use, formed once per call
+    pw = {e: q**e for e in (*range(-2 * n, 4 * n + 1, 2), *range(n - 1, 3 * n, 2))}
+    # rung k is c - b*q^(2k); entry M of sup divides by rungs 2M-2 and 2M-1,
+    # that of sub by rungs 2M-1 and 2M, each as the product 1*r*r' (which
+    # fixes the sign of a zero part), so the rungs are refused in order
+    bq = [b * pw[2 * k] for k in range(2 * n + 1)]
+    rungs, scale = [c - y for y in bq], max(abs(c), abs(b))
+    for f in rungs:
+        if abs(f) <= _DEN_TOL * scale:
+            raise GenericityError(f"coeff: tridiagonal denominator factor vanishes (|{f:.3e}|)")
+    bs_tw, c_tw, bs_z, b_z = bs * pw[n - 1] / z2, c * pw[n - 1] * z2, bs / z2, b * z2
     sub, sup = [0j], [0j]
-    for M in range(1, p.two_s + 1):
-        sup.append(_sup_entry(M, p))
-        sub.append(_sub_entry(M, p))
+    for M in range(1, n + 1):
+        up = pw[2 * M + n - 1]
+        sup.append((1.0 - pw[2 * M - 2 * n - 2]) * rungs[M - 1] * (c + bs_z * up) * (cs + b_z * up)
+                   / ((1.0 + 0j) * rungs[2 * M - 2] * rungs[2 * M - 1]))
+        sub.append(pw[2 - 2 * n] * (1.0 - pw[2 * M]) * rungs[M + n] * (bs_tw + bq[M - 1])
+                   * (c_tw + cs * pw[2 * M - 2]) / ((1.0 + 0j) * rungs[2 * M - 1] * rungs[2 * M]))
     # diagonal: fixed by the constant row-sum against the top eigenvalue
     top = p.b_star + p.c_star
     diag = [top - s - d for s, d in zip(sup[1:] + [0j], sub)]
@@ -203,13 +176,15 @@ def verify_aw(real: TridiagonalRealization, sc=None) -> tuple[float, float]:
 def verify_cayley_hamilton(real: TridiagonalRealization) -> tuple[float, float]:
     """Relative residuals of the annihilating products over both spectra."""
     sp = real.spectrum
-    eye = np.eye(real.params.dim)
+    D = real.params.dim
     out = []
     for mat, vals in ((real.A_mat, sp.theta), (real.Astar_mat, sp.theta_star)):
-        prod = eye.astype(complex)
+        prod = np.eye(D, dtype=complex)
         scale, size = 1.0, _maxabs(mat)
         for lam in vals:
-            prod = prod @ (mat - lam * eye)
+            shifted = mat.copy()
+            shifted.ravel()[:: D + 1] -= lam  # mat - lam*I on the diagonal alone
+            prod = prod @ shifted
             scale *= size + abs(lam)
         out.append(_maxabs(prod) / scale)
     return out[0], out[1]

@@ -163,8 +163,8 @@ def spectrum(p: ModelParams) -> Spectrum:
         scale = np.max(np.abs(vals))
         diff = np.abs(vals[:, None] - vals[None, :])
         diff[np.diag_indices(p.dim)] = np.inf
-        i, j = np.unravel_index(np.argmin(diff), diff.shape)
-        if diff[i, j] <= _DEGENERACY_TOL * max(1.0, scale):
+        if diff.min() <= _DEGENERACY_TOL * max(1.0, scale):
+            i, j = np.unravel_index(np.argmin(diff), diff.shape)
             raise GenericityError(
                 f"spectrum: {name}[{i}] and {name}[{j}] numerically coincide "
                 f"(gap {diff[i, j]:.3e})"
@@ -233,21 +233,21 @@ def validate_genericity(p: ModelParams, tol: float = 1e-8) -> list[str]:
     except GenericityError as exc:
         issues.append(str(exc))
 
+    rungs = [q ** (2 * k) for k in range(2 * n + 1)]
     for label, x, y in (("c - b*q^(2k)", p.c, p.b), ("c_star - b_star*q^(2k)", p.c_star, p.b_star)):
-        for k in range(2 * n + 1):
-            d = x - y * q ** (2 * k)
-            if abs(d) <= tol * max(abs(x), abs(y * q ** (2 * k))):
+        for k, yq in enumerate([y * r for r in rungs]):
+            if abs(x - yq) <= tol * max(abs(x), abs(yq)):
                 issues.append(f"{label} vanishes at k = {k}")
 
     plus, minus, k_minus, k_plus, _ = _q2_params(p)
+    orders = [p.base.q2**j for j in range(n)]
     for label, a in (("k_seq denominator (twist, minus branch)", k_minus),
                      ("k_seq denominator (twist, plus branch)", k_plus),
                      ("series denominator (twist, plus branch)", plus),
                      ("series denominator (twist, minus branch)", minus)):
         # orders 0..two_s-1 occur inside (a; q^2)_N factors with N <= two_s
-        for j in range(n):
-            d = 1.0 - a * p.base.q2**j
-            if abs(d) <= tol * max(1.0, abs(a * p.base.q2**j)):
+        for j, aq in enumerate([a * r for r in orders]):
+            if abs(1.0 - aq) <= tol * max(1.0, abs(aq)):
                 issues.append(f"{label} parameter hits 1 at order {j}")
 
     return issues

@@ -82,11 +82,12 @@ def _recurrence_table(theta_star: np.ndarray, diagonals: tuple) -> np.ndarray:
     sub, diag, sup = diagonals
     D = len(theta_star)
     R = np.ones((D, D), dtype=complex)
+    shifts = theta_star - np.array(diag)[:, None]  # row M: theta_star - diag[M]
     for M in range(D - 1):
         up = sup[M + 1]
         if abs(up) <= _DEN_TOL:
             raise GenericityError("racah_by_recurrence: vanishing up-coupling")
-        rhs = (theta_star - diag[M]) * R[M]
+        rhs = shifts[M] * R[M]
         if M > 0:
             rhs = rhs - sub[M] * R[M - 1]
         R[M + 1] = rhs / up
@@ -125,14 +126,19 @@ def normalizers(p: ModelParams) -> tuple[np.ndarray, np.ndarray, complex]:
     num = qpoch((p.b / p.c) * q2, q2, n) * qpoch((p.b_star / p.c_star) * q2, q2, n)
     # the middle factor is the dual side's k_seq minus twist in its own form:
     # _q2_params(_dual(p)) divides by (1/zeta)**2, which moves nu0 by up to
-    # 1e-14 relative, and with it the last digits of the P/Pinv residuals
+    # 1e-14 relative, and with it the last digits of the P/Pinv residuals.
+    # The screen keeps every factor of den clear of 0 relative to its size:
+    # its k_seq (twist, plus branch) row covers factor j of the k_plus
+    # factorial, its (twist, minus branch) row at order two_s-1-j factor j of
+    # the middle one, and minus is a nonzero product.  So den is 0 only when
+    # the product underflows; an overflowed den reaches nu0 as it is.
     den = (
         minus**n
         * qpoch(-(p.b / p.b_star) * q ** (1 - n) * p.zeta**2, q2, n)
         * qpoch(k_plus, q2, n)
     )
-    if abs(den) <= _DEN_TOL:
-        raise GenericityError("normalizers: vanishing nu0 denominator")
+    if den == 0:
+        raise ValueError("normalizers: nu0 denominator underflows binary64's range to 0")
     return k_seq, k_seq_dual, num / den
 
 

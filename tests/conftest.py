@@ -46,6 +46,37 @@ def draw_many(two_s, n, seed, **kw):
     return [draw_params(two_s, rng, **kw) for _ in range(n)]
 
 
+def fuzz_config(rng, E):
+    """Couplings log-uniform in [10^-E, 10^E], |q| in [1.02, 1.3], |zeta| in
+    [0.01, 100], random phases, and c_star solving the coupling constraint:
+    a config dict."""
+    def draw(lo, hi):
+        z = np.exp(rng.uniform(np.log(lo), np.log(hi)) + 1j * rng.uniform(0.0, 2.0 * np.pi))
+        return complex(z)
+
+    b, c, b_star = (draw(10.0 ** -E, 10.0 ** E) for _ in range(3))
+    pairs = {"q": draw(1.02, 1.3), "b": b, "c": c, "b_star": b_star, "c_star": b * c / b_star,
+             "zeta": draw(0.01, 100.0)}
+    two_s = int(rng.choice([1, 2, 4, 8, 16, 32]))
+    return {**{k: [z.real, z.imag] for k, z in pairs.items()}, "two_s": two_s}
+
+
+def fuzz_params():
+    """The parameter sets of the seeded fuzz configs, 40 each at E = 6, 20
+    and 100 (seeds 2206, 2220 and 2300), that the config reader accepts."""
+    from qracah.cli import ConfigError, parse_config
+
+    out = []
+    for E in (6, 20, 100):
+        rng = np.random.default_rng(2200 + E)
+        for _ in range(40):
+            try:
+                out.append(parse_config(fuzz_config(rng, E)).params)
+            except ConfigError:
+                pass
+    return out
+
+
 def bench_reference():
     """The benchmark's adaptive-precision mpmath table, imported by path."""
     path = Path(__file__).resolve().parent.parent / "bench" / "reference.py"

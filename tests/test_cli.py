@@ -26,7 +26,7 @@ from qracah.leonard import build, eigen_family
 from qracah.model import spectrum
 from qracah.transition import build_transition, racah_from_scalar_products, racah_matrix
 
-from conftest import cli_env, draw_many
+from conftest import cli_env, draw_many, fuzz_config
 
 SHIPPED_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "generic_two_s2.json")
 
@@ -345,7 +345,7 @@ def refused_family_path(tmp_path_factory):
     refuses: its couplings overflow, so A_mat holds a NaN and no shifted
     solve gives a finite vector."""
     path = tmp_path_factory.mktemp("refused_family") / "cfg.json"
-    path.write_text(json.dumps(_fuzz_config(np.random.default_rng(2300), 100)))
+    path.write_text(json.dumps(fuzz_config(np.random.default_rng(2300), 100)))
     return str(path)
 
 
@@ -412,7 +412,7 @@ def test_bethe_on_a_non_finite_fit_is_strict_json(tmp_path, capsys):
     # sees it
     rng = np.random.default_rng(2300)
     for _ in range(39):
-        data = _fuzz_config(rng, 100)
+        data = fuzz_config(rng, 100)
     path = _write(tmp_path, data)
     assert main(["bethe", path, "--kind", "hom_minus", "--level", "2"]) == 0
     out, err = capsys.readouterr()
@@ -750,6 +750,8 @@ def test_racah_json_bytes_equal_json_dumps(two_s, tmp_path, monkeypatch, capsys)
         assert rc == 0
         assert R.shape == (two_s + 1, two_s + 1)
         assert out == _dumps(_rows_of(R))
+        # the CSV writer fills the same columns into its own row layout
+        assert cli._racah_csv(R) == _racah_csv_by_rows(_rows_of(R))
     # these draws refuse from two_s 16 on
     assert refused == (two_s >= 16)
 
@@ -914,20 +916,6 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
 # seeded fuzz: every run ends in strict JSON or a refusal
 
 
-def _fuzz_config(rng, E):
-    """Couplings log-uniform in [10^-E, 10^E], |q| in [1.02, 1.3], |zeta| in
-    [0.01, 100], random phases, and c_star solving the coupling constraint."""
-    def draw(lo, hi):
-        z = np.exp(rng.uniform(np.log(lo), np.log(hi)) + 1j * rng.uniform(0.0, 2.0 * np.pi))
-        return complex(z)
-
-    b, c, b_star = (draw(10.0 ** -E, 10.0 ** E) for _ in range(3))
-    pairs = {"q": draw(1.02, 1.3), "b": b, "c": c, "b_star": b_star, "c_star": b * c / b_star,
-             "zeta": draw(0.01, 100.0)}
-    two_s = int(rng.choice([1, 2, 4, 8, 16, 32]))
-    return {**{k: [z.real, z.imag] for k, z in pairs.items()}, "two_s": two_s}
-
-
 @pytest.mark.parametrize("E", [6, 20, 100])
 def test_every_run_ends_in_strict_json_or_a_refusal(E, tmp_path, capsys):
     # a report, a numerical failure line, or a config or genericity refusal;
@@ -935,7 +923,7 @@ def test_every_run_ends_in_strict_json_or_a_refusal(E, tmp_path, capsys):
     rng = np.random.default_rng(2200 + E)
     endings = set()
     for i in range(40):
-        data = _fuzz_config(rng, E)
+        data = fuzz_config(rng, E)
         path = _write(tmp_path, data, f"fuzz{i}.json")
         commands = [["racah", path, "--route", r]
                     for r in ("series", "recurrence", "double-ratio")]

@@ -1,21 +1,25 @@
 """Tests for tridiagonal realizations, algebra relation checks, eigen families."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import bench_reference, draw_many, draw_params
+from conftest import bench_reference, draw_many, draw_params, fuzz_params
 from qracah.leonard import (
     GAUGE_THETA,
     GAUGE_THETA_STAR,
     EigenFamily,
     TridiagonalRealization,
+    _diagonals,
     build,
     coeff,
     eigen_family,
     verify_aw,
     verify_cayley_hamilton,
 )
-from qracah.model import ModelParams, spectrum, structure_constants
+from qracah.model import GenericityError, ModelParams, _dual, spectrum, structure_constants
 from qracah.qnum import QBase
 from qracah.transition import racah_by_recurrence, racah_from_scalar_products
 
@@ -308,3 +312,118 @@ class TestCouplingsOnePass:
                     want[row, col] = coeff(kind, row, col, p)
             assert tri.tobytes() == want.tobytes()
         assert racah_by_recurrence(p).tobytes() == _recurrence_by_coeff(p).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the one-loop couplings and the diagonal-only shifts against the per-entry
+# formulas they replaced, bit for bit
+
+
+def _ref_check_den(factors, scale):
+    den = 1.0 + 0j
+    for f in factors:
+        if abs(f) <= 1e-12 * scale:
+            raise GenericityError(
+                f"coeff: tridiagonal denominator factor vanishes (|{f:.3e}|)"
+            )
+        den *= f
+    return den
+
+
+def _ref_sub_entry(M, p):
+    q, n, b, c, bs, cs, zeta = p.base.q, p.two_s, p.b, p.c, p.b_star, p.c_star, p.zeta
+    num = (
+        q ** (2 - 2 * n)
+        * (1.0 - q ** (2 * M))
+        * (c - b * q ** (2 * M + 2 * n))
+        * (bs * q ** (n - 1) / zeta**2 + b * q ** (2 * M - 2))
+        * (c * q ** (n - 1) * zeta**2 + cs * q ** (2 * M - 2))
+    )
+    scale = max(abs(c), abs(b))
+    den = _ref_check_den((c - b * q ** (4 * M - 2), c - b * q ** (4 * M)), scale)
+    return num / den
+
+
+def _ref_sup_entry(M, p):
+    q, n, b, c, bs, cs, zeta = p.base.q, p.two_s, p.b, p.c, p.b_star, p.c_star, p.zeta
+    num = (
+        (1.0 - q ** (2 * M - 2 * n - 2))
+        * (c - b * q ** (2 * M - 2))
+        * (c + bs / zeta**2 * q ** (2 * M + n - 1))
+        * (cs + b * zeta**2 * q ** (2 * M + n - 1))
+    )
+    scale = max(abs(c), abs(b))
+    den = _ref_check_den((c - b * q ** (4 * M - 4), c - b * q ** (4 * M - 2)), scale)
+    return num / den
+
+
+def _ref_diagonals(kind, p):
+    """The couplings entry by entry, each power formed where it is used."""
+    if kind == "A":
+        p = _dual(p)
+    sub, sup = [0j], [0j]
+    for M in range(1, p.two_s + 1):
+        sup.append(_ref_sup_entry(M, p))
+        sub.append(_ref_sub_entry(M, p))
+    top = p.b_star + p.c_star
+    diag = [top - s - d for s, d in zip(sup[1:] + [0j], sub)]
+    return sub, diag, sup
+
+
+def _outcome(fn, *args):
+    """The bytes of each list ``fn`` returns, or the type and message of what it raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return [np.array(x, dtype=complex).tobytes() for x in fn(*args)]
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _ref_cayley_hamilton(real):
+    """verify_cayley_hamilton with each factor formed as mat - lam * eye."""
+    sp = real.spectrum
+    eye = np.eye(real.params.dim)
+    out = []
+    for mat, vals in ((real.A_mat, sp.theta), (real.Astar_mat, sp.theta_star)):
+        prod = eye.astype(complex)
+        scale, size = 1.0, np.max(np.abs(mat))
+        for lam in vals:
+            prod = prod @ (mat - lam * eye)
+            scale *= size + abs(lam)
+        out.append(float(np.max(np.abs(prod))) / scale)
+    return out[0], out[1]
+
+
+class TestOneLoopCouplings:
+    @pytest.mark.parametrize("two_s", range(1, 33))
+    def test_diagonals_equal_the_entry_formulas(self, two_s):
+        for p in draw_many(two_s, 2, 4700 + two_s):
+            for kind in ("A", "Astar"):
+                assert _outcome(_diagonals, kind, p) == _outcome(_ref_diagonals, kind, p)
+
+    def test_diagonals_equal_the_entry_formulas_on_the_fuzz_configs(self):
+        for p in fuzz_params():
+            for kind in ("A", "Astar"):
+                assert _outcome(_diagonals, kind, p) == _outcome(_ref_diagonals, kind, p), p
+
+    @pytest.mark.parametrize("two_s", [1, 2, 5])
+    def test_a_vanishing_rung_is_refused_with_the_same_message(self, two_s):
+        # c = b*q^(2k) (c_star = b_star*q^(2k) for kind A) at every k <= 2*two_s
+        p, = draw_many(two_s, 1, 4800 + two_s)
+        for k in range(2 * two_s + 1):
+            on_c = replace(p, c=p.b * p.base.q ** (2 * k), c_star=p.b * p.b * p.base.q ** (2 * k)
+                           / p.b_star)
+            on_c_star = replace(p, c_star=p.b_star * p.base.q ** (2 * k),
+                                c=p.b_star * p.b_star * p.base.q ** (2 * k) / p.b)
+            for kind, locus in (("Astar", on_c), ("A", on_c_star)):
+                want = _outcome(_ref_diagonals, kind, locus)
+                assert want[0] is GenericityError
+                assert _outcome(_diagonals, kind, locus) == want
+
+    @pytest.mark.parametrize("two_s", range(1, 33))
+    def test_cayley_hamilton_equals_the_dense_shift(self, two_s):
+        p, = draw_many(two_s, 1, 4900 + two_s)
+        for gauge in (GAUGE_THETA_STAR, GAUGE_THETA):
+            real = build(p, gauge)
+            assert verify_cayley_hamilton(real) == _ref_cayley_hamilton(real)

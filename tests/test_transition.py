@@ -1,6 +1,7 @@
 """Tests for the polynomial table, transition pair, and normalizers."""
 
 import cmath
+import math
 import warnings
 from dataclasses import replace
 
@@ -8,10 +9,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import bench_reference, draw_many, draw_params
+from conftest import bench_reference, draw_many, draw_params, fuzz_config, fuzz_params
+from qracah.cli import parse_config
 from qracah.leonard import GAUGE_THETA, build, coeff, eigen_family
-from qracah.model import spectrum, validate_genericity
-from qracah.qnum import phi43
+from qracah.model import _LOG_RANGE, _q2_params, spectrum, validate_genericity
+from qracah.qnum import QBase, phi43
 from qracah.transition import (
     _racah_params,
     build_transition,
@@ -214,6 +216,99 @@ def test_screen_names_each_locus_once(label):
         lines = [m for m in validate_genericity(p)
                  if "parameter hits 1" in m or "vanishes at k" in m]
         assert lines == [_screen_line(label, j, p.two_s)]
+
+
+def _ref_screen(p, tol=1e-8):
+    """validate_genericity as it was written before its rungs and orders were
+    formed once per call: each power, and each product, formed where it is
+    used, and the spectrum's closest pair located before it is tested."""
+    q, n = p.base.q, p.two_s
+    for name, x, order in (("q", q, 4 * n + 4), ("zeta", p.zeta, 2)):
+        if abs(cmath.log(x).real) * order > _LOG_RANGE:
+            return [f"{name} out of range: |{name}|^{order} or its inverse exceeds 1e300"]
+    for name, y in (("b", p.b), ("b_star", p.b_star)):
+        if math.log(abs(y)) + max(0.0, math.log(abs(q)) * 4 * n) > _LOG_RANGE:
+            return [f"{name} out of range: |{name}*q^(2k)| exceeds 1e300 for some k <= {2 * n}"]
+    issues = []
+    qk = 1.0 + 0j
+    for k in range(1, 2 * n + 3):
+        qk *= p.base.q2
+        if abs(qk - 1.0) <= tol:
+            issues.append(f"q^(2k) = 1 at k = {k}")
+    qq = q ** (2 * np.arange(p.dim))
+    for name, vals in (("theta", p.b * qq + p.c / qq), ("theta_star", p.b_star * qq + p.c_star / qq)):
+        diff = np.abs(vals[:, None] - vals[None, :])
+        diff[np.diag_indices(p.dim)] = np.inf
+        i, j = np.unravel_index(np.argmin(diff), diff.shape)
+        if diff[i, j] <= 1e-8 * max(1.0, np.max(np.abs(vals))):
+            issues.append(f"spectrum: {name}[{i}] and {name}[{j}] numerically coincide "
+                          f"(gap {diff[i, j]:.3e})")
+            break
+    for label, x, y in (("c - b*q^(2k)", p.c, p.b), ("c_star - b_star*q^(2k)", p.c_star, p.b_star)):
+        for k in range(2 * n + 1):
+            d = x - y * q ** (2 * k)
+            if abs(d) <= tol * max(abs(x), abs(y * q ** (2 * k))):
+                issues.append(f"{label} vanishes at k = {k}")
+    plus, minus, k_minus, k_plus, _ = _q2_params(p)
+    for label, a in (("k_seq denominator (twist, minus branch)", k_minus),
+                     ("k_seq denominator (twist, plus branch)", k_plus),
+                     ("series denominator (twist, plus branch)", plus),
+                     ("series denominator (twist, minus branch)", minus)):
+        for j in range(n):
+            d = 1.0 - a * p.base.q2**j
+            if abs(d) <= tol * max(1.0, abs(a * p.base.q2**j)):
+                issues.append(f"{label} parameter hits 1 at order {j}")
+    return issues
+
+
+def test_screen_equals_the_per_use_screen():
+    # the 8 loci, a coincident spectrum (q^2 = -1 folds theta_0 onto theta_2),
+    # seeded draws and the fuzz configs, whose screens hold every kind of line
+    loci = [p for label in _LOCI for _, p in _loci(label)]
+    p, = draw_many(2, 1, 5200)
+    folded = replace(p, base=QBase(1j + 1e-12))
+    draws = [p for n in (1, 2, 4, 8, 16, 32) for p in draw_many(n, 3, 5200 + n)]
+    lines = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for p in loci + [folded] + draws + fuzz_params():
+            want = _ref_screen(p)
+            assert validate_genericity(p) == want, p
+            lines.update(m.split(" ")[0] for m in want)
+    assert {"q^(2k)", "spectrum:", "c", "c_star", "k_seq", "series"} <= lines
+
+
+def _fuzz_draw(E, i):
+    """The parameters of the i-th seeded fuzz config at E."""
+    rng = np.random.default_rng(2200 + E)
+    for _ in range(i + 1):
+        data = fuzz_config(rng, E)
+    return parse_config(data).params
+
+
+# fuzz configs that the screen accepts and whose nu0 denominator lies between
+# 1e-190 and 1e-16, which an absolute 1e-12 test once refused
+@pytest.mark.parametrize("E, i", [(6, 7), (6, 24), (6, 35), (20, 8), (20, 10), (20, 30),
+                                  (20, 31), (100, 3), (100, 13), (100, 14), (100, 16)])
+def test_a_tiny_nu0_denominator_gives_the_normalization(E, i):
+    # nu0 is the Gram diagonal of the pair: R's row and column 0 are ones, so
+    # it is the sum of either normalization sequence
+    p = _fuzz_draw(E, i)
+    assert validate_genericity(p) == []
+    k_seq, k_seq_dual, nu0 = normalizers(p)
+    for k in (k_seq, k_seq_dual):
+        assert abs(nu0 - k.sum()) <= 1e-14 * abs(nu0)
+
+
+@pytest.mark.parametrize("i", [1, 23, 27])
+def test_an_underflowed_nu0_denominator_is_refused(i):
+    # each factor is clear of 0, but their product underflows to 0
+    p = _fuzz_draw(100, i)
+    assert validate_genericity(p) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one k_seq overflows as it is built
+        with pytest.raises(ValueError, match="nu0 denominator underflows binary64's range to 0"):
+            normalizers(p)
 
 
 class TestRecurrenceRoute:
