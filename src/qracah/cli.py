@@ -16,9 +16,11 @@ byte-identical reports.
 ``verify``'s table rule: the eigen family, the recurrence table and each
 double-ratio form are refused when their route raises a numerical
 ``ValueError`` or takes a refused table, and they or the series table when
-past binary64's range, by the test with which ``racah`` exits 1.  A check that
-reads a refused table (the series one: each check against another route)
-fails with a null residual, and a report column that reads it is null.
+past binary64's range, by the test with which ``racah`` exits 1.  The
+recurrence and double-ratio routes both read ``eigen_family``, of A* in the
+theta gauge and of A in the theta_star gauge; the series reads neither.  A
+check that reads a refused table (the series one: each check against another
+route) fails with a null residual, and a report column that reads it is null.
 
 Each subcommand body imports the library modules it runs (``leonard``,
 ``transition``, ``bethe``), so a launch compiles only those: ``spectrum``
@@ -223,8 +225,6 @@ def _table(route, *args):
         value = route(*args)
         for table in vars(value).values() if is_dataclass(value) else (value,):
             _refuse_past_binary64(table, "verify")
-    except GenericityError:
-        raise
     except ValueError:
         return None
     return value
@@ -281,7 +281,7 @@ def run_verify(cfg: RunConfig) -> dict:
                          np.max(np.abs(np.concatenate((R[0, :], R[:, 0])) - 1.0)), 1e-12))
     series = _table(lambda: R)  # the series table, refused past binary64 by the same test
     idx = np.arange(dim)
-    rec_table = _table(_recurrence_table, sp.theta_star, theta_basis.diagonals)
+    rec_table = _table(_recurrence_table, theta_basis)
     rac1, rac2 = (_table(racah_from_scalar_products, fam, idx[:, None], idx, form)
                   for form in ("rac1", "rac2"))
     scale = float(np.max(np.abs(R)))

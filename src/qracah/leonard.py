@@ -50,15 +50,13 @@ _FAMILY_TOL = 1e-6
 
 @dataclass(frozen=True)
 class TridiagonalRealization:
-    """Matrix pair for one gauge, its spectrum, and the (sub, diag, sup) of its
-    tridiagonal generator as :func:`_diagonals` gives them."""
+    """Matrix pair for one gauge and its spectrum."""
 
     gauge: str
     A_mat: np.ndarray
     Astar_mat: np.ndarray
     params: ModelParams
     spectrum: Spectrum
-    diagonals: tuple[list, list, list]
 
 
 @dataclass(frozen=True)
@@ -139,7 +137,7 @@ def _realize(gauge: str, p: ModelParams, sp: Spectrum) -> TridiagonalRealization
         A_mat, Astar_mat = tri, np.diag(sp.theta_star)
     else:
         A_mat, Astar_mat = np.diag(sp.theta), tri
-    return TridiagonalRealization(gauge, A_mat, Astar_mat, p, sp, (sub, diag, sup))
+    return TridiagonalRealization(gauge, A_mat, Astar_mat, p, sp)
 
 
 def _maxabs(m: np.ndarray) -> float:

@@ -2,10 +2,12 @@
 that fills them.
 
 The entries are values of a terminating q-hypergeometric polynomial family
-R_M evaluated on the second eigenvalue sequence.  Three independent
-evaluation routes are provided: the defining series, propagation of the
-three-term recurrence, and gauge-invariant double ratios of eigenvector
-scalar products.  Cross-route agreement is a primary correctness check.
+R_M evaluated on the second eigenvalue sequence.  Three evaluation routes
+are provided: the defining series; the recurrence route, whose columns are
+eigenvectors of A* in the theta gauge; and gauge-invariant double ratios of
+scalar products of eigenvectors of A in the theta_star gauge.  The last two
+share the kernel :func:`eigen_family` but not its matrix, and the series
+shares neither.  Cross-route agreement is a primary correctness check.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leonard import GAUGE_THETA, EigenFamily, _diagonals, build
-from .model import GenericityError, ModelParams, _dual, _q2_params, spectrum
+from .leonard import GAUGE_THETA, EigenFamily, TridiagonalRealization, build, eigen_family
+from .model import GenericityError, ModelParams, _dual, _q2_params
 from .qnum import phi43, qpoch
 
 __all__ = [
@@ -68,29 +70,22 @@ def racah_matrix(p: ModelParams) -> np.ndarray:
 
 
 def racah_by_recurrence(p: ModelParams) -> np.ndarray:
-    """Table built by propagating the three-term recurrence up from row 0.
-
-    Row 0 is all ones; row 1 inverts the recurrence at M = 0; higher rows
-    propagate with the tridiagonal coefficients.  Independent of the series
-    route except for sharing the coefficient formulas.
-    """
-    return _recurrence_table(spectrum(p).theta_star, _diagonals("Astar", p))
+    """Table whose column N is the minimal solution of the three-term
+    recurrence in M at theta_star[N]: the eigenvector of the theta-basis
+    tridiagonal generator, read off :func:`eigen_family` and scaled so that
+    row 0 is all ones."""
+    return _recurrence_table(build(p, GAUGE_THETA))
 
 
-def _recurrence_table(theta_star: np.ndarray, diagonals: tuple) -> np.ndarray:
-    """:func:`racah_by_recurrence` from theta_star and the theta-basis diagonals."""
-    sub, diag, sup = diagonals
-    D = len(theta_star)
-    R = np.ones((D, D), dtype=complex)
-    shifts = theta_star - np.array(diag)[:, None]  # row M: theta_star - diag[M]
-    for M in range(D - 1):
-        up = sup[M + 1]
-        if abs(up) <= _DEN_TOL:
-            raise GenericityError("racah_by_recurrence: vanishing up-coupling")
-        rhs = shifts[M] * R[M]
-        if M > 0:
-            rhs = rhs - sub[M] * R[M - 1]
-        R[M + 1] = rhs / up
+def _recurrence_table(theta_basis: TridiagonalRealization) -> np.ndarray:
+    """:func:`racah_by_recurrence` from the theta-basis realization; a zero
+    in row 0 is a ``ValueError``."""
+    right = eigen_family(theta_basis.Astar_mat, theta_basis.spectrum.theta_star).right
+    zero = np.flatnonzero(right[0] == 0)
+    if zero.size:
+        raise ValueError(f"racah_by_recurrence: vanishing row-0 entry at N = {zero[0]}")
+    R = right / right[0]
+    R[0] = 1.0
     return R
 
 

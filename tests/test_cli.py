@@ -22,7 +22,7 @@ from qracah.cli import (
 )
 
 from qracah.bethe import KINDS
-from qracah.leonard import build, eigen_family
+from qracah.leonard import GAUGE_THETA, build, eigen_family
 from qracah.model import spectrum
 from qracah.transition import build_transition, racah_from_scalar_products, racah_matrix
 
@@ -438,8 +438,8 @@ def test_racah_unknown_route_rejected(fast_cfg):
 
 def _overflow_config():
     # the shipped couplings with b at binary64's floor: the series table
-    # leaves binary64's range, the recurrence route refuses its vanishing
-    # up-coupling, and the double ratios meet a vanishing scalar product
+    # leaves binary64's range, an eigenvector of the recurrence route has a
+    # zero in row 0, and the double ratios meet a vanishing scalar product
     data = _base_config()
     c_star = 1e-300 * complex(*data["c"]) / complex(*data["b_star"])
     data["b"], data["c_star"] = [1e-300, 0.0], [c_star.real, c_star.imag]
@@ -461,11 +461,21 @@ def test_racah_refuses_a_table_past_binary64(fmt, tmp_path, capsys):
         assert capsys.readouterr() == (
             "", f"numerical failure: ValueError: racah series: non-finite table entry "
                 f"at (M, N) = {first}\n")
-        assert main(["racah", path, "--route", "recurrence"]) == 2
-        assert capsys.readouterr().out == ""
-        # verify's recurrence table meets the same genericity refusal: not a null table
-        assert main(["verify", path]) == 2
-        assert capsys.readouterr() == ("", "racah_by_recurrence: vanishing up-coupling\n")
+        real = build(load_config(path).params, GAUGE_THETA)
+        right = eigen_family(real.Astar_mat, real.spectrum.theta_star).right
+        zero = next(N for N in range(len(right)) if right[0, N] == 0)
+        assert main(["racah", path, "--route", "recurrence"]) == 1
+        assert capsys.readouterr() == (
+            "", f"numerical failure: ValueError: racah_by_recurrence: vanishing row-0 entry "
+                f"at N = {zero}\n")
+        # verify reads the same refusal as a null recurrence table
+        assert main(["verify", path]) == 1
+        out = capsys.readouterr().out
+        rep = _strict_json(out)
+        assert out == _dumps(rep)
+        check = next(c for c in rep["checks"] if c["name"] == "racah_series_vs_recurrence")
+        assert (check["residual"], check["pass"]) == (None, False)
+        assert all(r["recurrence_residual"] is None for r in rep["racah"])
         assert main(["racah", path, "--route", "double-ratio"]) == 1
         out, err = capsys.readouterr()
     assert out == ""
@@ -916,6 +926,13 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
 # seeded fuzz: every run ends in strict JSON or a refusal
 
 
+# 0-based draws whose up-couplings are small (|sup| 1.8e-40 to 4.1e-13) but
+# not degenerate, each with the exit code of ``racah --route recurrence``: at
+# two_s 32 (E = 100, draw 7) the eigen family refuses
+_SMALL_UP_COUPLING = {(20, 3): 0, (20, 26): 0, (100, 2): 0, (100, 7): 1, (100, 19): 0,
+                      (100, 26): 0, (100, 32): 0}
+
+
 @pytest.mark.parametrize("E", [6, 20, 100])
 def test_every_run_ends_in_strict_json_or_a_refusal(E, tmp_path, capsys):
     # a report, a numerical failure line, or a config or genericity refusal;
@@ -929,12 +946,17 @@ def test_every_run_ends_in_strict_json_or_a_refusal(E, tmp_path, capsys):
                     for r in ("series", "recurrence", "double-ratio")]
         commands += [["bethe", path, "--kind", "hom_minus", "--level", str(min(2, data["two_s"]))],
                      ["spectrum", path]]
-        commands += [["verify", path]] if data["two_s"] <= 8 else []
+        small = (E, i) in _SMALL_UP_COUPLING
+        commands += [["verify", path]] if data["two_s"] <= 8 or small else []
         for argv in commands:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 rc = main(argv)
             out, err = capsys.readouterr()
+            if small and argv[0] == "verify":  # a report, with at least one check failed
+                assert rc == 1 and out, (E, i, err)
+            if small and argv[-1] == "recurrence":
+                assert rc == _SMALL_UP_COUPLING[E, i] and bool(out) == (rc == 0), (E, i, err)
             if out:
                 assert rc in (0, 1), (argv, data)
                 report = _strict_json(out)

@@ -21,7 +21,7 @@ from qracah.leonard import (
 )
 from qracah.model import GenericityError, ModelParams, _dual, spectrum, structure_constants
 from qracah.qnum import QBase
-from qracah.transition import racah_by_recurrence, racah_from_scalar_products
+from qracah.transition import racah_from_scalar_products
 
 RNG = np.random.default_rng(2)
 AW_TOL = 1e-10
@@ -286,19 +286,6 @@ class TestBandedKernel:
             eigen_family(A, spectrum(p).theta)
 
 
-def _recurrence_by_coeff(p):
-    """racah_by_recurrence with every coefficient taken from coeff."""
-    D = p.dim
-    sp = spectrum(p)
-    R = np.ones((D, D), dtype=complex)
-    for M in range(D - 1):
-        rhs = (sp.theta_star - coeff("Astar", M, M, p)) * R[M]
-        if M > 0:
-            rhs = rhs - coeff("Astar", M, M - 1, p) * R[M - 1]
-        R[M + 1] = rhs / coeff("Astar", M, M + 1, p)
-    return R
-
-
 class TestCouplingsOnePass:
     @pytest.mark.parametrize("two_s", range(1, 33))
     def test_build_and_recurrence_equal_coeff_bitwise(self, two_s):
@@ -311,7 +298,6 @@ class TestCouplingsOnePass:
                 for col in range(max(0, row - 1), min(p.dim, row + 2)):
                     want[row, col] = coeff(kind, row, col, p)
             assert tri.tobytes() == want.tobytes()
-        assert racah_by_recurrence(p).tobytes() == _recurrence_by_coeff(p).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,25 @@ class TestRecurrenceRoute:
             p = _params(two_s)
             R1 = racah_matrix(p)
             R2 = racah_by_recurrence(p)
+            assert np.all(R2[0] == 1.0)
             assert np.max(np.abs(R1 - R2) / np.maximum(1.0, np.abs(R1))) <= CROSS_TOL
+
+    @pytest.mark.parametrize("two_s", [8, 12, 16, 24, 32])
+    def test_every_entry_keeps_twelve_digits(self, two_s):
+        # against the benchmark's mpmath reference, past the two_s at which
+        # the series and a forward propagation of the recurrence lose them
+        ref = bench_reference()
+        for p in draw_many(two_s, 4, 900 + two_s):
+            assert ref.entry_digits(racah_by_recurrence(p), ref.racah_reference(p)).min() >= 12.0
+
+    # fuzz draws whose up-couplings are small (|sup| 1.8e-40 to 4.1e-13) but
+    # not degenerate
+    @pytest.mark.parametrize("E, i", [(20, 3), (20, 26), (100, 2), (100, 19), (100, 26),
+                                      (100, 32)])
+    def test_small_up_couplings_keep_twelve_digits(self, E, i):
+        ref = bench_reference()
+        p = _fuzz_draw(E, i)
+        assert ref.entry_digits(racah_by_recurrence(p), ref.racah_reference(p)).min() >= 12.0
 
 
 class TestNormalizers:
