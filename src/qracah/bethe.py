@@ -39,11 +39,12 @@ repeated runs return byte-identical results.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (KINDS, ModelParams, SolverConfig, Spectrum, StructureConstants, spectrum,
+from .model import (KINDS, ModelParams, SolverConfig, Spectrum, StructureConstants, _eye, spectrum,
                     structure_constants)
 from .qnum import qnumber
 
@@ -68,10 +69,17 @@ __all__ = [
 HOM_KINDS = KINDS[:2]
 INHOM_KINDS = KINDS[2:]
 
+
+def _frozen(values) -> np.ndarray:
+    a = np.array(values)
+    a.flags.writeable = False
+    return a
+
+
 # per kind, indexed like KINDS: the sign eps entering its vacuum eigenvalue
 # pair, and its family (0 homogeneous, 1 direct and 2 dual inhomogeneous)
-_EPS = (-1, 1, 1, -1, 1, -1)
-_FAMILY = (0, 0, 1, 1, 2, 2)
+_EPS = _frozen((-1, 1, 1, -1, 1, -1))
+_FAMILY = _frozen((0, 0, 1, 1, 2, 2))
 
 # which eigenvalue sequence an on-shell root set reproduces
 TARGET_SPECTRUM = {
@@ -82,7 +90,7 @@ TARGET_SPECTRUM = {
     "dual_inhom_plus": "theta",
     "dual_inhom_minus": "theta_star",
 }
-_THETA = tuple(TARGET_SPECTRUM[kind] == "theta" for kind in KINDS)
+_THETA = _frozen([TARGET_SPECTRUM[kind] == "theta" for kind in KINDS])
 
 
 class PoleError(ValueError):
@@ -184,13 +192,14 @@ def _inh_product(u, p: ModelParams) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     shape = (n + 1,) + (1,) * u.ndim
     xz = np.array([x * p.zeta for x in ladder]).reshape(shape)
-    factors = np.stack([_b(xz * u), _b(np.array(ladder).reshape(shape) * u / p.zeta)], axis=1)
+    fz, fu = _b(xz * u), _b(np.array(ladder).reshape(shape) * u / p.zeta)
     # one elementwise product per factor, not np.multiply.reduce: numpy
     # rounds the reduction of a single point without fused multiply-adds, so
     # that point alone would differ in its last bit from itself in an array
-    out = np.ones(u.shape, dtype=complex)
-    for f in factors.reshape((-1,) + u.shape):
-        out = out * f
+    out = np.empty(u.shape, dtype=complex)
+    out.fill(1.0)
+    for a, b in zip(fz, fu):
+        out = out * a * b
     return out
 
 
@@ -214,9 +223,13 @@ def _root_products(u: np.ndarray, U: np.ndarray, q, skip_self: bool) -> np.ndarr
     w, v = u[:, :, None], U[:, None, :]
     skip = ~np.isfinite(v)
     if skip_self:
-        skip = skip | np.eye(U.shape[1], dtype=bool)
-    pairs = np.stack([_f(w, v, q), _h(w, v, q), _b(w / v) * _b(q * w * v)])
-    return np.where(skip, 1.0, pairs).prod(axis=-1)
+        skip = skip | _eye(U.shape[1], bool)
+    # _f, _h and the denominator written out, each shared factor formed once
+    qw = q * w
+    b_qwv, b_wv = _b(qw * v), _b(w / v)
+    f = _b(q * v / w) * _b(w * v) / (_b(v / w) * b_qwv)
+    h = _b(q * q * w * v) * _b(qw / v) / (b_qwv * b_wv)
+    return np.where(skip, 1.0, np.array([f, h, b_wv * b_qwv])).prod(axis=-1)
 
 
 def _nu(p: ModelParams) -> np.ndarray:
@@ -233,7 +246,7 @@ def _residual_batch(kind, U: np.ndarray, p: ModelParams):
     of every row, or is an array of per-row indices into KINDS."""
     k = np.full(len(U), KINDS.index(kind)) if isinstance(kind, str) else kind
     q = p.base.q
-    eps, fam = np.array(_EPS)[k][:, None], np.array(_FAMILY)[k][:, None]
+    eps, fam = _EPS[k][:, None], _FAMILY[k][:, None]
     hom = fam == 0
     # U**eps in a direct kind's first term, U**-eps in a dual one's; the
     # second term carries the opposite power of q*q*U**3
@@ -278,8 +291,8 @@ def residual(sys: BetheSystem, roots, i: int) -> complex:
         raise ValueError(f"residual: equation index {i} outside 0..{sys.level - 1}")
     p = sys.params
     q = p.base.q
-    scale = max(1.0, float(np.max(np.abs(roots))))
-    if np.min(np.abs(roots)) < 1e-150:
+    scale = max(1.0, float(np.abs(roots).max()))
+    if np.abs(roots).min() < 1e-150:
         raise PoleError("residual: root too close to 0")
     if abs(_b(q * roots[i] ** 2)) < 1e-12 * scale:
         raise PoleError("residual: vacuum pole at root")
@@ -400,15 +413,14 @@ def _probe_points(U: np.ndarray, p: ModelParams) -> np.ndarray:
     """Indices into _probe_candidates of the first _PROBE_COUNT candidates
     that keep clear of the poles of each root set, row s of U, shape
     (len(U), _PROBE_COUNT), -1 where a row has too few.  Pads block no
-    candidate."""
+    candidate.  Callers hold the numpy error state."""
     q = p.base.q
     u = _probe_candidates()
     w, v = u[:, None], U[:, None, :]
-    with np.errstate(all="ignore"):
-        clear = ((np.abs(_b(w / v)) > 1e-3) & (np.abs(_b(q * w * v)) > 1e-3)) | ~np.isfinite(v)
+    clear = ((np.abs(_b(w / v)) > 1e-3) & (np.abs(_b(q * w * v)) > 1e-3)) | ~np.isfinite(v)
     free = clear.all(axis=2) & (
         np.abs([_b(u * u), _b(q * u * u), _b(q * q * u * u)]) > 1e-3).all(axis=0)
-    first = np.argsort(~free, axis=1, kind="stable")[:, :_PROBE_COUNT]
+    first = (~free).argsort(axis=1, kind="stable")[:, :_PROBE_COUNT]
     return np.where(np.arange(_PROBE_COUNT) < free.sum(axis=1)[:, None], first, -1)
 
 
@@ -424,14 +436,15 @@ def eigenvalue_from_roots(sys: BetheSystem, roots) -> complex:
     if roots.shape != (sys.level,) or not np.isfinite(roots).all():
         raise ValueError(f"eigenvalue_from_roots: expected {sys.level} finite roots")
     p = sys.params
-    if sys.kind in HOM_KINDS and (_probe_points(roots[None, :], p) < 0).any():
-        raise ValueError(
-            f"eigenvalue_from_roots: fewer than {_PROBE_COUNT} of the {_PROBE_POOL} "
-            "probe candidates keep clear of the poles of these roots"
-        )
-    k = np.array([KINDS.index(sys.kind)])
-    probe = _tq_table(k, _probe_candidates(), p, structure_constants(p))
-    (lam,), (spread,) = _eigenvalues(k, roots[None, :], p, probe)
+    with np.errstate(all="ignore"):
+        if sys.kind in HOM_KINDS and (_probe_points(roots[None, :], p) < 0).any():
+            raise ValueError(
+                f"eigenvalue_from_roots: fewer than {_PROBE_COUNT} of the {_PROBE_POOL} "
+                "probe candidates keep clear of the poles of these roots"
+            )
+        k = np.array([KINDS.index(sys.kind)])
+        probe = _tq_table(k, _probe_candidates(), p, structure_constants(p))
+        (lam,), (spread,) = _eigenvalues(k, roots[None, :], p, probe)
     if not spread <= _PROBE_TOL:
         raise ValueError(
             "eigenvalue_from_roots: probe dependence above tolerance "
@@ -445,11 +458,10 @@ def _probe_values(U: np.ndarray, p: ModelParams, probe: np.ndarray) -> np.ndarra
     _PROBE_COUNT probe points (those of _probe_points), shape
     (len(U), _PROBE_COUNT), NaN where no probe points can be placed.  probe
     holds each row's (A, D, C, T) at the probe candidates, shape
-    (4, len(U), _PROBE_POOL)."""
+    (4, len(U), _PROBE_POOL).  Callers hold the numpy error state."""
     at = _probe_points(U, p)
     coeffs = probe[:, np.arange(len(U))[:, None], at]
-    with np.errstate(all="ignore"):
-        vals = _tq_values(coeffs, _probe_candidates()[at], U, p.base.q)
+    vals = _tq_values(coeffs, _probe_candidates()[at], U, p.base.q)
     return np.where((at >= 0).all(axis=1)[:, None], vals, np.nan)
 
 
@@ -457,17 +469,17 @@ def _eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams, probe: np.ndarray
     """Eigenvalue reconstructed from each root set, row s of U of the kind
     KINDS[k[s]], and the relative spread of its probe-point values: the
     first value for a homogeneous kind, the closed form (spread 0) for an
-    inhomogeneous one.  probe is as in _probe_values."""
+    inhomogeneous one.  probe is as in _probe_values.  Callers hold the
+    numpy error state."""
     lam = np.empty(len(U), dtype=complex)
     spread = np.zeros(len(U))
-    inh = np.array(_FAMILY)[k] > 0
+    inh = _FAMILY[k] > 0
     lam[inh] = _closed_form_eigenvalues(k[inh], U[inh], p)
-    hom = np.flatnonzero(~inh)
+    hom = (~inh).nonzero()[0]
     vals = _probe_values(U[hom], p, probe[:, hom])
     lam[hom] = vals[:, 0]
-    with np.errstate(invalid="ignore"):
-        spread[hom] = (np.abs(vals[:, :, None] - vals[:, None, :]).max(axis=(1, 2))
-                       / np.maximum(1.0, np.abs(vals[:, 0])))
+    spread[hom] = (np.abs(vals[:, :, None] - vals[:, None, :]).max(axis=(1, 2))
+                   / np.maximum(1.0, np.abs(vals[:, 0])))
     return lam, spread
 
 
@@ -508,8 +520,8 @@ def _tq_table(kinds, u, p: ModelParams, sc: StructureConstants) -> np.ndarray:
     k = np.asarray(kinds)
     u = np.asarray(u, dtype=complex)
     shape = (len(k),) + (1,) * u.ndim
-    eps = np.array(_EPS)[k].reshape(shape)
-    fam = np.array(_FAMILY)[k].reshape(shape)
+    eps = _EPS[k].reshape(shape)
+    fam = _FAMILY[k].reshape(shape)
     hom, dual = fam == 0, fam == 2
     b2 = _b(u * u)
     l1 = _lam1(eps, u, p) / (b2 * _b(q * u * u))
@@ -517,16 +529,16 @@ def _tq_table(kinds, u, p: ModelParams, sc: StructureConstants) -> np.ndarray:
     l2 = _lam2(eps, u, p) / d2
     # homogeneous: u**eps on both terms; direct: u**(3*eps) and
     # q**(-2*eps)*u**(-eps); dual: u**(-eps) and q**(2*eps)*u**(3*eps)
-    A = np.where(hom, _sel(eps, u**1, u**-1),
-                 np.where(dual, _sel(eps, u**-1, u**1), _sel(eps, u**3, u**-3))) * l1
-    D = np.where(hom, _sel(eps, u**1, u**-1),
-                 np.where(dual, _sel(eps, q**2 * u**3, q**-2 * u**-3),
-                          _sel(eps, q**-2 * u**-1, q**2 * u**1))) * l2
+    u1, um1, u3, um3 = u**1, u**-1, u**3, u**-3
+    u_eps = _sel(eps, u1, um1)
+    A = np.where(hom, u_eps, np.where(dual, _sel(eps, um1, u1), _sel(eps, u3, um3))) * l1
+    D = np.where(hom, u_eps, np.where(dual, _sel(eps, q**2 * u3, q**-2 * um3),
+                                  _sel(eps, q**-2 * um1, q**2 * u1))) * l2
     C = np.where(hom, 0.0, -_nu(p)[k].reshape(shape) * _inh_product(u, p))
-    tail = np.where(np.array(_THETA)[k].reshape(shape),
+    tail = np.where(_THETA[k].reshape(shape),
                     q * u * _etabar(u, sc, q) + _etabar(1.0 / u, sc, q) / (q * u),
                     q * u * _etabar(1.0 / u, sc, q) + _etabar(u, sc, q) / (q * u))
-    return np.stack(np.broadcast_arrays(A, D, C, tail / d2))
+    return np.array([A, D, C, tail / d2])
 
 
 def _lstsq(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -554,7 +566,8 @@ def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
     SVD.  Each W root is inverted to one of its four u representatives
     (u, -u, 1/(q*u), -1/(q*u)), all of which solve the Bethe equations.
     A row whose scaled matrix or fitted coefficients are not finite gets
-    NaN roots; the other rows do not depend on it.
+    NaN roots; the other rows do not depend on it.  Callers hold the numpy
+    error state.
     """
     S = len(lams)
     q = p.base.q
@@ -562,29 +575,30 @@ def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
     powers = np.arange(L + 1)
     present = np.zeros(len(KINDS), dtype=bool)
     present[k] = True
-    kinds, of_row = np.flatnonzero(present), np.cumsum(present)[k] - 1
-    with np.errstate(all="ignore"):
-        Wk = _w(u, q)[:, None] ** powers
-        Wm, Wp = _w(u / q, q)[:, None] ** powers, _w(q * u, q)[:, None] ** powers
-        A, D, C, T = coeffs[:, kinds]
-        base = (A[:, :, None] * Wm + D[:, :, None] * Wp)[of_row]
-        basis = base + (T[of_row] - lams[:, None])[:, :, None] * Wk
-        M, rhs = basis[:, :, :L], -(basis[:, :, L] + C[of_row])
-        row = np.maximum(np.abs(M).max(axis=2), np.abs(rhs))
-        ok = np.isfinite(row) & (row > 0)  # zeroes the rows of a sample point on a pole
-        M = np.where(ok[:, :, None], M / row[:, :, None], 0.0)
-        rhs = np.where(ok, rhs / row, 0.0)
-        col = np.linalg.norm(M, axis=1)
-        M = M / col[:, None, :]
-        fit = np.isfinite(M).all(axis=(1, 2))  # rhs is finite: |rhs| <= row
-        coef = np.full((S, L), np.nan, dtype=complex)
-        if fit.any():
-            coef[fit] = _lstsq(M[fit], rhs[fit]) / col[fit]
+    kinds, of_row = present.nonzero()[0], present.cumsum()[k] - 1
+    Wk = _w(u, q)[:, None] ** powers
+    Wm, Wp = _w(u / q, q)[:, None] ** powers, _w(q * u, q)[:, None] ** powers
+    A, D, C, T = coeffs[:, kinds]
+    base = (A[:, :, None] * Wm + D[:, :, None] * Wp)[of_row]
+    basis = base + (T[of_row] - lams[:, None])[:, :, None] * Wk
+    M, rhs = basis[:, :, :L], -(basis[:, :, L] + C[of_row])
+    row = np.maximum(np.abs(M).max(axis=2), np.abs(rhs))
+    ok = np.isfinite(row) & (row > 0)  # zeroes the rows of a sample point on a pole
+    M = np.where(ok[:, :, None], M / row[:, :, None], 0.0)
+    rhs = np.where(ok, rhs / row, 0.0)
+    col = np.linalg.norm(M, axis=1)
+    M = M / col[:, None, :]
+    fit = np.isfinite(M).all(axis=(1, 2))  # rhs is finite: |rhs| <= row
+    coef = np.empty((S, L), dtype=complex)
+    coef.fill(np.nan)
+    if fit.any():
+        coef[fit] = _lstsq(M[fit], rhs[fit]) / col[fit]
     fit &= np.isfinite(coef).all(axis=1)
     companion = np.zeros((S, L, L), dtype=complex)
     companion[:, 0, :] = -coef[:, ::-1]
     companion[:, np.arange(1, L), np.arange(L - 1)] = 1.0
-    w = np.full((S, L), np.nan, dtype=complex)
+    w = np.empty((S, L), dtype=complex)
+    w.fill(np.nan)
     if fit.any():
         w[fit] = np.linalg.eigvals(companion[fit])
     # y + 1/y = w with y = q*u**2; take the root with |y| >= 1, free of
@@ -622,7 +636,7 @@ def _canonical_roots(U: np.ndarray) -> np.ndarray:
     """Each row with every root moved to the right half plane, then sorted."""
     flip = (U.real < 0) | ((U.real == 0) & (U.imag < 0))
     V = np.where(flip, -U, U)
-    return np.take_along_axis(V, np.lexsort((V.imag, V.real)), axis=-1)
+    return V[np.arange(len(V))[:, None], np.lexsort((V.imag, V.real))]
 
 
 def _scaled_residual(kind, U: np.ndarray, p: ModelParams) -> np.ndarray:
@@ -648,7 +662,7 @@ def _polish(k: np.ndarray, U: np.ndarray, p: ModelParams, tol: float):
     for L in sorted(set(count[res > tol].tolist())):
         live = (count == L) & (res > tol)
         for _ in range(_POLISH_STEPS):
-            rows = np.flatnonzero(live)
+            rows = live.nonzero()[0]
             if rows.size == 0:
                 break
             V = U[rows, :L]
@@ -674,30 +688,31 @@ def _solutions(systems: list[BetheSystem], U: np.ndarray, res: np.ndarray, p: Mo
     columns ends in pads.  probe is the TQ table of every kind at the probe
     candidates; the eigenvalues of all rows are reconstructed at once and
     matched in one broadcast.  Only homogeneous rows may be padded: the
-    closed form's sum is not exact under pads."""
+    closed form's sum is not exact under pads.  Callers hold the numpy
+    error state."""
     S, L = U.shape
     k = np.array([KINDS.index(s.kind) for s in systems], dtype=int)
     pad = ~np.isfinite(U)
     count = L - pad.sum(axis=1)
-    with np.errstate(all="ignore"):
-        sym = np.where(pad, np.inf, symmetrize_roots(U, p))
-        sym = np.take_along_axis(sym, np.lexsort((sym.imag, sym.real)), axis=-1)
-        skip = np.eye(L, dtype=bool) | pad[:, :, None] | pad[:, None, :]
-        gaps = np.where(skip, np.inf, np.abs(sym[:, :, None] - sym[:, None, :]))
-        vacuum = np.where(pad, np.inf, np.abs(_b(U**2)))
+    sym = np.where(pad, np.inf, symmetrize_roots(U, p))
+    sym = sym[np.arange(S)[:, None], np.lexsort((sym.imag, sym.real))]
+    skip = _eye(L, bool) | pad[:, :, None] | pad[:, None, :]
+    gaps = np.where(skip, np.inf, np.abs(sym[:, :, None] - sym[:, None, :]))
+    vacuum = np.where(pad, np.inf, np.abs(_b(U**2)))
     size = np.where(pad, 0.0, np.abs(sym)).max(axis=1, initial=0.0)
     adm = (
         (np.abs(U).min(axis=1, initial=np.inf) > cfg.dedup_tol)
         & (vacuum.min(axis=1, initial=np.inf) > cfg.dedup_tol)
         & (gaps.min(axis=(1, 2), initial=np.inf) > cfg.dedup_tol * np.maximum(1.0, size))
     )
-    rows = np.flatnonzero(adm)
-    lam = np.full(S, np.nan, dtype=complex)
+    rows = adm.nonzero()[0]
+    lam = np.empty(S, dtype=complex)
+    lam.fill(np.nan)
     lam[rows], spread = _eigenvalues(k[rows], U[rows], p, probe[:, k[rows]])
     adm[rows] = spread <= _PROBE_TOL
-    targets = np.where(np.array(_THETA)[k][:, None], sp.theta, sp.theta_star)
+    targets = np.where(_THETA[k][:, None], sp.theta, sp.theta_star)
     d = np.abs(targets - lam[:, None]) / np.maximum(1.0, np.abs(targets))
-    idx = np.argmin(d, axis=1)
+    idx = d.argmin(1)
     err = np.where(adm, d[np.arange(S), idx], np.inf)
     hit = err <= cfg.match_tol
     return [BetheSolution(
@@ -728,7 +743,10 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     system and target order, each with its system, its admissibility and
     the spectrum entry its roots reproduce through ``eigenvalue_from_roots``.
     The result is deterministic, and a root set does not depend on the
-    other systems solved with it.
+    other systems solved with it.  The fit and the match each run under
+    one numpy error state that ignores floating-point errors, where a
+    non-finite value ends as a row that fails its fit or its match; the
+    polish holds its own around each residual evaluation.
     """
     systems = [sys] if isinstance(sys, BetheSystem) else list(sys)
     p = systems[0].params
@@ -738,9 +756,6 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     levels = sorted({s.level for s in systems})
     widths = [4 * L + 8 if L else 0 for L in levels]
     points = [_sample_points(w) for w in widths] + [_probe_candidates()]
-    with np.errstate(all="ignore"):
-        table = _tq_table(range(len(KINDS)), np.concatenate(points), p, sc)
-    probe = table[:, :, -_PROBE_POOL:]
     rows, lams = [], []
     for L in levels:
         for s in systems:
@@ -750,16 +765,20 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
                 rows += [s] * len(lams[-1])
     k = np.array([KINDS.index(s.kind) for s in rows])
     lams, count = np.concatenate(lams), np.array([s.level for s in rows])
-    U = np.full((len(rows), levels[-1]), np.inf, dtype=complex)
-    for L, start, width in zip(levels, np.cumsum([0] + widths), widths):
-        if L:
-            at = count == L
-            U[at, :L] = _tq_roots(k[at], lams[at], L, p, table[:, :, start:start + width])
-    fit = np.flatnonzero(np.isfinite(U).sum(axis=1) == count)
+    U = np.empty((len(rows), levels[-1]), dtype=complex)
+    U.fill(np.inf)
+    with np.errstate(all="ignore"):
+        table = _tq_table(range(len(KINDS)), np.concatenate(points), p, sc)
+        for L, start, width in zip(levels, itertools.accumulate(widths, initial=0), widths):
+            if L:
+                at = count == L
+                U[at, :L] = _tq_roots(k[at], lams[at], L, p, table[:, :, start:start + width])
+    fit = (np.isfinite(U).sum(axis=1) == count).nonzero()[0]
     U, res = _polish(k[fit], U[fit], p, cfg.tol)
     on_shell = res <= cfg.tol
-    return _solutions([rows[i] for i in fit[on_shell]], U[on_shell], res[on_shell],
-                      p, sp, cfg, probe)
+    with np.errstate(all="ignore"):
+        return _solutions([rows[i] for i in fit[on_shell]], U[on_shell], res[on_shell],
+                          p, sp, cfg, table[:, :, -_PROBE_POOL:])
 
 
 def coverage(kind: str, p: ModelParams,

@@ -32,14 +32,17 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, is_dataclass
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from .model import KINDS, GenericityError, ModelParams, SolverConfig, spectrum, validate_genericity
+from .model import (KINDS, GenericityError, ModelParams, SolverConfig, _eye, spectrum,
+                    validate_genericity)
 from .qnum import QBase
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "run_verify",
@@ -194,10 +197,11 @@ def _instance_block(cfg: RunConfig) -> dict:
 
 
 def _check(name: str, residual, threshold: float) -> dict:
-    """One check's record; ``residual``, folded by ``np.max`` (which keeps a
-    NaN), is null and fails when not finite or None (a refused table)."""
-    residual = np.nan if residual is None else float(residual)
-    finite = np.isfinite(residual)
+    """One check's record; ``residual``, folded by ``ndarray.max`` (which
+    keeps a NaN), is null and fails when not finite or None (a refused
+    table)."""
+    residual = math.nan if residual is None else float(residual)
+    finite = math.isfinite(residual)
     return {
         "name": name,
         "residual": residual if finite else None,
@@ -261,57 +265,60 @@ def run_verify(cfg: RunConfig) -> dict:
         (*verify_aw(real), *verify_cayley_hamilton(real)))]
 
     fam = _table(eigen_family, real.A_mat, sp.theta)
-    checks.append(_check("eigenvector_residual_A", None if fam is None else np.max(fam.residuals),
+    checks.append(_check("eigenvector_residual_A", None if fam is None else fam.residuals.max(),
                          tol))
 
     td = build_transition(p)
     dim = p.dim
-    checks.append(_check("pinv_p_identity", np.max(np.abs(td.Pinv @ td.P - np.eye(dim))), tol))
-    checks.append(_check("p_pinv_identity", np.max(np.abs(td.P @ td.Pinv - np.eye(dim))), tol))
-    a_max = np.max(np.abs(real.A_mat))
-    col_res = [float(np.max(np.abs(real.A_mat @ v - theta * v))) / float(a_max * np.max(np.abs(v)))
+    eye = _eye(dim)
+    checks.append(_check("pinv_p_identity", np.abs(td.Pinv @ td.P - eye).max(), tol))
+    checks.append(_check("p_pinv_identity", np.abs(td.P @ td.Pinv - eye).max(), tol))
+    a_max = np.abs(real.A_mat).max()
+    col_res = [float(np.abs(real.A_mat @ v - theta * v).max()) / float(a_max * np.abs(v).max())
                for theta, v in zip(sp.theta, td.Pinv.T)]
-    checks.append(_check("pinv_columns_eigenvectors", np.max(col_res), tol))
+    checks.append(_check("pinv_columns_eigenvectors", np.array(col_res).max(), tol))
 
     R = td.R
     checks += [_check(name, res, tol) for name, res in zip(
         ("recurrence", "q_difference", "orthogonality_rows", "orthogonality_columns"),
         (*_recurrence_residuals(R, theta_basis, real), *orthogonality_residuals(td)))]
     checks.append(_check("racah_first_row_col",
-                         np.max(np.abs(np.concatenate((R[0, :], R[:, 0])) - 1.0)), 1e-12))
+                         np.abs(np.concatenate((R[0, :], R[:, 0])) - 1.0).max(), 1e-12))
     series = _table(lambda: R)  # the series table, refused past binary64 by the same test
     idx = np.arange(dim)
     rec_table = _table(_recurrence_table, theta_basis)
     rac1, rac2 = (_table(racah_from_scalar_products, fam, idx[:, None], idx, form)
                   for form in ("rac1", "rac2"))
-    scale = float(np.max(np.abs(R)))
+    scale = float(np.abs(R).max())
     gaps = [_table(lambda S, T: np.abs(S - T) / scale, series, T) for T in (rec_table, rac1, rac2)]
-    checks += [_check(f"racah_series_vs_{name}", None if gap is None else np.max(gap), tol)
+    checks += [_check(f"racah_series_vs_{name}", None if gap is None else gap.max(), tol)
                for name, gap in zip(("recurrence", "rac1", "rac2"), gaps)]
     # row-major cells; each residual by Python's abs, whose last bit np.abs may round apart
     none = [None] * dim**2
     series_col, ratio_col = (none if T is None else _ser(T.ravel()) for T in (series, rac1))
     res_col = none if gaps[0] is None else [float(abs(d) / scale) for d in (R - rec_table).flat]
     racah_rows = [{"M": M, "N": N, "series": s, "double_ratio": d, "recurrence_residual": r}
-                  for (M, N), s, d, r in zip(np.ndindex(dim, dim), series_col, ratio_col, res_col)]
+                  for (M, N), s, d, r in zip(itertools.product(range(dim), repeat=2), series_col,
+                                             ratio_col, res_col)]
 
     bethe_rows = []
     for kind, found in sweep(p, cfg.solver).items():
         for index, s in enumerate(found):
             hit = s is not None
+            z = s.reconstructed_eigenvalue if hit else None
             bethe_rows.append({
                 "kind": kind,
                 "index": index,
                 "hit": hit,
                 "roots": _ser(s.roots) if hit else None,
                 "symmetrized": _ser(s.symmetrized) if hit else None,
-                "eigenvalue": _ser(s.reconstructed_eigenvalue) if hit else None,
+                "eigenvalue": [z.real, z.imag] if hit else None,
                 "matched_index": s.matched_index if hit else None,
                 "residual": float(s.residual_max) if hit else None,
                 "match_error": float(s.match_error) if hit else None,
             })
         checks.append(_check(f"bethe_coverage_{kind}",
-                             np.max([np.inf if s is None else s.match_error for s in found]),
+                             np.array([np.inf if s is None else s.match_error for s in found]).max(),
                              cfg.solver.match_tol))
 
     return {
@@ -359,13 +366,14 @@ def run_bethe(cfg: RunConfig, kind: str, level: int) -> list[dict]:
     for s in solve(system, cfg.solver):
         if s.matched_index is None:
             continue
+        z = s.reconstructed_eigenvalue
         rows.append({
             "kind": kind,
             "level": level,
             "roots": _ser(s.roots),
             "symmetrized": _ser(s.symmetrized),
             "residual": float(s.residual_max),
-            "eigenvalue": _ser(s.reconstructed_eigenvalue),
+            "eigenvalue": [z.real, z.imag],
             "matched_index": s.matched_index,
             "match_error": float(s.match_error),
         })
@@ -411,6 +419,12 @@ def _reprs(column: list) -> list[str]:
     return text.split(", ") if column else []
 
 
+@functools.cache
+def _key_text(key: str) -> str:
+    """The JSON text of object key ``key`` and its colon, ``%`` escaped."""
+    return _json_str(key).replace("%", "%%") + ": "
+
+
 def _json_text(value, pad: str, put) -> str:
     """``json.dumps(value, indent=2)`` nested at ``pad``, with ``%s`` for each
     number, which is passed to ``put``; a numpy scalar raises ``ValueError``."""
@@ -436,7 +450,7 @@ def _json_text(value, pad: str, put) -> str:
             else:
                 items.append(_json_text(v, inner, put))
         if t is dict:
-            items = [f"{_json_str(k).replace('%', '%%')}: {item}" for k, item in zip(value, items)]
+            items = [_key_text(k) + item for k, item in zip(value, items)]
         return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
     if t is str:
         return _json_str(value).replace("%", "%%")

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GenericityError, ModelParams, Spectrum, _dual, spectrum, structure_constants
+from .model import (GenericityError, ModelParams, Spectrum, _dual, _eye, spectrum,
+                    structure_constants)
 
 __all__ = [
     "GAUGE_THETA_STAR",
@@ -141,7 +142,7 @@ def _realize(gauge: str, p: ModelParams, sp: Spectrum) -> TridiagonalRealization
 
 
 def _maxabs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m)))
+    return float(np.abs(m).max())
 
 
 def verify_aw(real: TridiagonalRealization, sc=None) -> tuple[float, float]:
@@ -155,7 +156,7 @@ def verify_aw(real: TridiagonalRealization, sc=None) -> tuple[float, float]:
         sc = structure_constants(real.params)
     q = real.params.base.q
     kappa = q**2 + q**-2
-    eye = np.eye(real.params.dim)
+    eye = _eye(real.params.dim)
     out = []
     for X, Y, eta in (
         (real.A_mat, real.Astar_mat, sc.eta),
@@ -177,7 +178,7 @@ def verify_cayley_hamilton(real: TridiagonalRealization) -> tuple[float, float]:
     D = real.params.dim
     out = []
     for mat, vals in ((real.A_mat, sp.theta), (real.Astar_mat, sp.theta_star)):
-        prod = np.eye(D, dtype=complex)
+        prod = _eye(D, complex)
         scale, size = 1.0, _maxabs(mat)
         for lam in vals:
             shifted = mat.copy()
@@ -209,44 +210,48 @@ def eigen_family(matrix: np.ndarray, values: np.ndarray) -> EigenFamily:
     matrix = np.asarray(matrix, dtype=complex)
     values = np.asarray(values, dtype=complex)
     D = matrix.shape[0]
-    i, j = np.divmod(np.flatnonzero(matrix), D)
-    out = np.flatnonzero(np.abs(i - j) > 1)
+    i, j = np.divmod(matrix.ravel().nonzero()[0], D)
+    out = (np.abs(i - j) > 1).nonzero()[0]
     if out.size:
         raise ValueError(f"eigen_family: entry ({i[out[0]]}, {j[out[0]]}) lies outside the "
                          "tridiagonal band")
-    scale = max(_maxabs(matrix), float(np.max(np.abs(values))), 1e-300)
+    scale = max(_maxabs(matrix), _maxabs(values), 1e-300)
     # sub[k] = T[k + 1, k], sup[k] = T[k, k + 1]; column j of dg is the diagonal
     # of B for value j.  sub*sup is summed both ways round: a fused complex
     # product is not commutative, and T and its transpose must share pivots.
-    sub, sup = np.diagonal(matrix, -1), np.diagonal(matrix, 1)
-    ss = 0.5 * (sub * sup + sup * sub)
-    dg = np.diagonal(matrix)[:, None] - values
-    # row m of piv holds the forward pivot m and the backward pivot D-1-m
-    piv, ss = np.stack((dg, dg[::-1]), 1), np.stack((ss, ss[::-1]), 1)[:, :, None]
+    sub, sup = matrix.diagonal(-1), matrix.diagonal(1)
+    dg = matrix.diagonal()[:, None] - values
+    # row m of piv holds the forward pivot m and the backward pivot D-1-m,
+    # and row m of ss the products that enter each
+    piv, ss = np.empty((D, 2, D), dtype=complex), np.empty((D - 1, 2, 1), dtype=complex)
+    piv[:, 0], piv[:, 1] = dg, dg[::-1]
     k, cols = np.arange(D)[:, None], np.arange(D)
     vectors = []
     with np.errstate(all="ignore"):
+        ss[:, 0, 0] = 0.5 * (sub * sup + sup * sub)
+        ss[:, 1] = ss[::-1, 0]
         for m in range(1, D):
             piv[m] -= ss[m - 1] / piv[m - 1]
         fwd, bwd = piv[:, 0], piv[::-1, 1]
         gamma = np.abs(fwd + bwd - dg)
-        twist = np.argmin(np.where(np.isfinite(gamma), gamma, np.inf), axis=0)
+        twist = np.where(np.isfinite(gamma), gamma, np.inf).argmin(0)
         above, below = k[:-1] < twist, k[1:] > twist
         for up, down in ((sup, sub), (sub, sup)):  # right vectors, then left ones
-            x = np.ones((D, D), dtype=complex)
+            x = np.empty((D, D), dtype=complex)
+            x[-1] = 1.0
             x[:-1] = np.where(above, -up[:, None] / fwd[:-1], 1.0)[::-1].cumprod(0)[::-1]
             x[1:] *= np.where(below, -down[:, None] / bwd[1:], 1.0).cumprod(0)
             if not np.isfinite(x).all():
                 raise ValueError("eigen_family: shifted solve failed to produce a vector")
-            pin = np.argmax(np.abs(x), axis=0)
+            pin = np.abs(x).argmax(0)
             x = x / x[pin, cols]
             x[pin, cols] = 1.0
             vectors.append(x)
         right, left = vectors[0], vectors[1].T
-        r_right = np.max(np.abs(matrix @ right - right * values), axis=0) / scale
-        r_left = np.max(np.abs(left @ matrix - values[:, None] * left), axis=1) / scale
+        r_right = np.abs(matrix @ right - right * values).max(0) / scale
+        r_left = np.abs(left @ matrix - values[:, None] * left).max(1) / scale
     residuals = np.maximum(r_right, r_left)
-    bad = np.flatnonzero(~(residuals <= _FAMILY_TOL))
+    bad = (~(residuals <= _FAMILY_TOL)).nonzero()[0]
     if bad.size:
         raise ValueError(f"eigen_family: shifted system at value index {bad[0]} is not "
                          f"rank-deficient within tolerance (residual {residuals[bad[0]]:.3e})")

@@ -10,6 +10,7 @@ zeta.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -160,16 +161,24 @@ def spectrum(p: ModelParams) -> Spectrum:
     theta = p.b * qq + p.c / qq
     theta_star = p.b_star * qq + p.c_star / qq
     for name, vals in (("theta", theta), ("theta_star", theta_star)):
-        scale = np.max(np.abs(vals))
+        scale = np.abs(vals).max()
         diff = np.abs(vals[:, None] - vals[None, :])
-        diff[np.diag_indices(p.dim)] = np.inf
+        diff.ravel()[:: p.dim + 1] = np.inf
         if diff.min() <= _DEGENERACY_TOL * max(1.0, scale):
-            i, j = np.unravel_index(np.argmin(diff), diff.shape)
+            i, j = np.unravel_index(diff.argmin(), diff.shape)
             raise GenericityError(
                 f"spectrum: {name}[{i}] and {name}[{j}] numerically coincide "
                 f"(gap {diff[i, j]:.3e})"
             )
     return Spectrum(theta=theta, theta_star=theta_star)
+
+
+@functools.cache
+def _eye(n: int, dtype=float) -> np.ndarray:
+    """The n x n identity of ``dtype``, built once per size and read-only."""
+    eye = np.eye(n, dtype=dtype)
+    eye.flags.writeable = False
+    return eye
 
 
 def _dual(p: ModelParams) -> ModelParams:

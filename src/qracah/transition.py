@@ -81,7 +81,7 @@ def _recurrence_table(theta_basis: TridiagonalRealization) -> np.ndarray:
     """:func:`racah_by_recurrence` from the theta-basis realization; a zero
     in row 0 is a ``ValueError``."""
     right = eigen_family(theta_basis.Astar_mat, theta_basis.spectrum.theta_star).right
-    zero = np.flatnonzero(right[0] == 0)
+    zero = (right[0] == 0).nonzero()[0]
     if zero.size:
         raise ValueError(f"racah_by_recurrence: vanishing row-0 entry at N = {zero[0]}")
     R = right / right[0]
@@ -104,12 +104,12 @@ def _k_sequence(p: ModelParams) -> np.ndarray:
         raise GenericityError("normalizers: coupling ratio bs/cs is numerically 1")
     powers = q2 ** np.arange(n)
     den = np.array([1.0 - a * powers for a in (q2, k_minus, k_plus, ratio)])
-    if np.any(np.abs(den) <= _DEN_TOL):
+    if (np.abs(den) <= _DEN_TOL).any():
         raise GenericityError("normalizers: vanishing denominator factor")
-    num = np.prod([1.0 - a * powers for a in (minus, plus, r, q ** (-2 * n))], axis=0)
+    num = np.array([1.0 - a * powers for a in (minus, plus, r, q ** (-2 * n))]).prod(axis=0)
     steps = num / (den.prod(axis=0) * (p.b / p.c))
     N = np.arange(n + 1)
-    running = np.concatenate(([1.0 + 0j], np.cumprod(steps)))
+    running = np.concatenate(([1.0 + 0j], steps.cumprod()))
     return running * (1.0 - r * q ** (4 * N)) / pref_den
 
 
@@ -158,9 +158,9 @@ def _recurrence_residuals(R: np.ndarray, theta_basis, theta_star_basis) -> tuple
     """:func:`verify_recurrences` from the realization of each gauge."""
     sp = theta_basis.spectrum
     lhs_rec = R * sp.theta_star[None, :]
-    rec = np.max(np.abs(lhs_rec - theta_basis.Astar_mat @ R)) / np.max(np.abs(lhs_rec))
+    rec = np.abs(lhs_rec - theta_basis.Astar_mat @ R).max() / np.abs(lhs_rec).max()
     lhs_qd = sp.theta[:, None] * R
-    qd = np.max(np.abs(lhs_qd - R @ theta_star_basis.A_mat.T)) / np.max(np.abs(lhs_qd))
+    qd = np.abs(lhs_qd - R @ theta_star_basis.A_mat.T).max() / np.abs(lhs_qd).max()
     return float(rec), float(qd)
 
 
@@ -176,7 +176,7 @@ def orthogonality_residuals(td: TransitionData) -> tuple[float, float]:
         diag = td.nu0 / other
         expect = np.diag(diag)
         denom = np.maximum(np.abs(diag)[:, None], np.abs(diag)[None, :])
-        out.append(float(np.max(np.abs(gram - expect) / denom)))
+        out.append(float((np.abs(gram - expect) / denom).max()))
     return out[0], out[1]
 
 

@@ -38,7 +38,7 @@ from qracah.bethe import (
     symmetrize_roots,
 )
 
-from conftest import draw_many, draw_params
+from conftest import draw_many, draw_params, fuzz_params
 
 
 def _bf(x):
@@ -550,8 +550,9 @@ def test_tq_fit_rows_do_not_depend_on_a_non_finite_row():
         fit = _tables(level, p, sc)[0]
         clean = bethe._tq_roots(k, targets, level, p, fit)
         for at in (0, 5, len(targets)):
-            roots = bethe._tq_roots(np.insert(k, at, k[at % len(k)]),
-                                    np.insert(targets, at, np.nan), level, p, fit)
+            with np.errstate(all="ignore"):  # the helper leaves the error state to its caller
+                roots = bethe._tq_roots(np.insert(k, at, k[at % len(k)]),
+                                        np.insert(targets, at, np.nan), level, p, fit)
             assert np.isnan(roots[at]).all()
             assert np.delete(roots, at, axis=0).tobytes() == clean.tobytes()
 
@@ -604,7 +605,8 @@ def test_probe_points_are_the_seeded_sequence():
     assert ref["thirteen"] == seen[13:]
     assert len(ref["fourteen"]) < bethe._PROBE_COUNT
     U = _padded(list(rows.values()), len(rows["fourteen"]))
-    at = bethe._probe_points(U, p)
+    with np.errstate(all="ignore"):  # the helper leaves the error state to its caller
+        at = bethe._probe_points(U, p)
     for row, (name, roots) in zip(at, rows.items()):
         points = row[row >= 0]
         assert np.all(row[len(points):] == -1), name
@@ -1084,7 +1086,8 @@ def test_padded_residual_and_probe_values_equal_each_level_alone():
     assert np.all(E[pad] == 0) and np.all(scale[pad] == 1)
     _, probe = _tables(0, p, sc)
     nh = len(hom)
-    vals = bethe._probe_values(U[:nh], p, probe[:, k[:nh]])
+    with np.errstate(all="ignore"):  # the helper leaves the error state to its caller
+        vals = bethe._probe_values(U[:nh], p, probe[:, k[:nh]])
     for L in sorted({len(row) for _, row in hom + inh}):
         at = np.flatnonzero([len(row) == L for _, row in hom + inh])
         E_L, scale_L = bethe._residual_batch(k[at], U[at, :L], p)
@@ -1092,7 +1095,8 @@ def test_padded_residual_and_probe_values_equal_each_level_alone():
         assert scale[at, :L].tobytes() == scale_L.tobytes(), L
         assert norm[at].tobytes() == bethe._scaled_norm(E_L, scale_L).tobytes(), L
         h = at[at < nh]
-        alone = bethe._probe_values(U[h, :L], p, probe[:, k[h]])
+        with np.errstate(all="ignore"):
+            alone = bethe._probe_values(U[h, :L], p, probe[:, k[h]])
         assert vals[h].tobytes() == alone.tobytes(), L
 
 
@@ -1128,3 +1132,91 @@ def test_public_entry_points_refuse_non_finite_roots():
         residual(system, roots, 0)
     with pytest.raises(ValueError, match="finite"):
         eigenvalue_from_roots(system, roots)
+
+
+# ---------------------------------------------------------------------------
+# reference copies: the pair products and the TQ table as they were written
+# before each shared factor was formed once, the ladder product before its
+# factors were multiplied in place of one stacked array, and the kind tables
+# before they became read-only module arrays
+
+
+def _ref_root_products(u, U, q, skip_self):
+    w, v = u[:, :, None], U[:, None, :]
+    skip = ~np.isfinite(v)
+    if skip_self:
+        skip = skip | np.eye(U.shape[1], dtype=bool)
+    pairs = np.stack([bethe._f(w, v, q), bethe._h(w, v, q), _bf(w / v) * _bf(q * w * v)])
+    return np.where(skip, 1.0, pairs).prod(axis=-1)
+
+
+def _ref_inh_product(u, p):
+    q = p.base.q
+    n = p.two_s
+    x = complex(q) ** ((1.0 - n) / 2.0)
+    ladder = []
+    for _ in range(n + 1):
+        ladder.append(x)
+        x *= q
+    u = np.asarray(u, dtype=complex)
+    shape = (n + 1,) + (1,) * u.ndim
+    xz = np.array([x * p.zeta for x in ladder]).reshape(shape)
+    factors = np.stack([_bf(xz * u), _bf(np.array(ladder).reshape(shape) * u / p.zeta)], axis=1)
+    out = np.ones(u.shape, dtype=complex)
+    for f in factors.reshape((-1,) + u.shape):
+        out = out * f
+    return out
+
+
+def _ref_tq_table(kinds, u, p, sc):
+    sel, etabar = bethe._sel, bethe._etabar
+    q = p.base.q
+    k = np.asarray(kinds)
+    u = np.asarray(u, dtype=complex)
+    shape = (len(k),) + (1,) * u.ndim
+    eps = np.array((-1, 1, 1, -1, 1, -1))[k].reshape(shape)
+    fam = np.array((0, 0, 1, 1, 2, 2))[k].reshape(shape)
+    hom, dual = fam == 0, fam == 2
+    b2 = _bf(u * u)
+    l1 = bethe._lam1(eps, u, p) / (b2 * _bf(q * u * u))
+    d2 = b2 * _bf(q * q * u * u)
+    l2 = bethe._lam2(eps, u, p) / d2
+    A = np.where(hom, sel(eps, u**1, u**-1),
+                 np.where(dual, sel(eps, u**-1, u**1), sel(eps, u**3, u**-3))) * l1
+    D = np.where(hom, sel(eps, u**1, u**-1),
+                 np.where(dual, sel(eps, q**2 * u**3, q**-2 * u**-3),
+                          sel(eps, q**-2 * u**-1, q**2 * u**1))) * l2
+    C = np.where(hom, 0.0, -bethe._nu(p)[k].reshape(shape) * _ref_inh_product(u, p))
+    theta = np.array(tuple(bethe.TARGET_SPECTRUM[kind] == "theta" for kind in bethe.KINDS))
+    tail = np.where(theta[k].reshape(shape),
+                    q * u * etabar(u, sc, q) + etabar(1.0 / u, sc, q) / (q * u),
+                    q * u * etabar(1.0 / u, sc, q) + etabar(u, sc, q) / (q * u))
+    return np.stack(np.broadcast_arrays(A, D, C, tail / d2))
+
+
+def _reference_copy_params():
+    return [p for n in range(1, 13) for p in draw_many(n, 2, 8800 + n)] + fuzz_params()
+
+
+def test_root_products_and_tq_table_equal_their_reference_copies():
+    # bit for bit, on root stacks padded with inf to a common width, at the
+    # stack's own roots (each skipping itself) and at the sample points and
+    # probe candidates; and the TQ table of every kind, and of a shuffled
+    # kind list, at those points and at the roots
+    rng = np.random.default_rng(8800)
+    points = np.concatenate([bethe._sample_points(4 * 3 + 8), bethe._probe_candidates()])
+    for p in _reference_copy_params():
+        n, q = p.two_s, p.base.q
+        rows = [np.exp(rng.uniform(-0.5, 0.5, L) + 1j * rng.uniform(0, 2 * np.pi, L))
+                for L in (n, max(n - 1, 0), min(n, 3), 0)]
+        U = _padded(rows, n)
+        kinds = rng.permutation(np.repeat(np.arange(len(bethe.KINDS)), 2))
+        with np.errstate(all="ignore"):
+            sc = structure_constants(p)
+            u = np.broadcast_to(points, (len(U), len(points)))
+            for args in ((U, U, q, True), (u, U, q, False)):
+                assert bethe._root_products(*args).tobytes() == _ref_root_products(*args).tobytes()
+            for k in (range(len(bethe.KINDS)), kinds):
+                for at in (points, U[0]):
+                    got, want = bethe._tq_table(k, at, p, sc), _ref_tq_table(k, at, p, sc)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), p

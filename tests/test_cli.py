@@ -26,7 +26,7 @@ from qracah.leonard import GAUGE_THETA, build, eigen_family
 from qracah.model import spectrum
 from qracah.transition import build_transition, racah_from_scalar_products, racah_matrix
 
-from conftest import cli_env, draw_many, fuzz_config
+from conftest import cli_env, draw_many, fuzz_config, fuzz_params
 
 SHIPPED_CONFIG = str(Path(__file__).resolve().parent.parent / "configs" / "generic_two_s2.json")
 
@@ -975,3 +975,83 @@ def test_every_run_ends_in_strict_json_or_a_refusal(E, tmp_path, capsys):
                 assert rc == 2, (argv, data, rc, err)
                 endings.add("refusal")
     assert "report" in endings
+
+
+def test_recurrence_refusal_at_two_s_32_warns_nothing(tmp_path):
+    # E = 100, draw 7 (two_s 32): the family's sub*sup products overflow, and
+    # with warnings as errors the route still exits 1 with the family's own
+    # refusal, not with numpy's warning about the product
+    rng = np.random.default_rng(2300)
+    for _ in range(8):
+        data = fuzz_config(rng, 100)
+    path = _write(tmp_path, data)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qracah", "racah", path, "--route", "recurrence"],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env(), timeout=600)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("numerical failure: ValueError: eigen_family: shifted solve failed "
+                           "to produce a vector\n")
+
+
+# ---------------------------------------------------------------------------
+# reference copy: the report layout as it was written before each object
+# key's text was read from a per-key cache
+
+
+def _ref_json_text(value, pad, put):
+    t = type(value)
+    if t is float or t is int:
+        put(value)
+        return "%s"
+    if t is list or t is dict:
+        ends, inner = "[]" if t is list else "{}", pad + "  "
+        if not value:
+            return ends
+        pair, items = f"[\n{inner}  %s,\n{inner}  %s\n{inner}]", []
+        for v in value if t is list else value.values():
+            tv = type(v)
+            if tv is float or tv is int:
+                put(v)
+                items.append("%s")
+            elif tv is list and len(v) == 2 and type(v[0]) is float and type(v[1]) is float:
+                put(v[0])
+                put(v[1])
+                items.append(pair)
+            else:
+                items.append(_ref_json_text(v, inner, put))
+        if t is dict:
+            items = [f"{json.encoder.encode_basestring_ascii(k).replace('%', '%%')}: {item}"
+                     for k, item in zip(value, items)]
+        return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+    if t is str:
+        return json.encoder.encode_basestring_ascii(value).replace("%", "%%")
+    if value is None or t is bool:
+        return "null" if value is None else "true" if value else "false"
+    raise ValueError(f"report holds a value that is not a Python number: {value!r}")
+
+
+def _layout(writer, obj):
+    numbers = []
+    return writer(obj, "", numbers.append), numbers
+
+
+def test_json_text_equals_its_reference_copy():
+    # string equality of the layout and of the numbers it hands out, on the
+    # verify reports of draws at two_s 1-12 and of the fuzz configs up to
+    # two_s 8, and on keys that need escaping
+    cfgs = [load_config(SHIPPED_CONFIG)]
+    cfgs += [cli.RunConfig(p, cfgs[0].identity_tol, cfgs[0].solver, "json", None)
+             for n in range(1, 13) for p in draw_many(n, 1, 9300 + n)]
+    cfgs += [cli.RunConfig(p, cfgs[0].identity_tol, cfgs[0].solver, "json", None)
+             for p in fuzz_params() if p.two_s <= 8]
+    reports = [{"a%s": [1.0, 2.0], "\u00e9\"\\": {"": [], "%%": {}}, "n": [None, True, "x%"]}]
+    with warnings.catch_warnings():  # the fuzz couplings overflow as they are built
+        warnings.simplefilter("ignore")
+        for cfg in cfgs:
+            try:
+                reports.append(run_verify(cfg))
+            except ValueError:  # a genericity refusal or a numerical failure
+                pass
+    assert len(reports) > 60
+    for report in reports:
+        assert _layout(cli._json_text, report) == _layout(_ref_json_text, report)

@@ -413,3 +413,83 @@ class TestOneLoopCouplings:
         for gauge in (GAUGE_THETA_STAR, GAUGE_THETA):
             real = build(p, gauge)
             assert verify_cayley_hamilton(real) == _ref_cayley_hamilton(real)
+
+
+def _ref_eigen_family(matrix, values):
+    """eigen_family as it was written with numpy's function forms, stacked
+    pivots, and the sub*sup products formed before the error state is set."""
+    matrix = np.asarray(matrix, dtype=complex)
+    values = np.asarray(values, dtype=complex)
+    D = matrix.shape[0]
+    i, j = np.divmod(np.flatnonzero(matrix), D)
+    out = np.flatnonzero(np.abs(i - j) > 1)
+    if out.size:
+        raise ValueError(f"eigen_family: entry ({i[out[0]]}, {j[out[0]]}) lies outside the "
+                         "tridiagonal band")
+    scale = max(float(np.max(np.abs(matrix))), float(np.max(np.abs(values))), 1e-300)
+    sub, sup = np.diagonal(matrix, -1), np.diagonal(matrix, 1)
+    ss = 0.5 * (sub * sup + sup * sub)
+    dg = np.diagonal(matrix)[:, None] - values
+    piv, ss = np.stack((dg, dg[::-1]), 1), np.stack((ss, ss[::-1]), 1)[:, :, None]
+    k, cols = np.arange(D)[:, None], np.arange(D)
+    vectors = []
+    with np.errstate(all="ignore"):
+        for m in range(1, D):
+            piv[m] -= ss[m - 1] / piv[m - 1]
+        fwd, bwd = piv[:, 0], piv[::-1, 1]
+        gamma = np.abs(fwd + bwd - dg)
+        twist = np.argmin(np.where(np.isfinite(gamma), gamma, np.inf), axis=0)
+        above, below = k[:-1] < twist, k[1:] > twist
+        for up, down in ((sup, sub), (sub, sup)):
+            x = np.ones((D, D), dtype=complex)
+            x[:-1] = np.where(above, -up[:, None] / fwd[:-1], 1.0)[::-1].cumprod(0)[::-1]
+            x[1:] *= np.where(below, -down[:, None] / bwd[1:], 1.0).cumprod(0)
+            if not np.isfinite(x).all():
+                raise ValueError("eigen_family: shifted solve failed to produce a vector")
+            pin = np.argmax(np.abs(x), axis=0)
+            x = x / x[pin, cols]
+            x[pin, cols] = 1.0
+            vectors.append(x)
+        right, left = vectors[0], vectors[1].T
+        r_right = np.max(np.abs(matrix @ right - right * values), axis=0) / scale
+        r_left = np.max(np.abs(left @ matrix - values[:, None] * left), axis=1) / scale
+    residuals = np.maximum(r_right, r_left)
+    bad = np.flatnonzero(~(residuals <= 1e-6))
+    if bad.size:
+        raise ValueError(f"eigen_family: shifted system at value index {bad[0]} is not "
+                         f"rank-deficient within tolerance (residual {residuals[bad[0]]:.3e})")
+    return EigenFamily(values=values, right=right, left=left, residuals=residuals)
+
+
+def _family_or_refusal(route, matrix, values):
+    try:
+        fam = route(matrix, values)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(a.tobytes() for a in (fam.values, fam.right, fam.left, fam.residuals))
+
+
+def test_eigen_family_equals_its_reference_copy():
+    # bit for bit, or the same refusal, for the family of each gauge's
+    # tridiagonal generator at two_s 1-12 and on the fuzz configs (12 of
+    # whose families fail to produce a vector), for a value list shifted off
+    # the spectrum (not rank-deficient) and for a matrix outside the band
+    draws = [p for n in range(1, 13) for p in draw_many(n, 2, 8900 + n)]
+    full = np.ones((3, 3), dtype=complex), np.arange(3.0)
+    assert _family_or_refusal(eigen_family, *full) == _family_or_refusal(_ref_eigen_family, *full)
+    refused = 0
+    with warnings.catch_warnings():  # the fuzz couplings overflow as they are built
+        warnings.simplefilter("ignore")
+        for p in draws + fuzz_params():
+            try:
+                sp = spectrum(p)
+                pairs = [(build(p).A_mat, sp.theta),
+                         (build(p, GAUGE_THETA).Astar_mat, sp.theta_star)]
+            except GenericityError:
+                continue
+            pairs.append((pairs[0][0], pairs[0][1] * (1.0 + 1e-3)))
+            for matrix, values in pairs:
+                got = _family_or_refusal(eigen_family, matrix, values)
+                assert got == _family_or_refusal(_ref_eigen_family, matrix, values), p
+                refused += got[0] is ValueError
+    assert refused >= len(draws) + 12  # every shifted list, and the refused fuzz families
