@@ -19,7 +19,9 @@ entries: entry L at homogeneous level L, every entry for an inhomogeneous
 kind.  All targets with the same root count L form one batch, across kinds:
 at L = two_s that is both homogeneous kinds and all four inhomogeneous ones.
 A solve evaluates the TQ coefficients of every kind once, at the sample
-points of all its batches and at the probe candidates.  The fit runs per
+points of all its batches and at the probe candidates.  Both point sets are
+one golden-angle spiral, ``_sample_points``, at different counts: 4L + 8 for
+a batch of root count L, ``_PROBE_POOL`` for the probes.  The fit runs per
 root count: a batch shares one set of sample points, fits Q to every target
 by one stacked SVD, takes the zeros of every Q at once and inverts them to
 Bethe roots.  The root sets of every batch are then stacked, padded with
@@ -27,13 +29,19 @@ inf to the largest root count, and go through one polish/reconstruct/match
 pass: a pad is a factor 1 in every product over roots, wins no max or min
 and sorts last.  Newton steps, which only root sets above tolerance take,
 run per root count on unpadded rows.  The homogeneous eigenvalues are read
-off the table at the probe candidates.  The kind of a row only selects its
-factors, each computed as for that kind alone, and each least-squares
-matrix is factored alone, so a row's result does not depend on the batch
-it is in.  A root set passes only when it satisfies the Bethe equations to
+off the table at the probe candidates.  A row's kind, which the private
+kernels take as its index into KINDS, only selects its factors, each
+computed as for that kind alone, and each least-squares matrix is factored
+alone, so a row's result does not depend on the batch it is in.  A root set passes only when it satisfies the Bethe equations to
 tolerance and its reconstructed eigenvalue matches the closed-form
 spectrum; neither check uses the fit.  Every step is deterministic, so
 repeated runs return byte-identical results.
+
+The private kernels leave the numpy error state to their caller.  ``solve``
+holds one state that ignores floating-point errors around its table, fit,
+polish and match, where a non-finite value ends as a row that fails its
+fit, its polish or its match; each public entry point (``residual``,
+``eigenvalue_from_roots`` and the two eigenvalue functionals) holds its own.
 """
 
 from __future__ import annotations
@@ -218,8 +226,7 @@ def _root_products(u: np.ndarray, U: np.ndarray, q, skip_self: bool) -> np.ndarr
     u[s], stacked as (f(u, v), h(u, v), b(u/v)*b(q*u*v)), shape (3,) +
     u.shape; unpacks as F, H and the coupling denominator.  With skip_self,
     u is U and each root's products skip the root itself.  Pads of U enter
-    no product.  Callers hold the numpy error state: the skipped pairs are
-    evaluated, then replaced by 1."""
+    no product; the skipped pairs are evaluated, then replaced by 1."""
     w, v = u[:, :, None], U[:, None, :]
     skip = ~np.isfinite(v)
     if skip_self:
@@ -240,40 +247,31 @@ def _nu(p: ModelParams) -> np.ndarray:
                      q ** (1 + 2 * n) * p.b_star, q ** (-1 - 2 * n) * p.c])
 
 
-def _residual_batch(kind, U: np.ndarray, p: ModelParams):
-    """Bethe residual of each row of U, with the largest term magnitude of
-    each equation; a pad's equation reads 0 at scale 1.  kind names the kind
-    of every row, or is an array of per-row indices into KINDS."""
-    k = np.full(len(U), KINDS.index(kind)) if isinstance(kind, str) else kind
+def _residual_batch(k, U: np.ndarray, p: ModelParams):
+    """Bethe residual of each row of U, row s of the kind KINDS[k[s]], with
+    the largest term magnitude of each equation; a pad's equation reads 0 at
+    scale 1."""
     q = p.base.q
     eps, fam = _EPS[k][:, None], _FAMILY[k][:, None]
     hom = fam == 0
     # U**eps in a direct kind's first term, U**-eps in a dual one's; the
     # second term carries the opposite power of q*q*U**3
     up = (eps == 1) != (fam == 2)
-    with np.errstate(all="ignore"):
-        F, H, den = _root_products(U, U, q, True)
-        bU = _b(U * U)
-        ratio = bU / _b(q * U * U)
-        l1, l2 = _lam1(eps, U, p), _lam2(eps, U, p)
-        t1 = np.where(hom, -ratio, ratio * np.where(up, U ** 1, U ** -1)) * F * l1
-        P = q * q * U**3
-        t2 = np.where(hom, H * l2, -np.where(up, P ** -1, P ** 1) * H * l2)
-        E, scale = t1 + t2, np.maximum(np.abs(t1), np.abs(t2))
-        if not hom.all():
-            inh = _inh_product(U, p) / den
-            nu = _nu(p)[k][:, None]
-            t3 = np.where(fam == 2, nu, nu * _sel(eps, U ** -2, U ** 2)) * bU / _b(q) * inh
-            E, scale = np.where(hom, E, E + t3), np.where(hom, scale, np.maximum(scale, np.abs(t3)))
+    F, H, den = _root_products(U, U, q, True)
+    bU = _b(U * U)
+    ratio = bU / _b(q * U * U)
+    l1, l2 = _lam1(eps, U, p), _lam2(eps, U, p)
+    t1 = np.where(hom, -ratio, ratio * np.where(up, U ** 1, U ** -1)) * F * l1
+    P = q * q * U**3
+    t2 = np.where(hom, H * l2, -np.where(up, P ** -1, P ** 1) * H * l2)
+    E, scale = t1 + t2, np.maximum(np.abs(t1), np.abs(t2))
+    if not hom.all():
+        inh = _inh_product(U, p) / den
+        nu = _nu(p)[k][:, None]
+        t3 = np.where(fam == 2, nu, nu * _sel(eps, U ** -2, U ** 2)) * bU / _b(q) * inh
+        E, scale = np.where(hom, E, E + t3), np.where(hom, scale, np.maximum(scale, np.abs(t3)))
     pad = ~np.isfinite(U)
     return np.where(pad, 0.0, E), np.where(pad, 1.0, scale)
-
-
-def _scaled_norm(E: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    with np.errstate(all="ignore"):
-        r = np.abs(E) / scale
-    r = np.where(np.isfinite(r), r, np.inf)
-    return r.max(axis=1, initial=0.0)
 
 
 def residual(sys: BetheSystem, roots, i: int) -> complex:
@@ -301,7 +299,8 @@ def residual(sys: BetheSystem, roots, i: int) -> complex:
         raise PoleError("residual: coupling pole between roots")
     if sys.kind in INHOM_KINDS and abs(_b(roots[i] ** 2)) < 1e-150:
         raise PoleError("residual: inhomogeneity pole at root")
-    E, _ = _residual_batch(sys.kind, roots[None, :], p)
+    with np.errstate(all="ignore"):
+        E, _ = _residual_batch([KINDS.index(sys.kind)], roots[None, :], p)
     return complex(E[0, i])
 
 
@@ -329,7 +328,7 @@ def _tq_values(coeffs: np.ndarray, u: np.ndarray, U: np.ndarray, q) -> np.ndarra
     Q(u/q)/Q(u), that of h(u, v) is Q(q*u)/Q(u), and that of
     b(u/v)*b(q*u*v) is Q(u) itself; all three are those of
     _root_products, which the Bethe residual takes at the roots.  The
-    homogeneous kinds' C is exactly 0.  Callers hold the numpy error state.
+    homogeneous kinds' C is exactly 0.
     """
     A, D, C, T = coeffs
     pf, ph, den = _root_products(u, U, q, False)
@@ -339,9 +338,10 @@ def _tq_values(coeffs: np.ndarray, u: np.ndarray, U: np.ndarray, q) -> np.ndarra
 def _functional(kind: str, u: complex, roots, p: ModelParams, sc: StructureConstants) -> complex:
     """The kind's TQ relation solved for its eigenvalue at one probe point u."""
     u = np.array([[u]], dtype=complex)
-    coeffs = _tq_table([KINDS.index(kind)], u[0], p, sc)
     U = np.asarray(roots, dtype=complex)[None]
-    return complex(_tq_values(coeffs, u, U, p.base.q)[0, 0])
+    with np.errstate(all="ignore"):
+        coeffs = _tq_table([KINDS.index(kind)], u[0], p, sc)
+        return complex(_tq_values(coeffs, u, U, p.base.q)[0, 0])
 
 
 def hom_eigenvalue_functional(eps: int, u: complex, roots, p: ModelParams,
@@ -392,30 +392,18 @@ def _closed_form_eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams) -> np
 # relative spread allowed between the probe-point values of an on-shell set
 _PROBE_TOL = 1e-8
 _PROBE_COUNT = 3
-# probe candidates, at each of which solve tabulates the TQ coefficients
-_PROBE_POOL = 16
-
-
-@functools.cache
-def _probe_candidates() -> np.ndarray:
-    """Fixed, seeded sequence of _PROBE_POOL candidate probe points with |u|
-    in [0.6, 1.7]; drawn once, on first use, and read-only."""
-    rng = np.random.default_rng(716213)
-    log_r, a = rng.uniform([np.log(0.6), 0.0], [np.log(1.7), 2.0 * np.pi],
-                           size=(_PROBE_POOL, 2)).T
-    r = np.exp(log_r)
-    cand = r * np.cos(a) + 1j * (r * np.sin(a))
-    cand.flags.writeable = False
-    return cand
+# probe candidates, the points _sample_points(_PROBE_POOL), at each of which
+# solve tabulates the TQ coefficients; no fit batch has this count, since
+# every fit width 4L + 8 is a multiple of 4
+_PROBE_POOL = 18
 
 
 def _probe_points(U: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Indices into _probe_candidates of the first _PROBE_COUNT candidates
-    that keep clear of the poles of each root set, row s of U, shape
-    (len(U), _PROBE_COUNT), -1 where a row has too few.  Pads block no
-    candidate.  Callers hold the numpy error state."""
+    """Indices into the probe candidates of the first _PROBE_COUNT that keep
+    clear of the poles of each root set, row s of U, shape (len(U),
+    _PROBE_COUNT), -1 where a row has too few.  Pads block no candidate."""
     q = p.base.q
-    u = _probe_candidates()
+    u = _sample_points(_PROBE_POOL)
     w, v = u[:, None], U[:, None, :]
     clear = ((np.abs(_b(w / v)) > 1e-3) & (np.abs(_b(q * w * v)) > 1e-3)) | ~np.isfinite(v)
     free = clear.all(axis=2) & (
@@ -443,7 +431,7 @@ def eigenvalue_from_roots(sys: BetheSystem, roots) -> complex:
                 "probe candidates keep clear of the poles of these roots"
             )
         k = np.array([KINDS.index(sys.kind)])
-        probe = _tq_table(k, _probe_candidates(), p, structure_constants(p))
+        probe = _tq_table(k, _sample_points(_PROBE_POOL), p, structure_constants(p))
         (lam,), (spread,) = _eigenvalues(k, roots[None, :], p, probe)
     if not spread <= _PROBE_TOL:
         raise ValueError(
@@ -458,10 +446,10 @@ def _probe_values(U: np.ndarray, p: ModelParams, probe: np.ndarray) -> np.ndarra
     _PROBE_COUNT probe points (those of _probe_points), shape
     (len(U), _PROBE_COUNT), NaN where no probe points can be placed.  probe
     holds each row's (A, D, C, T) at the probe candidates, shape
-    (4, len(U), _PROBE_POOL).  Callers hold the numpy error state."""
+    (4, len(U), _PROBE_POOL)."""
     at = _probe_points(U, p)
     coeffs = probe[:, np.arange(len(U))[:, None], at]
-    vals = _tq_values(coeffs, _probe_candidates()[at], U, p.base.q)
+    vals = _tq_values(coeffs, _sample_points(_PROBE_POOL)[at], U, p.base.q)
     return np.where((at >= 0).all(axis=1)[:, None], vals, np.nan)
 
 
@@ -469,8 +457,7 @@ def _eigenvalues(k: np.ndarray, U: np.ndarray, p: ModelParams, probe: np.ndarray
     """Eigenvalue reconstructed from each root set, row s of U of the kind
     KINDS[k[s]], and the relative spread of its probe-point values: the
     first value for a homogeneous kind, the closed form (spread 0) for an
-    inhomogeneous one.  probe is as in _probe_values.  Callers hold the
-    numpy error state."""
+    inhomogeneous one.  probe is as in _probe_values."""
     lam = np.empty(len(U), dtype=complex)
     spread = np.zeros(len(U))
     inh = _FAMILY[k] > 0
@@ -560,28 +547,23 @@ def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
     kind KINDS[k[s]].  coeffs is the TQ table of every kind at the points of
     _sample_points, shape (4, len(KINDS), count); solve samples 4L+8.
 
-    The sample points and powers of W are shared by all rows, and the TQ
-    coefficients by the rows of a kind; the least-squares problems of all
+    The sample points and powers of W are shared by all rows, and each row
+    reads its kind's TQ coefficients; the least-squares problems of all
     eigenvalues, with rows and columns scaled, are solved by one stacked
     SVD.  Each W root is inverted to one of its four u representatives
     (u, -u, 1/(q*u), -1/(q*u)), all of which solve the Bethe equations.
     A row whose scaled matrix or fitted coefficients are not finite gets
-    NaN roots; the other rows do not depend on it.  Callers hold the numpy
-    error state.
+    NaN roots; the other rows do not depend on it.
     """
     S = len(lams)
     q = p.base.q
     u = _sample_points(coeffs.shape[-1])
     powers = np.arange(L + 1)
-    present = np.zeros(len(KINDS), dtype=bool)
-    present[k] = True
-    kinds, of_row = present.nonzero()[0], present.cumsum()[k] - 1
     Wk = _w(u, q)[:, None] ** powers
     Wm, Wp = _w(u / q, q)[:, None] ** powers, _w(q * u, q)[:, None] ** powers
-    A, D, C, T = coeffs[:, kinds]
-    base = (A[:, :, None] * Wm + D[:, :, None] * Wp)[of_row]
-    basis = base + (T[of_row] - lams[:, None])[:, :, None] * Wk
-    M, rhs = basis[:, :, :L], -(basis[:, :, L] + C[of_row])
+    A, D, C, T = coeffs[:, k]
+    basis = A[:, :, None] * Wm + D[:, :, None] * Wp + (T - lams[:, None])[:, :, None] * Wk
+    M, rhs = basis[:, :, :L], -(basis[:, :, L] + C)
     row = np.maximum(np.abs(M).max(axis=2), np.abs(rhs))
     ok = np.isfinite(row) & (row > 0)  # zeroes the rows of a sample point on a pole
     M = np.where(ok[:, :, None], M / row[:, :, None], 0.0)
@@ -608,18 +590,18 @@ def _tq_roots(k: np.ndarray, lams: np.ndarray, L: int, p: ModelParams,
     return np.sqrt(y / q)
 
 
-def _jacobian(kind, U: np.ndarray, p: ModelParams) -> np.ndarray:
+def _jacobian(k: np.ndarray, U: np.ndarray, p: ModelParams) -> np.ndarray:
     S, L = U.shape
     J = np.empty((S, L, L), dtype=complex)
-    for k in range(L):
-        h = _FD_STEP * np.maximum(1.0, np.abs(U[:, k]))
+    for j in range(L):
+        h = _FD_STEP * np.maximum(1.0, np.abs(U[:, j]))
         Up = U.copy()
         Um = U.copy()
-        Up[:, k] += h
-        Um[:, k] -= h
-        Ep, _ = _residual_batch(kind, Up, p)
-        Em, _ = _residual_batch(kind, Um, p)
-        J[:, :, k] = (Ep - Em) / (2.0 * h[:, None])
+        Up[:, j] += h
+        Um[:, j] -= h
+        Ep, _ = _residual_batch(k, Up, p)
+        Em, _ = _residual_batch(k, Um, p)
+        J[:, :, j] = (Ep - Em) / (2.0 * h[:, None])
     return J
 
 
@@ -639,9 +621,12 @@ def _canonical_roots(U: np.ndarray) -> np.ndarray:
     return V[np.arange(len(V))[:, None], np.lexsort((V.imag, V.real))]
 
 
-def _scaled_residual(kind, U: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Scaled Bethe residual of each row of U; kind as in _residual_batch."""
-    return _scaled_norm(*_residual_batch(kind, U, p))
+def _scaled_residual(k: np.ndarray, U: np.ndarray, p: ModelParams) -> np.ndarray:
+    """Largest |E|/scale over the equations of each row of U, row s of the
+    kind KINDS[k[s]]; inf where that ratio is not finite."""
+    E, scale = _residual_batch(k, U, p)
+    r = np.abs(E) / scale
+    return np.where(np.isfinite(r), r, np.inf).max(axis=1, initial=0.0)
 
 
 def _polish(k: np.ndarray, U: np.ndarray, p: ModelParams, tol: float):
@@ -688,8 +673,7 @@ def _solutions(systems: list[BetheSystem], U: np.ndarray, res: np.ndarray, p: Mo
     columns ends in pads.  probe is the TQ table of every kind at the probe
     candidates; the eigenvalues of all rows are reconstructed at once and
     matched in one broadcast.  Only homogeneous rows may be padded: the
-    closed form's sum is not exact under pads.  Callers hold the numpy
-    error state."""
+    closed form's sum is not exact under pads."""
     S, L = U.shape
     k = np.array([KINDS.index(s.kind) for s in systems], dtype=int)
     pad = ~np.isfinite(U)
@@ -743,10 +727,7 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     system and target order, each with its system, its admissibility and
     the spectrum entry its roots reproduce through ``eigenvalue_from_roots``.
     The result is deterministic, and a root set does not depend on the
-    other systems solved with it.  The fit and the match each run under
-    one numpy error state that ignores floating-point errors, where a
-    non-finite value ends as a row that fails its fit or its match; the
-    polish holds its own around each residual evaluation.
+    other systems solved with it.
     """
     systems = [sys] if isinstance(sys, BetheSystem) else list(sys)
     p = systems[0].params
@@ -755,7 +736,7 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     sp, sc = spectrum(p), structure_constants(p)
     levels = sorted({s.level for s in systems})
     widths = [4 * L + 8 if L else 0 for L in levels]
-    points = [_sample_points(w) for w in widths] + [_probe_candidates()]
+    points = [_sample_points(w) for w in widths] + [_sample_points(_PROBE_POOL)]
     rows, lams = [], []
     for L in levels:
         for s in systems:
@@ -773,10 +754,9 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
             if L:
                 at = count == L
                 U[at, :L] = _tq_roots(k[at], lams[at], L, p, table[:, :, start:start + width])
-    fit = (np.isfinite(U).sum(axis=1) == count).nonzero()[0]
-    U, res = _polish(k[fit], U[fit], p, cfg.tol)
-    on_shell = res <= cfg.tol
-    with np.errstate(all="ignore"):
+        fit = (np.isfinite(U).sum(axis=1) == count).nonzero()[0]
+        U, res = _polish(k[fit], U[fit], p, cfg.tol)
+        on_shell = res <= cfg.tol
         return _solutions([rows[i] for i in fit[on_shell]], U[on_shell], res[on_shell],
                           p, sp, cfg, table[:, :, -_PROBE_POOL:])
 

@@ -341,10 +341,12 @@ def test_criterion_10_residual_parity(capsys):
         rad = np.exp(rng.uniform(np.log(0.6), np.log(1.6), (npts, L)))
         ang = rng.uniform(0, 2 * np.pi, (npts, L))
         U = rad * np.exp(1j * ang)
-        E0, sc0 = bethe._residual_batch(kind, U, p)
+        k = np.full(npts, bethe.KINDS.index(kind))
         Uf = U.copy()
         Uf[:, 0] = -Uf[:, 0]
-        E1, _ = bethe._residual_batch(kind, Uf, p)
+        with np.errstate(all="ignore"):  # the helper leaves the error state to its caller
+            E0, sc0 = bethe._residual_batch(k, U, p)
+            E1, _ = bethe._residual_batch(k, Uf, p)
         dev = np.abs(E1[:, 0] - sign * E0[:, 0]) / np.maximum(sc0[:, 0], 1e-300)
         worst = max(worst, float(np.max(dev)))
     ok = worst < 1e-10

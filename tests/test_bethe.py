@@ -16,6 +16,8 @@ Independent oracles used here:
     uses the solve, and a fit at a wrong entry gives roots off shell
 """
 
+import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -333,10 +335,12 @@ def test_off_shell_roots_rejected_by_probe_dependence():
     roots = np.array([0.9 + 0.3j, 1.2 - 0.4j])
     with pytest.raises(ValueError, match="off shell"):
         eigenvalue_from_roots(sysk, roots)
-    # roots on 14 of the 16 probe candidates leave too few to probe at
-    blocking = bethe._probe_candidates()[:14]
-    with pytest.raises(ValueError, match="fewer than 3 of the 16 probe candidates"):
-        eigenvalue_from_roots(BetheSystem("hom_plus", 14, draw_params(14, rng)), blocking)
+    # roots on all but two of the probe candidates leave too few to probe at
+    pool = bethe._PROBE_POOL
+    blocking = bethe._sample_points(pool)[:pool - 2]
+    with pytest.raises(ValueError, match=f"fewer than 3 of the {pool} probe candidates"):
+        eigenvalue_from_roots(BetheSystem("hom_plus", pool - 2, draw_params(pool - 2, rng)),
+                              blocking)
 
 
 def test_closed_form_matches_solver_spectrum_two_s_1():
@@ -475,7 +479,7 @@ def _tables(L, p, sc):
     kinds = range(len(bethe.KINDS))
     with np.errstate(all="ignore"):
         fit = bethe._tq_table(kinds, bethe._sample_points(4 * L + 8), p, sc)
-        probe = bethe._tq_table(kinds, bethe._probe_candidates(), p, sc)
+        probe = bethe._tq_table(kinds, bethe._sample_points(bethe._PROBE_POOL), p, sc)
     return fit, probe
 
 
@@ -528,9 +532,11 @@ def test_tq_fit_at_a_wrong_eigenvalue_is_off_shell():
     targets = np.concatenate([getattr(spectrum(p), bethe.TARGET_SPECTRUM[kind])
                               for kind in bethe.HOM_KINDS])
     for level in (1, 2, 3):
-        roots = bethe._tq_roots(k, targets, level, p, _tables(level, p, sc)[0])
+        with np.errstate(all="ignore"):  # the helpers leave the error state to their caller
+            roots = bethe._tq_roots(k, targets, level, p, _tables(level, p, sc)[0])
+            scaled = bethe._scaled_residual(k, roots, p)
         assert roots.shape == (2 * p.dim, level)
-        for row, res in enumerate(bethe._scaled_residual(k, roots, p)):
+        for row, res in enumerate(scaled):
             kind, index = bethe.KINDS[k[row]], row % p.dim
             if index == level:
                 assert res < 1e-9
@@ -565,15 +571,16 @@ def test_coverage_rejects_unknown_kind():
 
 
 def _reference_probe_points(roots, p, count=3):
-    # the candidate loop drawing the 16 candidates from a fresh seeded
-    # generator on every call
+    # the candidate loop over the probe spiral written out point by point:
+    # point j of the pool at the golden angle j*pi*(3 - sqrt(5)), with |u|
+    # log-spaced over [0.3, 4]
     q = p.base.q
-    rng = np.random.default_rng(716213)
+    pool = bethe._PROBE_POOL
+    golden = math.pi * (3.0 - math.sqrt(5.0))
     seen, out = [], []
-    for _ in range(16):
-        r = float(np.exp(rng.uniform(np.log(0.6), np.log(1.7))))
-        a = float(rng.uniform(0.0, 2.0 * np.pi))
-        u = complex(r * np.cos(a), r * np.sin(a))
+    for j in range(pool):
+        r = 0.3 * (4.0 / 0.3) ** ((j + 0.5) / pool)
+        u = complex(r * math.cos(golden * j), r * math.sin(golden * j))
         seen.append(u)
         ok = all(abs(_bf(x)) > 1e-3 for x in (u * u, q * u * u, q * q * u * u))
         ok = ok and all(abs(_bf(u / v)) > 1e-3 and abs(_bf(q * u * v)) > 1e-3 for v in roots)
@@ -584,35 +591,39 @@ def _reference_probe_points(roots, p, count=3):
 
 def _probe_rows(p):
     # root sets whose probe points are the first candidates, follow two
-    # rejections, are the last three (13 candidates blocked), or are too few
-    # (14 blocked), with each reference's points
+    # rejections, are the last three (all others blocked), or are too few
+    # (all but two blocked), with each reference's points
     seen, _ = _reference_probe_points([], p)
     q = p.base.q
     rows = {"none": np.empty(0, dtype=complex),
             "on_shell": solve(BetheSystem("hom_minus", 2, p))[0].roots,
             "two": np.array([seen[0], 1.0 / (q * seen[1])]),
-            "thirteen": np.array(seen[:13]),
-            "fourteen": np.array(seen[:14])}
+            "last_three": np.array(seen[:-3]),
+            "too_few": np.array(seen[:-2])}
     return seen, rows, {name: _reference_probe_points(r, p)[1] for name, r in rows.items()}
 
 
-def test_probe_points_are_the_seeded_sequence():
+def test_probe_points_are_the_spiral_sequence():
     rng = np.random.default_rng(27)
     p = draw_params(2, rng)
     seen, rows, ref = _probe_rows(p)
-    assert np.array_equal(bethe._probe_candidates(), np.array(seen))
+    # to the last bit or two: numpy's array power may round the radius
+    # differently from the C library's scalar pow
+    cand = bethe._sample_points(bethe._PROBE_POOL)
+    assert (np.abs(cand - np.array(seen)) <= 4e-16 * np.abs(cand)).all()
     assert ref["two"][0] not in seen[:2]
-    assert ref["thirteen"] == seen[13:]
-    assert len(ref["fourteen"]) < bethe._PROBE_COUNT
-    U = _padded(list(rows.values()), len(rows["fourteen"]))
+    assert ref["last_three"] == seen[-3:]
+    assert len(ref["too_few"]) < bethe._PROBE_COUNT
+    U = _padded(list(rows.values()), len(rows["too_few"]))
     with np.errstate(all="ignore"):  # the helper leaves the error state to its caller
         at = bethe._probe_points(U, p)
-    for row, (name, roots) in zip(at, rows.items()):
+        alone = [bethe._probe_points(roots[None, :], p)[0] for roots in rows.values()]
+    for row, mine, (name, roots) in zip(at, alone, rows.items()):
         points = row[row >= 0]
         assert np.all(row[len(points):] == -1), name
         assert [seen[i] for i in points] == ref[name], name
         # a row's points do not depend on the rest of the stack
-        assert np.array_equal(bethe._probe_points(roots[None, :], p)[0], row), name
+        assert np.array_equal(mine, row), name
 
 
 @pytest.mark.parametrize("two_s", [2, 4])
@@ -628,10 +639,11 @@ def test_batching_does_not_change_any_target(two_s):
         targets = getattr(sp, bethe.TARGET_SPECTRUM[system.kind])[index]
         k = np.full(len(targets), bethe.KINDS.index(system.kind))
         fit, probe = _tables(system.level, p, sc)
-        U = bethe._tq_roots(k, targets, system.level, p, fit)
-        U = U * (1.0 + shift * np.exp(1j * np.arange(system.level)))
-        U, res = bethe._polish(k, U, p, cfg.tol)
-        return bethe._solutions([system] * len(U), U, res, p, sp, cfg, probe)
+        with np.errstate(all="ignore"):  # the helpers leave the error state to their caller
+            U = bethe._tq_roots(k, targets, system.level, p, fit)
+            U = U * (1.0 + shift * np.exp(1j * np.arange(system.level)))
+            U, res = bethe._polish(k, U, p, cfg.tol)
+            return bethe._solutions([system] * len(U), U, res, p, sp, cfg, probe)
 
     for p in draw_many(two_s, 3, seed=2000 + two_s):
         for kind in bethe.INHOM_KINDS:
@@ -682,8 +694,8 @@ def test_mixed_kind_residual_matches_each_kind_alone(two_s):
     k = rng.permutation(np.repeat(np.arange(len(bethe.KINDS)), 5))
     U = np.exp(rng.uniform(np.log(0.6), np.log(1.6), (len(k), two_s))
                + 1j * rng.uniform(0, 2 * np.pi, (len(k), two_s)))
-    E, scale = bethe._residual_batch(k, U, p)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # the helpers leave the error state to their caller
+        E, scale = bethe._residual_batch(k, U, p)
         for i, kind in enumerate(bethe.KINDS):
             E_ref, scale_ref = _reference_residual(kind, U[k == i], p)
             assert E[k == i].tobytes() == E_ref.tobytes(), kind
@@ -712,8 +724,8 @@ def _assert_kind_maps(i, U, u, p, j, V, v, image, factor, tol=1e-12):
         for a, b in zip(bethe._tq_table([i], u, p, structure_constants(p)),
                         bethe._tq_table([j], v, image, structure_constants(image))):
             assert np.abs(a - b).max() <= tol * np.abs(a).max(), (i, j)
-        E, scale = bethe._residual_batch(bethe.KINDS[i], U, p)
-        E_img, scale_img = bethe._residual_batch(bethe.KINDS[j], V, image)
+        E, scale = bethe._residual_batch(np.full(len(U), i), U, p)
+        E_img, scale_img = bethe._residual_batch(np.full(len(V), j), V, image)
     assert (np.abs(E - factor * E_img) <= tol * scale).all(), (i, j)
     assert (np.abs(scale - np.abs(factor) * scale_img) <= tol * scale).all(), (i, j)
     if i >= len(bethe.HOM_KINDS):
@@ -894,7 +906,7 @@ def test_tq_table_rows_are_each_kind_alone(two_s):
     p, = draw_many(two_s, 1, 7100 + two_s)
     sc = structure_constants(p)
     points = [bethe._sample_points(4 * L + 8) for L in range(1, two_s + 1)]
-    points.append(np.array(bethe._probe_candidates()))
+    points.append(bethe._sample_points(bethe._PROBE_POOL))
     union = np.concatenate(points)
     kinds = range(len(bethe.KINDS))
     with np.errstate(all="ignore"):
@@ -952,8 +964,8 @@ def test_stacked_fit_matches_per_target_lstsq(two_s, monkeypatch):
         lams = np.concatenate([getattr(sp, bethe.TARGET_SPECTRUM[kind])[[L] if kind in
                                bethe.HOM_KINDS else slice(None)] for kind in kinds])
         fit = _tables(L, p, sc)[0]
-        stacked = bethe._tq_roots(k, lams, L, p, fit)
-        with monkeypatch.context() as m:
+        with np.errstate(all="ignore"), monkeypatch.context() as m:
+            stacked = bethe._tq_roots(k, lams, L, p, fit)
             m.setattr(bethe, "_lstsq", _per_target_lstsq)
             ref = bethe._tq_roots(k, lams, L, p, fit)
         worst = max(worst, _max_root_gap(stacked, ref, p))
@@ -971,18 +983,20 @@ def test_tabulated_probe_values_match_the_scalar_functional():
     _, rows, ref = _probe_rows(p)
     probe = _tables(0, p, sc)[1]
     groups = [rows["none"][None, :], np.array([rows["on_shell"], [0.9 + 0.3j, 1.2 - 0.4j]])]
-    groups += [rows[name][None, :] for name in ("two", "thirteen")]
+    groups += [rows[name][None, :] for name in ("two", "last_three")]
     for kind in bethe.HOM_KINDS:
         for U in groups:
             k = np.full(len(U), bethe.KINDS.index(kind))
-            vals = bethe._probe_values(U, p, probe[:, k])
+            with np.errstate(all="ignore"):  # the helper leaves the error state to its caller
+                vals = bethe._probe_values(U, p, probe[:, k])
             for row, roots in zip(vals, U):
                 points = _reference_probe_points(roots, p)[1]
                 want = [bethe._functional(kind, u, roots, p, sc) for u in points]
                 assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want)), (kind, roots)
         k = np.array([bethe.KINDS.index(kind)])
-        scarce = bethe._probe_values(rows["fourteen"][None, :], p, probe[:, k])
-        assert len(ref["fourteen"]) < bethe._PROBE_COUNT and np.isnan(scarce).all()
+        with np.errstate(all="ignore"):
+            scarce = bethe._probe_values(rows["too_few"][None, :], p, probe[:, k])
+        assert len(ref["too_few"]) < bethe._PROBE_COUNT and np.isnan(scarce).all()
 
 
 # ---------------------------------------------------------------------------
@@ -1046,6 +1060,27 @@ def test_sweep_keeps_the_first_lowest_match_error(monkeypatch):
     assert won & {id(s) for s in extra[1::4]}
 
 
+def test_a_solve_enters_the_error_state_once(monkeypatch):
+    # the table, the fit, the polish (here with Newton steps) and the match
+    # run under solve's one error state; no kernel enters its own.  Only
+    # entries from qracah count: numpy may enter its own inside a call.
+    entered = []
+    errstate = np.errstate
+
+    def counting(**kwargs):
+        module = sys._getframe(1).f_globals.get("__name__", "")
+        if module.startswith("qracah"):
+            entered.append((module, kwargs))
+        return errstate(**kwargs)
+
+    p, = draw_many(8, 1, seed=4008)
+    stepped = _counting(monkeypatch, "_jacobian")["_jacobian"]
+    monkeypatch.setattr(np, "errstate", counting)
+    found = bethe.sweep(p)
+    assert stepped and any(s is not None for row in found.values() for s in row)
+    assert entered == [("qracah.bethe", {"all": "ignore"})]
+
+
 def test_verify_polishes_once(monkeypatch, capsys):
     from qracah import cli
     config = Path(__file__).resolve().parent.parent / "configs" / "generic_two_s2.json"
@@ -1070,7 +1105,7 @@ def test_padded_residual_and_probe_values_equal_each_level_alone():
     rng = np.random.default_rng(4401)
     seen, _ = _reference_probe_points([], p)
     on_shell = solve(BetheSystem("hom_minus", 2, p))[0].roots
-    blocking = np.array(seen[:14])  # too few clear probe candidates
+    blocking = np.array(seen[:-2])  # too few clear probe candidates
     hom = [(bethe.KINDS.index(kind), np.exp(rng.uniform(-0.5, 0.5, L)
                                            + 1j * rng.uniform(0, 2 * np.pi, L)))
            for kind in bethe.HOM_KINDS for L in range(p.two_s + 1) for _ in range(2)]
@@ -1080,20 +1115,23 @@ def test_padded_residual_and_probe_values_equal_each_level_alone():
     width = len(blocking)
     k = np.array([i for i, _ in hom + inh])
     U = _padded([row for _, row in hom + inh], width)
-    E, scale = bethe._residual_batch(k, U, p)
-    norm = bethe._scaled_norm(E, scale)
+    with np.errstate(all="ignore"):  # the helpers leave the error state to their caller
+        E, scale = bethe._residual_batch(k, U, p)
+        norm = bethe._scaled_residual(k, U, p)
     pad = ~np.isfinite(U)
     assert np.all(E[pad] == 0) and np.all(scale[pad] == 1)
     _, probe = _tables(0, p, sc)
     nh = len(hom)
-    with np.errstate(all="ignore"):  # the helper leaves the error state to its caller
+    with np.errstate(all="ignore"):
         vals = bethe._probe_values(U[:nh], p, probe[:, k[:nh]])
     for L in sorted({len(row) for _, row in hom + inh}):
         at = np.flatnonzero([len(row) == L for _, row in hom + inh])
-        E_L, scale_L = bethe._residual_batch(k[at], U[at, :L], p)
+        with np.errstate(all="ignore"):
+            E_L, scale_L = bethe._residual_batch(k[at], U[at, :L], p)
+            norm_L = bethe._scaled_residual(k[at], U[at, :L], p)
         assert E[at, :L].tobytes() == E_L.tobytes(), L
         assert scale[at, :L].tobytes() == scale_L.tobytes(), L
-        assert norm[at].tobytes() == bethe._scaled_norm(E_L, scale_L).tobytes(), L
+        assert norm[at].tobytes() == norm_L.tobytes(), L
         h = at[at < nh]
         with np.errstate(all="ignore"):
             alone = bethe._probe_values(U[h, :L], p, probe[:, k[h]])
@@ -1204,7 +1242,8 @@ def test_root_products_and_tq_table_equal_their_reference_copies():
     # probe candidates; and the TQ table of every kind, and of a shuffled
     # kind list, at those points and at the roots
     rng = np.random.default_rng(8800)
-    points = np.concatenate([bethe._sample_points(4 * 3 + 8), bethe._probe_candidates()])
+    points = np.concatenate([bethe._sample_points(4 * 3 + 8),
+                             bethe._sample_points(bethe._PROBE_POOL)])
     for p in _reference_copy_params():
         n, q = p.two_s, p.base.q
         rows = [np.exp(rng.uniform(-0.5, 0.5, L) + 1j * rng.uniform(0, 2 * np.pi, L))
@@ -1220,3 +1259,60 @@ def test_root_products_and_tq_table_equal_their_reference_copies():
                 for at in (points, U[0]):
                     got, want = bethe._tq_table(k, at, p, sc), _ref_tq_table(k, at, p, sc)
                     assert got.shape == want.shape and got.tobytes() == want.tobytes(), p
+
+
+def _ref_tq_roots(k, lams, L, p, coeffs):
+    # the fit before each row read its own kind's coefficients: the basis
+    # built once per kind present, then gathered to the rows
+    S = len(lams)
+    q = p.base.q
+    u = bethe._sample_points(coeffs.shape[-1])
+    powers = np.arange(L + 1)
+    present = np.zeros(len(bethe.KINDS), dtype=bool)
+    present[k] = True
+    kinds, of_row = present.nonzero()[0], present.cumsum()[k] - 1
+    Wk = bethe._w(u, q)[:, None] ** powers
+    Wm, Wp = bethe._w(u / q, q)[:, None] ** powers, bethe._w(q * u, q)[:, None] ** powers
+    A, D, C, T = coeffs[:, kinds]
+    base = (A[:, :, None] * Wm + D[:, :, None] * Wp)[of_row]
+    basis = base + (T[of_row] - lams[:, None])[:, :, None] * Wk
+    M, rhs = basis[:, :, :L], -(basis[:, :, L] + C[of_row])
+    row = np.maximum(np.abs(M).max(axis=2), np.abs(rhs))
+    ok = np.isfinite(row) & (row > 0)
+    M = np.where(ok[:, :, None], M / row[:, :, None], 0.0)
+    rhs = np.where(ok, rhs / row, 0.0)
+    col = np.linalg.norm(M, axis=1)
+    M = M / col[:, None, :]
+    fit = np.isfinite(M).all(axis=(1, 2))
+    coef = np.full((S, L), np.nan, dtype=complex)
+    if fit.any():
+        coef[fit] = bethe._lstsq(M[fit], rhs[fit]) / col[fit]
+    fit &= np.isfinite(coef).all(axis=1)
+    companion = np.zeros((S, L, L), dtype=complex)
+    companion[:, 0, :] = -coef[:, ::-1]
+    companion[:, np.arange(1, L), np.arange(L - 1)] = 1.0
+    w = np.full((S, L), np.nan, dtype=complex)
+    if fit.any():
+        w[fit] = np.linalg.eigvals(companion[fit])
+    r = np.sqrt(0.25 * w * w - 1.0)
+    y = np.where(np.abs(0.5 * w + r) >= np.abs(0.5 * w - r), 0.5 * w + r, 0.5 * w - r)
+    return np.sqrt(y / q)
+
+
+@pytest.mark.parametrize("two_s", range(1, 13))
+def test_tq_roots_equals_its_reference_copy(two_s):
+    # bit for bit at every root count, on the rows of every kind at every
+    # target, and on a shuffled subset of them that may leave kinds out
+    p, = draw_many(two_s, 1, 8900 + two_s)
+    sp, sc = spectrum(p), structure_constants(p)
+    rng = np.random.default_rng(8900 + two_s)
+    k = np.repeat(np.arange(len(bethe.KINDS)), p.dim)
+    lams = np.concatenate([getattr(sp, bethe.TARGET_SPECTRUM[kind]) for kind in bethe.KINDS])
+    some = rng.permutation(len(k))[:len(k) // 2 + 1]
+    for L in range(1, two_s + 1):
+        fit = _tables(L, p, sc)[0]
+        with np.errstate(all="ignore"):
+            for rows in (np.arange(len(k)), some):
+                got = bethe._tq_roots(k[rows], lams[rows], L, p, fit)
+                want = _ref_tq_roots(k[rows], lams[rows], L, p, fit)
+                assert got.tobytes() == want.tobytes(), (L, rows)

@@ -993,6 +993,22 @@ def test_recurrence_refusal_at_two_s_32_warns_nothing(tmp_path):
                            "to produce a vector\n")
 
 
+def test_verify_at_two_s_16_writes_the_same_report_with_warnings_as_errors(tmp_path):
+    # E = 20, draw 24 (two_s 16): a Newton step's finite-difference Jacobian
+    # takes inf - inf inside solve's error state, so warnings as errors
+    # change neither the report nor the exit code, and nothing is printed
+    rng = np.random.default_rng(2220)
+    for _ in range(25):
+        data = fuzz_config(rng, 20)
+    path = _write(tmp_path, data)
+    default, strict = (subprocess.run([sys.executable, *flags, "-m", "qracah", "verify", path],
+                                      capture_output=True, cwd=tmp_path, env=cli_env(), timeout=600)
+                       for flags in ([], ["-W", "error"]))
+    assert default.returncode == 1 and default.stdout
+    assert (strict.returncode, strict.stdout) == (default.returncode, default.stdout)
+    assert strict.stderr == default.stderr == b""
+
+
 # ---------------------------------------------------------------------------
 # reference copy: the report layout as it was written before each object
 # key's text was read from a per-key cache
