@@ -7,11 +7,12 @@ Subcommands
               a spectrum entry
     spectrum  emit both eigenvalue sequences
 
-Exit codes: 0 on success (for verify: overall pass), 2 on config parse
-errors, an empty or unwritable output path or genericity refusal, 1 on
-internal numerical failure.  Complex numbers serialize as two-element
-[re, im] arrays.  Output is deterministic: identical configs produce
-byte-identical reports.
+Exit codes: 0 on success (for verify: overall pass), 2 on config parse errors,
+an empty or unwritable output path or genericity refusal, 1 on internal
+numerical failure.  Complex numbers serialize as two-element [re, im] arrays.
+Output is deterministic: identical configs produce byte-identical reports.
+``verify`` holds one numpy error state, so Python's warning filter changes no
+stdout or exit code; a product past binary64's range is a null, failed check.
 
 ``verify``'s table rule: the eigen family, the recurrence table and each
 double-ratio form are refused when their route raises a numerical
@@ -257,78 +258,78 @@ def run_verify(cfg: RunConfig) -> dict:
     p = cfg.params
     _refuse_if_nongeneric(p)
     tol = cfg.identity_tol
+    with np.errstate(all="ignore"):  # past binary64's range: a null, failed check
+        sp = spectrum(p)
+        real, theta_basis = _realize(GAUGE_THETA_STAR, p, sp), _realize(GAUGE_THETA, p, sp)
+        checks = [_check(name, res, tol) for name, res in zip(
+            ("aw1", "aw2", "cayley_hamilton_A", "cayley_hamilton_Astar"),
+            (*verify_aw(real), *verify_cayley_hamilton(real)))]
 
-    sp = spectrum(p)
-    real, theta_basis = _realize(GAUGE_THETA_STAR, p, sp), _realize(GAUGE_THETA, p, sp)
-    checks = [_check(name, res, tol) for name, res in zip(
-        ("aw1", "aw2", "cayley_hamilton_A", "cayley_hamilton_Astar"),
-        (*verify_aw(real), *verify_cayley_hamilton(real)))]
+        fam = _table(eigen_family, real.A_mat, sp.theta)
+        checks.append(_check("eigenvector_residual_A",
+                             None if fam is None else fam.residuals.max(), tol))
 
-    fam = _table(eigen_family, real.A_mat, sp.theta)
-    checks.append(_check("eigenvector_residual_A", None if fam is None else fam.residuals.max(),
-                         tol))
+        td = build_transition(p)
+        dim = p.dim
+        eye = _eye(dim)
+        checks.append(_check("pinv_p_identity", np.abs(td.Pinv @ td.P - eye).max(), tol))
+        checks.append(_check("p_pinv_identity", np.abs(td.P @ td.Pinv - eye).max(), tol))
+        a_max = np.abs(real.A_mat).max()
+        col_res = [float(np.abs(real.A_mat @ v - theta * v).max()) / float(a_max * np.abs(v).max())
+                   for theta, v in zip(sp.theta, td.Pinv.T)]
+        checks.append(_check("pinv_columns_eigenvectors", np.array(col_res).max(), tol))
 
-    td = build_transition(p)
-    dim = p.dim
-    eye = _eye(dim)
-    checks.append(_check("pinv_p_identity", np.abs(td.Pinv @ td.P - eye).max(), tol))
-    checks.append(_check("p_pinv_identity", np.abs(td.P @ td.Pinv - eye).max(), tol))
-    a_max = np.abs(real.A_mat).max()
-    col_res = [float(np.abs(real.A_mat @ v - theta * v).max()) / float(a_max * np.abs(v).max())
-               for theta, v in zip(sp.theta, td.Pinv.T)]
-    checks.append(_check("pinv_columns_eigenvectors", np.array(col_res).max(), tol))
+        R = td.R
+        checks += [_check(name, res, tol) for name, res in zip(
+            ("recurrence", "q_difference", "orthogonality_rows", "orthogonality_columns"),
+            (*_recurrence_residuals(R, theta_basis, real), *orthogonality_residuals(td)))]
+        checks.append(_check("racah_first_row_col",
+                             np.abs(np.concatenate((R[0, :], R[:, 0])) - 1.0).max(), 1e-12))
+        series = _table(lambda: R)  # the series table, refused past binary64 by the same test
+        idx = np.arange(dim)
+        rec_table = _table(_recurrence_table, theta_basis)
+        rac1, rac2 = (_table(racah_from_scalar_products, fam, idx[:, None], idx, form)
+                      for form in ("rac1", "rac2"))
+        scale = float(np.abs(R).max())
+        gaps = [_table(lambda S, T: np.abs(S - T) / scale, series, T)
+                for T in (rec_table, rac1, rac2)]
+        checks += [_check(f"racah_series_vs_{name}", None if gap is None else gap.max(), tol)
+                   for name, gap in zip(("recurrence", "rac1", "rac2"), gaps)]
+        # row-major cells; each residual by Python's abs, whose last bit np.abs may round apart
+        none = [None] * dim**2
+        series_col, ratio_col = (none if T is None else _ser(T.ravel()) for T in (series, rac1))
+        res_col = none if gaps[0] is None else [float(abs(d) / scale) for d in (R - rec_table).flat]
+        racah_rows = [{"M": M, "N": N, "series": s, "double_ratio": d, "recurrence_residual": r}
+                      for (M, N), s, d, r in zip(itertools.product(range(dim), repeat=2),
+                                                 series_col, ratio_col, res_col)]
 
-    R = td.R
-    checks += [_check(name, res, tol) for name, res in zip(
-        ("recurrence", "q_difference", "orthogonality_rows", "orthogonality_columns"),
-        (*_recurrence_residuals(R, theta_basis, real), *orthogonality_residuals(td)))]
-    checks.append(_check("racah_first_row_col",
-                         np.abs(np.concatenate((R[0, :], R[:, 0])) - 1.0).max(), 1e-12))
-    series = _table(lambda: R)  # the series table, refused past binary64 by the same test
-    idx = np.arange(dim)
-    rec_table = _table(_recurrence_table, theta_basis)
-    rac1, rac2 = (_table(racah_from_scalar_products, fam, idx[:, None], idx, form)
-                  for form in ("rac1", "rac2"))
-    scale = float(np.abs(R).max())
-    gaps = [_table(lambda S, T: np.abs(S - T) / scale, series, T) for T in (rec_table, rac1, rac2)]
-    checks += [_check(f"racah_series_vs_{name}", None if gap is None else gap.max(), tol)
-               for name, gap in zip(("recurrence", "rac1", "rac2"), gaps)]
-    # row-major cells; each residual by Python's abs, whose last bit np.abs may round apart
-    none = [None] * dim**2
-    series_col, ratio_col = (none if T is None else _ser(T.ravel()) for T in (series, rac1))
-    res_col = none if gaps[0] is None else [float(abs(d) / scale) for d in (R - rec_table).flat]
-    racah_rows = [{"M": M, "N": N, "series": s, "double_ratio": d, "recurrence_residual": r}
-                  for (M, N), s, d, r in zip(itertools.product(range(dim), repeat=2), series_col,
-                                             ratio_col, res_col)]
+        bethe_rows = []
+        for kind, found in sweep(p, cfg.solver).items():
+            for index, s in enumerate(found):
+                hit = s is not None
+                z = s.reconstructed_eigenvalue if hit else None
+                bethe_rows.append({
+                    "kind": kind,
+                    "index": index,
+                    "hit": hit,
+                    "roots": _ser(s.roots) if hit else None,
+                    "symmetrized": _ser(s.symmetrized) if hit else None,
+                    "eigenvalue": [z.real, z.imag] if hit else None,
+                    "matched_index": s.matched_index if hit else None,
+                    "residual": float(s.residual_max) if hit else None,
+                    "match_error": float(s.match_error) if hit else None,
+                })
+            worst = np.array([np.inf if s is None else s.match_error for s in found]).max()
+            checks.append(_check(f"bethe_coverage_{kind}", worst, cfg.solver.match_tol))
 
-    bethe_rows = []
-    for kind, found in sweep(p, cfg.solver).items():
-        for index, s in enumerate(found):
-            hit = s is not None
-            z = s.reconstructed_eigenvalue if hit else None
-            bethe_rows.append({
-                "kind": kind,
-                "index": index,
-                "hit": hit,
-                "roots": _ser(s.roots) if hit else None,
-                "symmetrized": _ser(s.symmetrized) if hit else None,
-                "eigenvalue": [z.real, z.imag] if hit else None,
-                "matched_index": s.matched_index if hit else None,
-                "residual": float(s.residual_max) if hit else None,
-                "match_error": float(s.match_error) if hit else None,
-            })
-        checks.append(_check(f"bethe_coverage_{kind}",
-                             np.array([np.inf if s is None else s.match_error for s in found]).max(),
-                             cfg.solver.match_tol))
-
-    return {
-        "instance": _instance_block(cfg),
-        "checks": checks,
-        "bethe": bethe_rows,
-        "racah": racah_rows,
-        "pass": all(c["pass"] for c in checks),
-        "versions": {"spec": _SCHEMA_VERSION},
-    }
+        return {
+            "instance": _instance_block(cfg),
+            "checks": checks,
+            "bethe": bethe_rows,
+            "racah": racah_rows,
+            "pass": all(c["pass"] for c in checks),
+            "versions": {"spec": _SCHEMA_VERSION},
+        }
 
 
 def run_racah_table(cfg: RunConfig, route: str) -> np.ndarray:

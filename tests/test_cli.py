@@ -491,7 +491,8 @@ def _strict_json(text):
 
 def test_verify_writes_a_table_past_binary64_as_null(tmp_path, capsys):
     # at two_s 8 with b at 1e40 the series table and its recurrence copy
-    # leave binary64's range; the report holds null where they would print
+    # leave binary64's range; the report holds null where they would print.
+    # Pinv leaves it too, so its eigenvector check is null and failed
     data = _base_config()
     c_star = 1e40 * complex(*data["c"]) / complex(*data["b_star"])
     data["b"], data["c_star"], data["two_s"] = [1e40, 0.0], [c_star.real, c_star.imag], 8
@@ -507,7 +508,8 @@ def test_verify_writes_a_table_past_binary64_as_null(tmp_path, capsys):
     assert len(rep["racah"]) == 81
     assert all(r["series"] is None and r["recurrence_residual"] is None for r in rep["racah"])
     checks = {c["name"]: c for c in rep["checks"]}
-    for name in ("racah_series_vs_recurrence", "racah_series_vs_rac1", "racah_series_vs_rac2"):
+    for name in ("racah_series_vs_recurrence", "racah_series_vs_rac1", "racah_series_vs_rac2",
+                 "pinv_columns_eigenvectors"):
         assert checks[name]["residual"] is None and not checks[name]["pass"]
     assert len(rep["bethe"]) == 6 * 9
 
@@ -746,9 +748,12 @@ def _rows_of(R):
             for M in range(R.shape[0]) for N in range(R.shape[1])]
 
 
-@pytest.mark.parametrize("two_s", [1, 2, 8, 16, 32])
+@pytest.mark.parametrize("two_s", [None, 1, 2, 8, 16, 32])
 def test_racah_json_bytes_equal_json_dumps(two_s, tmp_path, monkeypatch, capsys):
-    path = _write(tmp_path, _draw_config(draw_many(two_s, 1, 9100 + two_s)[0]))
+    if two_s is None:  # the shipped config
+        path, two_s = SHIPPED_CONFIG, 2
+    else:
+        path = _write(tmp_path, _draw_config(draw_many(two_s, 1, 9100 + two_s)[0]))
     refused = 0
     for route in ("series", "recurrence", "double-ratio"):
         rc, out, R = _main_recorded(
@@ -785,7 +790,8 @@ def test_verify_json_bytes_equal_json_dumps(draw, tmp_path, monkeypatch, capsys)
     assert out == _dumps(report)
     # bethe and spectrum go through the same writer
     level = str(report["instance"]["two_s"])
-    for runner, argv in (("run_bethe", ["bethe", path, "--kind", "hom_plus", "--level", level]),
+    for runner, argv in (*(("run_bethe", ["bethe", path, "--kind", kind, "--level", level])
+                           for kind in ("hom_plus", "hom_minus")),
                          ("run_spectrum", ["spectrum", path])):
         rc, out, returned = _main_recorded(monkeypatch, capsys, runner, argv)
         assert rc == 0
@@ -949,10 +955,15 @@ def test_every_run_ends_in_strict_json_or_a_refusal(E, tmp_path, capsys):
         small = (E, i) in _SMALL_UP_COUPLING
         commands += [["verify", path]] if data["two_s"] <= 8 or small else []
         for argv in commands:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                rc = main(argv)
-            out, err = capsys.readouterr()
+            # verify holds one numpy error state, so the warning filter is
+            # no input: both filters give the same exit code and output
+            runs = []
+            for action in ("ignore", "error") if argv[0] == "verify" else ("ignore",):
+                with warnings.catch_warnings():
+                    warnings.simplefilter(action)
+                    runs.append((main(argv), *capsys.readouterr()))
+            assert runs.count(runs[0]) == len(runs), (argv, data)
+            rc, out, err = runs[0]
             if small and argv[0] == "verify":  # a report, with at least one check failed
                 assert rc == 1 and out, (E, i, err)
             if small and argv[-1] == "recurrence":
@@ -994,19 +1005,24 @@ def test_recurrence_refusal_at_two_s_32_warns_nothing(tmp_path):
 
 
 def test_verify_at_two_s_16_writes_the_same_report_with_warnings_as_errors(tmp_path):
-    # E = 20, draw 24 (two_s 16): a Newton step's finite-difference Jacobian
-    # takes inf - inf inside solve's error state, so warnings as errors
-    # change neither the report nor the exit code, and nothing is printed
-    rng = np.random.default_rng(2220)
-    for _ in range(25):
-        data = fuzz_config(rng, 20)
-    path = _write(tmp_path, data)
-    default, strict = (subprocess.run([sys.executable, *flags, "-m", "qracah", "verify", path],
-                                      capture_output=True, cwd=tmp_path, env=cli_env(), timeout=600)
-                       for flags in ([], ["-W", "error"]))
-    assert default.returncode == 1 and default.stdout
-    assert (strict.returncode, strict.stdout) == (default.returncode, default.stdout)
-    assert strict.stderr == default.stderr == b""
+    # two fuzz draws at two_s 16.  E = 20, draw 24: a Newton step's
+    # finite-difference Jacobian takes inf - inf inside solve's error state.
+    # E = 100, draw 38: verify_aw's right-hand side overflows inside
+    # run_verify's.  Warnings as errors change neither the report nor the
+    # exit code, and nothing is printed
+    for E, draw in ((20, 24), (100, 38)):
+        rng = np.random.default_rng(2200 + E)
+        for _ in range(draw + 1):
+            data = fuzz_config(rng, E)
+        assert data["two_s"] == 16
+        path = _write(tmp_path, data, f"fuzz_e{E}_draw{draw}.json")
+        default, strict = (subprocess.run([sys.executable, *flags, "-m", "qracah", "verify", path],
+                                          capture_output=True, cwd=tmp_path, env=cli_env(),
+                                          timeout=600)
+                           for flags in ([], ["-W", "error"]))
+        assert default.returncode == 1 and default.stdout, E
+        assert (strict.returncode, strict.stdout) == (default.returncode, default.stdout), E
+        assert strict.stderr == default.stderr == b"", (E, default.stderr[:200])
 
 
 # ---------------------------------------------------------------------------
