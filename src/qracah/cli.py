@@ -11,8 +11,9 @@ Exit codes: 0 on success (for verify: overall pass), 2 on config parse errors,
 an empty or unwritable output path or genericity refusal, 1 on internal
 numerical failure.  Complex numbers serialize as two-element [re, im] arrays.
 Output is deterministic: identical configs produce byte-identical reports.
-``verify`` holds one numpy error state, so Python's warning filter changes no
-stdout or exit code; a product past binary64's range is a null, failed check.
+Every command screens genericity first, then runs in one numpy error state,
+so Python's warning filter changes no stdout, stderr or exit code; in
+``verify`` a product past binary64's range is a null, failed check.
 
 ``verify``'s table rule: the eigen family, the recurrence table and each
 double-ratio form are refused when their route raises a numerical
@@ -235,12 +236,16 @@ def _table(route, *args):
     return value
 
 
-def _refuse_if_nongeneric(params: ModelParams) -> None:
+def _entry(params: ModelParams) -> np.errstate:
+    """Every command's entry rule: refuse a non-generic ``params`` before
+    anything is evaluated, then return the one numpy error state the command
+    runs in, so Python's warning filter is no input."""
     conditions = validate_genericity(params)
     if conditions:
         raise GenericityError(
             "genericity refusal:\n" + "\n".join(f"  - {c}" for c in conditions)
         )
+    return np.errstate(all="ignore")
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +261,8 @@ def run_verify(cfg: RunConfig) -> dict:
                              orthogonality_residuals, racah_from_scalar_products)
 
     p = cfg.params
-    _refuse_if_nongeneric(p)
     tol = cfg.identity_tol
-    with np.errstate(all="ignore"):  # past binary64's range: a null, failed check
+    with _entry(p):
         sp = spectrum(p)
         real, theta_basis = _realize(GAUGE_THETA_STAR, p, sp), _realize(GAUGE_THETA, p, sp)
         checks = [_check(name, res, tol) for name, res in zip(
@@ -338,54 +342,53 @@ def run_racah_table(cfg: RunConfig, route: str) -> np.ndarray:
     from .transition import racah_by_recurrence, racah_from_scalar_products, racah_matrix
 
     p = cfg.params
-    _refuse_if_nongeneric(p)
-    route = route.replace("-", "_")
-    if route == "series":
-        R = racah_matrix(p)
-    elif route == "recurrence":
-        R = racah_by_recurrence(p)
-    elif route == "double_ratio":
-        real = build(p)
-        fam = eigen_family(real.A_mat, real.spectrum.theta)
-        idx = np.arange(p.dim)
-        R = racah_from_scalar_products(fam, idx[:, None], idx, "rac1")
-    else:
-        raise ConfigError(f"unknown route {route!r}; choose series, recurrence, double-ratio")
-    return _refuse_past_binary64(R, f"racah {route.replace('_', '-')}")
+    with _entry(p):
+        if route == "series":
+            R = racah_matrix(p)
+        elif route == "recurrence":
+            R = racah_by_recurrence(p)
+        elif route == "double-ratio":
+            real = build(p)
+            fam = eigen_family(real.A_mat, real.spectrum.theta)
+            idx = np.arange(p.dim)
+            R = racah_from_scalar_products(fam, idx[:, None], idx, "rac1")
+        else:
+            raise ConfigError(f"unknown route {route!r}; choose series, recurrence, double-ratio")
+        return _refuse_past_binary64(R, f"racah {route}")
 
 
 def run_bethe(cfg: RunConfig, kind: str, level: int) -> list[dict]:
     from .bethe import BetheSystem, solve
 
     p = cfg.params
-    _refuse_if_nongeneric(p)
-    try:
-        system = BetheSystem(kind, level, p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = []
-    for s in solve(system, cfg.solver):
-        if s.matched_index is None:
-            continue
-        z = s.reconstructed_eigenvalue
-        rows.append({
-            "kind": kind,
-            "level": level,
-            "roots": _ser(s.roots),
-            "symmetrized": _ser(s.symmetrized),
-            "residual": float(s.residual_max),
-            "eigenvalue": [z.real, z.imag],
-            "matched_index": s.matched_index,
-            "match_error": float(s.match_error),
-        })
-    return rows
+    with _entry(p):
+        try:
+            system = BetheSystem(kind, level, p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        rows = []
+        for s in solve(system, cfg.solver):
+            if s.matched_index is None:
+                continue
+            z = s.reconstructed_eigenvalue
+            rows.append({
+                "kind": kind,
+                "level": level,
+                "roots": _ser(s.roots),
+                "symmetrized": _ser(s.symmetrized),
+                "residual": float(s.residual_max),
+                "eigenvalue": [z.real, z.imag],
+                "matched_index": s.matched_index,
+                "match_error": float(s.match_error),
+            })
+        return rows
 
 
 def run_spectrum(cfg: RunConfig) -> dict:
     p = cfg.params
-    _refuse_if_nongeneric(p)
-    sp = spectrum(p)
-    return {"theta": _ser(sp.theta), "theta_star": _ser(sp.theta_star)}
+    with _entry(p):
+        sp = spectrum(p)
+        return {"theta": _ser(sp.theta), "theta_star": _ser(sp.theta_star)}
 
 
 # ---------------------------------------------------------------------------
@@ -525,11 +528,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "verify":
             report = run_verify(cfg)
             _emit(_verify_json(report), cfg)

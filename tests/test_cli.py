@@ -489,14 +489,19 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def test_verify_writes_a_table_past_binary64_as_null(tmp_path, capsys):
-    # at two_s 8 with b at 1e40 the series table and its recurrence copy
-    # leave binary64's range; the report holds null where they would print.
-    # Pinv leaves it too, so its eigenvector check is null and failed
+def _past_binary64_config():
+    # the shipped couplings at two_s 8 with b at 1e40: the series table and
+    # its recurrence copy leave binary64's range
     data = _base_config()
     c_star = 1e40 * complex(*data["c"]) / complex(*data["b_star"])
     data["b"], data["c_star"], data["two_s"] = [1e40, 0.0], [c_star.real, c_star.imag], 8
-    path = _write(tmp_path, data)
+    return data
+
+
+def test_verify_writes_a_table_past_binary64_as_null(tmp_path, capsys):
+    # the report holds null where the tables past binary64's range would
+    # print.  Pinv leaves it too, so its eigenvector check is null and failed
+    path = _write(tmp_path, _past_binary64_config())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         R = racah_matrix(load_config(path).params)
@@ -955,10 +960,10 @@ def test_every_run_ends_in_strict_json_or_a_refusal(E, tmp_path, capsys):
         small = (E, i) in _SMALL_UP_COUPLING
         commands += [["verify", path]] if data["two_s"] <= 8 or small else []
         for argv in commands:
-            # verify holds one numpy error state, so the warning filter is
-            # no input: both filters give the same exit code and output
+            # every command runs in one numpy error state, so the warning
+            # filter is no input: both filters give the same exit code and output
             runs = []
-            for action in ("ignore", "error") if argv[0] == "verify" else ("ignore",):
+            for action in ("ignore", "error"):
                 with warnings.catch_warnings():
                     warnings.simplefilter(action)
                     runs.append((main(argv), *capsys.readouterr()))
@@ -991,17 +996,26 @@ def test_every_run_ends_in_strict_json_or_a_refusal(E, tmp_path, capsys):
 def test_recurrence_refusal_at_two_s_32_warns_nothing(tmp_path):
     # E = 100, draw 7 (two_s 32): the family's sub*sup products overflow, and
     # with warnings as errors the route still exits 1 with the family's own
-    # refusal, not with numpy's warning about the product
+    # refusal, not with numpy's warning about the product.  The same holds
+    # for the tables past binary64's range at b = 1e-300 and b = 1e40, whose
+    # series products and recurrence quotients overflow
     rng = np.random.default_rng(2300)
     for _ in range(8):
         data = fuzz_config(rng, 100)
-    path = _write(tmp_path, data)
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "qracah", "racah", path, "--route", "recurrence"],
-        capture_output=True, text=True, cwd=tmp_path, env=cli_env(), timeout=600)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert proc.stderr == ("numerical failure: ValueError: eigen_family: shifted solve failed "
-                           "to produce a vector\n")
+    runs = [(data, "recurrence", "eigen_family: shifted solve failed to produce a vector"),
+            (_overflow_config(), "series",
+             "racah series: non-finite table entry at (M, N) = (2, 2)"),
+            (_past_binary64_config(), "series",
+             "racah series: non-finite table entry at (M, N) = (8, 7)"),
+            (_past_binary64_config(), "recurrence",
+             "racah recurrence: non-finite table entry at (M, N) = (1, 8)")]
+    for i, (data, route, refusal) in enumerate(runs):
+        path = _write(tmp_path, data, f"cfg{i}.json")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "qracah", "racah", path, "--route", route],
+            capture_output=True, text=True, cwd=tmp_path, env=cli_env(), timeout=600)
+        assert (proc.returncode, proc.stdout) == (1, ""), route
+        assert proc.stderr == f"numerical failure: ValueError: {refusal}\n"
 
 
 def test_verify_at_two_s_16_writes_the_same_report_with_warnings_as_errors(tmp_path):
