@@ -98,6 +98,8 @@ def _complex_field(obj, key):
         raise ConfigError(f"{key} must be a two-element [re, im] array of numbers")
     if not all(abs(x) <= sys.float_info.max for x in v):  # NaN, Infinity, or past binary64
         raise ConfigError(f"{key} must be finite")
+    if math.hypot(*v) > sys.float_info.max:  # finite parts, modulus past binary64
+        raise ConfigError(f"{key} must be at most {sys.float_info.max:.4g} in modulus")
     return complex(float(v[0]), float(v[1]))
 
 

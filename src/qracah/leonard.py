@@ -2,11 +2,11 @@
 
 Two gauges are supported.  In the ``theta_star_basis`` gauge the second
 generator is diagonal and the first acts tridiagonally; in the
-``theta_basis`` gauge the roles are exchanged.  The tridiagonal action of
-the first generator (``A``) is that of the second (``Astar``) for the dual
-pair, whose starred and unstarred couplings are exchanged and whose twist is
-inverted.  Matrix entries follow the column convention: entry (row, col)
-multiplies basis vector ``row`` in the image of basis vector ``col``.
+``theta_basis`` gauge the roles are exchanged.  One loop writes the
+tridiagonal action of ``Astar``, the second generator; that of ``A`` is the
+loop's output for the dual pair (starred and unstarred couplings exchanged,
+twist inverted).  Matrix entries follow the column convention: entry (row,
+col) multiplies basis vector ``row`` in the image of basis vector ``col``.
 
 Eigenvectors are read off a twisted factorization of each shifted matrix at
 the analytically known eigenvalues, with a pinned component, not taken from
@@ -41,8 +41,6 @@ __all__ = [
 GAUGE_THETA_STAR = "theta_star_basis"
 GAUGE_THETA = "theta_basis"
 COEFF_KINDS = ("Astar", "A")
-# the coefficient kind that is tridiagonal in each gauge
-_GAUGE_KIND = {GAUGE_THETA_STAR: "A", GAUGE_THETA: "Astar"}
 
 _DEN_TOL = 1e-12
 # largest scaled residual of an eigen family vector
@@ -53,7 +51,6 @@ _FAMILY_TOL = 1e-6
 class TridiagonalRealization:
     """Matrix pair for one gauge and its spectrum."""
 
-    gauge: str
     A_mat: np.ndarray
     Astar_mat: np.ndarray
     params: ModelParams
@@ -83,20 +80,18 @@ def coeff(kind: str, row: int, col: int, p: ModelParams) -> complex:
         raise ValueError(f"coeff: indices ({row}, {col}) outside 0..{n}")
     if abs(row - col) > 1:
         raise ValueError(f"coeff: ({row}, {col}) is not a tridiagonal position")
-    sub, diag, sup = _diagonals(kind, p)
+    if kind not in COEFF_KINDS:
+        raise ValueError(f"coeff: unknown kind {kind!r}; choose one of {COEFF_KINDS}")
+    sub, diag, sup = _diagonals(_dual(p) if kind == "A" else p)
     if row == col + 1:
         return sub[row]
     return diag[row] if row == col else sup[col]
 
 
-def _diagonals(kind: str, p: ModelParams) -> tuple[list, list, list]:
-    """The tridiagonal action of ``kind`` for M = 0..two_s: sub[M] is entry
-    (M, M-1), diag[M] entry (M, M) and sup[M] entry (M-1, M), with sub[0] =
-    sup[0] = 0.  ``A`` is ``Astar`` of the dual pair."""
-    if kind not in COEFF_KINDS:
-        raise ValueError(f"coeff: unknown kind {kind!r}; choose one of {COEFF_KINDS}")
-    if kind == "A":
-        p = _dual(p)
+def _diagonals(p: ModelParams) -> tuple[list, list, list]:
+    """The tridiagonal action of ``Astar`` of ``p`` for M = 0..two_s: sub[M]
+    is entry (M, M-1), diag[M] entry (M, M) and sup[M] entry (M-1, M), with
+    sub[0] = sup[0] = 0.  That of ``A`` is this action for ``_dual(p)``."""
     q, n, b, c, bs, cs, z2 = p.base.q, p.two_s, p.b, p.c, p.b_star, p.c_star, p.zeta**2
     # q**e for each exponent e the entries use, formed once per call
     pw = {e: q**e for e in (*range(-2 * n, 4 * n + 1, 2), *range(n - 1, 3 * n, 2))}
@@ -129,16 +124,16 @@ def build(p: ModelParams, gauge: str = GAUGE_THETA_STAR) -> TridiagonalRealizati
 
 def _realize(gauge: str, p: ModelParams, sp: Spectrum) -> TridiagonalRealization:
     """:func:`build` with the spectrum ``sp`` of ``p`` given."""
-    if gauge not in _GAUGE_KIND:
+    if gauge not in (GAUGE_THETA_STAR, GAUGE_THETA):
         raise ValueError(f"build: unknown gauge {gauge!r}")
-    sub, diag, sup = _diagonals(_GAUGE_KIND[gauge], p)
+    sub, diag, sup = _diagonals(_dual(p) if gauge == GAUGE_THETA_STAR else p)
     tri, i = np.diag(np.array(diag, dtype=complex)), np.arange(1, p.dim)
     tri[i, i - 1], tri[i - 1, i] = sub[1:], sup[1:]
     if gauge == GAUGE_THETA_STAR:
         A_mat, Astar_mat = tri, np.diag(sp.theta_star)
     else:
         A_mat, Astar_mat = np.diag(sp.theta), tri
-    return TridiagonalRealization(gauge, A_mat, Astar_mat, p, sp)
+    return TridiagonalRealization(A_mat, Astar_mat, p, sp)
 
 
 def _maxabs(m: np.ndarray) -> float:

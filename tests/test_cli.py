@@ -23,7 +23,7 @@ from qracah.cli import (
 
 from qracah.bethe import KINDS
 from qracah.leonard import GAUGE_THETA, build, eigen_family
-from qracah.model import spectrum
+from qracah.model import _dual, spectrum
 from qracah.transition import build_transition, racah_from_scalar_products, racah_matrix
 
 from conftest import cli_env, draw_many, fuzz_config, fuzz_params
@@ -114,11 +114,13 @@ def test_parse_errors_name_the_path(tmp_path, capsys):
         parse_config(data)
 
     # json reads NaN and Infinity, and an integer past binary64 stays an int;
-    # none is a number the checks can use, so each is a config error (exit 2)
-    nan, inf, huge = float("nan"), float("inf"), 10**400
+    # none is a number the checks can use, nor is a pair of finite parts whose
+    # modulus is past binary64, so each is a config error (exit 2)
+    nan, inf, huge, wide = float("nan"), float("inf"), 10**400, [1.7e308, 1.7e308]
     for path, value in (("q", [nan, 0.2]), ("zeta", [inf, 0.0]), ("b", [0.9, -inf]),
-                        ("c", [huge, 0.0]), ("tolerances.bethe_tol", inf),
-                        ("tolerances.identity_tol", nan), ("tolerances.match_tol", huge)):
+                        ("c", [huge, 0.0]), ("q", wide), ("c", wide),
+                        ("tolerances.bethe_tol", inf), ("tolerances.identity_tol", nan),
+                        ("tolerances.match_tol", huge)):
         data = _base_config()
         block = data["tolerances"] if "." in path else data
         block[path.rpartition(".")[2]] = value
@@ -139,10 +141,13 @@ def test_parse_rejects_violated_coupling_constraint():
 
 @pytest.mark.parametrize("warn", ["ignore", "error"])
 @pytest.mark.parametrize("couplings", [{"b": [1.5e308, 0.0], "c_star": [1.0, 0.0]},
-                                       {"b_star": [1.5e308, 0.0], "c_star": [1.2, 0.0]}],
-                         ids=["b*c", "b_star*c_star"])
+                                       {"b_star": [1.5e308, 0.0], "c_star": [1.2, 0.0]},
+                                       {"b": [1e308, 1e308], "c": [1.0, 0.0], "b_star": [1.0, 0.0],
+                                        "c_star": [-5e307, -5e307]}],
+                         ids=["b*c", "b_star*c_star", "difference"])
 def test_overflowed_coupling_product_is_config_error(couplings, warn, tmp_path, capsys):
-    # a product past binary64's range cannot be compared: inf > 1e-10 * inf is False
+    # a product past binary64's range cannot be compared: inf > 1e-10 * inf is False;
+    # nor can finite products whose difference has a modulus past it
     path = _write(tmp_path, {**_base_config(), **couplings})
     with warnings.catch_warnings():
         warnings.simplefilter(warn)
@@ -709,7 +714,9 @@ def test_verify_builds_its_setup_once(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
         counts.append({name: len(args) for name, args in calls.items()})
         assert len(calls["spectrum"]) <= 3
-        assert sorted(args[0] for args in calls["_diagonals"]) == ["A", "Astar"]
+        # one call per side: A's couplings are those of the dual pair
+        p = load_config(path).params
+        assert sorted(calls["_diagonals"], key=repr) == sorted([(p,), (_dual(p),)], key=repr)
         assert [args[0] for args in calls["_realize"]] == [leonard.GAUGE_THETA_STAR,
                                                           leonard.GAUGE_THETA]
         assert len(calls["_polish"]) == 1

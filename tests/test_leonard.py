@@ -83,6 +83,11 @@ class TestCoeff:
             coeff("Astar", 3, 2, p)
         with pytest.raises(ValueError, match="unknown kind"):
             coeff("nope", 0, 0, p)
+        # the indices are refused before the kind
+        with pytest.raises(ValueError, match="outside"):
+            coeff("nope", 0, 5, p)
+        with pytest.raises(ValueError, match="unknown kind"):
+            coeff("nope", 0, 1, p)
 
 
 class TestBuild:
@@ -356,6 +361,11 @@ def _ref_diagonals(kind, p):
     return sub, diag, sup
 
 
+def _diagonals_of(kind, p):
+    """``_diagonals`` for the side ``kind``: A's couplings are A*'s of the dual pair."""
+    return _diagonals(_dual(p) if kind == "A" else p)
+
+
 def _outcome(fn, *args):
     """The bytes of each list ``fn`` returns, or the type and message of what it raises."""
     try:
@@ -386,12 +396,12 @@ class TestOneLoopCouplings:
     def test_diagonals_equal_the_entry_formulas(self, two_s):
         for p in draw_many(two_s, 2, 4700 + two_s):
             for kind in ("A", "Astar"):
-                assert _outcome(_diagonals, kind, p) == _outcome(_ref_diagonals, kind, p)
+                assert _outcome(_diagonals_of, kind, p) == _outcome(_ref_diagonals, kind, p)
 
     def test_diagonals_equal_the_entry_formulas_on_the_fuzz_configs(self):
         for p in fuzz_params():
             for kind in ("A", "Astar"):
-                assert _outcome(_diagonals, kind, p) == _outcome(_ref_diagonals, kind, p), p
+                assert _outcome(_diagonals_of, kind, p) == _outcome(_ref_diagonals, kind, p), p
 
     @pytest.mark.parametrize("two_s", [1, 2, 5])
     def test_a_vanishing_rung_is_refused_with_the_same_message(self, two_s):
@@ -405,7 +415,7 @@ class TestOneLoopCouplings:
             for kind, locus in (("Astar", on_c), ("A", on_c_star)):
                 want = _outcome(_ref_diagonals, kind, locus)
                 assert want[0] is GenericityError
-                assert _outcome(_diagonals, kind, locus) == want
+                assert _outcome(_diagonals_of, kind, locus) == want
 
     @pytest.mark.parametrize("two_s", range(1, 33))
     def test_cayley_hamilton_equals_the_dense_shift(self, two_s):
