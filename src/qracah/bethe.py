@@ -176,14 +176,6 @@ def _lam2(eps, u, p: ModelParams):
     return pref * f1 * f2 * f3 * f4
 
 
-def _f(u, v, q):
-    return _b(q * v / u) * _b(u * v) / (_b(v / u) * _b(q * u * v))
-
-
-def _h(u, v, q):
-    return _b(q * q * u * v) * _b(q * u / v) / (_b(q * u * v) * _b(u / v))
-
-
 def _inh_product(u, p: ModelParams) -> np.ndarray:
     """Product over the inhomogeneity ladder x = q**((1 - two_s)/2) * q**j,
     j = 0..two_s, of b(x*zeta*u)*b(x*u/zeta); branch-independent because the
@@ -231,7 +223,7 @@ def _root_products(u: np.ndarray, U: np.ndarray, q, skip_self: bool) -> np.ndarr
     skip = ~np.isfinite(v)
     if skip_self:
         skip = skip | _eye(U.shape[1], bool)
-    # _f, _h and the denominator written out, each shared factor formed once
+    # f, h and the denominator written out, each shared factor formed once
     qw = q * w
     b_qwv, b_wv = _b(qw * v), _b(w / v)
     f = _b(q * v / w) * _b(w * v) / (_b(v / w) * b_qwv)
@@ -666,16 +658,16 @@ def _polish(k: np.ndarray, U: np.ndarray, p: ModelParams, tol: float):
     return C, res
 
 
-def _solutions(systems: list[BetheSystem], U: np.ndarray, res: np.ndarray, p: ModelParams,
-               sp: Spectrum, cfg: SolverConfig, probe: np.ndarray) -> list[BetheSolution]:
+def _solutions(systems: list[BetheSystem], k: np.ndarray, U: np.ndarray, res: np.ndarray,
+               p: ModelParams, sp: Spectrum, cfg: SolverConfig,
+               probe: np.ndarray) -> list[BetheSolution]:
     """Admissibility and eigenvalue match of each on-shell root set, one per
-    row of U; row s solves systems[s], and a row of fewer roots than U has
-    columns ends in pads.  probe is the TQ table of every kind at the probe
-    candidates; the eigenvalues of all rows are reconstructed at once and
-    matched in one broadcast.  Only homogeneous rows may be padded: the
-    closed form's sum is not exact under pads."""
+    row of U; row s solves systems[s], whose kind index is k[s], and a row of
+    fewer roots than U has columns ends in pads.  probe is the TQ table of
+    every kind at the probe candidates; the eigenvalues of all rows are
+    reconstructed at once and matched in one broadcast.  Only homogeneous
+    rows may be padded: the closed form's sum is not exact under pads."""
     S, L = U.shape
-    k = np.array([KINDS.index(s.kind) for s in systems], dtype=int)
     pad = ~np.isfinite(U)
     count = L - pad.sum(axis=1)
     sym = np.where(pad, np.inf, symmetrize_roots(U, p))
@@ -757,8 +749,8 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
         fit = (np.isfinite(U).sum(axis=1) == count).nonzero()[0]
         U, res = _polish(k[fit], U[fit], p, cfg.tol)
         on_shell = res <= cfg.tol
-        return _solutions([rows[i] for i in fit[on_shell]], U[on_shell], res[on_shell],
-                          p, sp, cfg, table[:, :, -_PROBE_POOL:])
+        return _solutions([rows[i] for i in fit[on_shell]], k[fit[on_shell]], U[on_shell],
+                          res[on_shell], p, sp, cfg, table[:, :, -_PROBE_POOL:])
 
 
 def coverage(kind: str, p: ModelParams,

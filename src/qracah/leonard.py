@@ -61,7 +61,6 @@ class TridiagonalRealization:
 class EigenFamily:
     """Right eigenvectors (columns), left covectors (rows), and residuals."""
 
-    values: np.ndarray
     right: np.ndarray
     left: np.ndarray
     residuals: np.ndarray
@@ -250,4 +249,4 @@ def eigen_family(matrix: np.ndarray, values: np.ndarray) -> EigenFamily:
     if bad.size:
         raise ValueError(f"eigen_family: shifted system at value index {bad[0]} is not "
                          f"rank-deficient within tolerance (residual {residuals[bad[0]]:.3e})")
-    return EigenFamily(values=values, right=right, left=left, residuals=residuals)
+    return EigenFamily(right=right, left=left, residuals=residuals)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,9 @@ class ModelParams:
             object.__setattr__(self, name, val)
             if not cmath.isfinite(val):
                 raise ValueError(f"ModelParams: {name} must be finite")
+            if math.hypot(val.real, val.imag) > sys.float_info.max:  # abs(val) would overflow
+                raise ValueError(f"ModelParams: {name} must be at most "
+                                 f"{sys.float_info.max:.4g} in modulus")
             if val == 0:
                 raise ValueError(f"ModelParams: {name} must be nonzero")
         lhs = self.b * self.c

@@ -6,6 +6,8 @@ primitives are verified downstream as residuals, never as exact equalities.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +28,9 @@ _DENOMINATOR_TOL = 1e-13
 class QBase:
     """Deformation parameter q with its cached square.
 
-    A non-finite q, q = 0 and q = +-1 are rejected outright; proximity of q
-    to other roots of unity depends on the spin and is checked by
-    :func:`qracah.model.validate_genericity`.
+    A non-finite q, a modulus past binary64's range, q = 0 and q = +-1 are
+    rejected outright; proximity of q to other roots of unity depends on the
+    spin and is checked by :func:`qracah.model.validate_genericity`.
     """
 
     q: complex
@@ -38,6 +40,8 @@ class QBase:
         q = complex(self.q)
         if not np.isfinite(q):
             raise ValueError("QBase: q must be finite")
+        if math.hypot(q.real, q.imag) > sys.float_info.max:  # abs(q) would overflow
+            raise ValueError(f"QBase: q must be at most {sys.float_info.max:.4g} in modulus")
         if abs(q) < _INVERSION_FLOOR:
             raise ValueError("QBase: q must be nonzero")
         if abs(q - 1.0) < 1e-14 or abs(q + 1.0) < 1e-14:

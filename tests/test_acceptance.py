@@ -166,7 +166,6 @@ def test_criterion_05_gauge_invariance(route_draws, capsys):
         dr = np.exp(rng.uniform(-1.0, 1.0, dim)) * np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
         dl = np.exp(rng.uniform(-1.0, 1.0, dim)) * np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
         scaled = EigenFamily(
-            values=fam.values,
             right=fam.right * dr[None, :],
             left=fam.left * dl[:, None],
             residuals=fam.residuals,

@@ -47,6 +47,19 @@ def _bf(x):
     return x - 1.0 / x
 
 
+# the pair couplings f and h, each written out alone: the reference that
+# ``_root_products``, which forms each shared factor once, is held to
+_b = bethe._b
+
+
+def _f(u, v, q):
+    return _b(q * v / u) * _b(u * v) / (_b(v / u) * _b(q * u * v))
+
+
+def _h(u, v, q):
+    return _b(q * q * u * v) * _b(q * u / v) / (_b(q * u * v) * _b(u / v))
+
+
 def _rand_point(rng, lo=0.55, hi=1.8):
     r = float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
     a = float(rng.uniform(0, 2 * np.pi))
@@ -97,9 +110,9 @@ def test_exchange_fh_even_in_each_argument():
     p = draw_params(1, rng)
     for _ in range(5):
         u, v = _rand_point(rng), _rand_point(rng)
-        f0, h0 = bethe._f(u, v, p.base.q), bethe._h(u, v, p.base.q)
+        f0, h0 = _f(u, v, p.base.q), _h(u, v, p.base.q)
         for uu, vv in ((-u, v), (u, -v), (-u, -v)):
-            f1, h1 = bethe._f(uu, vv, p.base.q), bethe._h(uu, vv, p.base.q)
+            f1, h1 = _f(uu, vv, p.base.q), _h(uu, vv, p.base.q)
             assert abs(f1 - f0) < 1e-12 * max(1, abs(f0))
             assert abs(h1 - h0) < 1e-12 * max(1, abs(h0))
 
@@ -110,7 +123,7 @@ def test_exchange_fh_value_against_direct_product():
     p = draw_params(2, rng)
     q = p.base.q
     u, v = _rand_point(rng), _rand_point(rng)
-    f, h = bethe._f(u, v, q), bethe._h(u, v, q)
+    f, h = _f(u, v, q), _h(u, v, q)
     f_ref = _bf(q * v / u) * _bf(u * v) / (_bf(v / u) * _bf(q * u * v))
     h_ref = _bf(q * q * u * v) * _bf(q * u / v) / (_bf(q * u * v) * _bf(u / v))
     assert abs(f - f_ref) < 1e-14 * max(1, abs(f_ref))
@@ -133,8 +146,8 @@ def test_pair_products_match_scalar_exchange_loop(L):
             f_ref = h_ref = den_ref = 1.0 + 0j
             for j, v in enumerate(row):
                 if j != i:
-                    f_ref *= bethe._f(u, v, q)
-                    h_ref *= bethe._h(u, v, q)
+                    f_ref *= _f(u, v, q)
+                    h_ref *= _h(u, v, q)
                     den_ref *= _bf(u / v) * _bf(q * u * v)
             for got, want in ((F[s, i], f_ref), (H[s, i], h_ref), (den[s, i], den_ref)):
                 assert abs(got - want) <= 1e-13 * abs(want)
@@ -643,7 +656,7 @@ def test_batching_does_not_change_any_target(two_s):
             U = bethe._tq_roots(k, targets, system.level, p, fit)
             U = U * (1.0 + shift * np.exp(1j * np.arange(system.level)))
             U, res = bethe._polish(k, U, p, cfg.tol)
-            return bethe._solutions([system] * len(U), U, res, p, sp, cfg, probe)
+            return bethe._solutions([system] * len(U), k, U, res, p, sp, cfg, probe)
 
     for p in draw_many(two_s, 3, seed=2000 + two_s):
         for kind in bethe.INHOM_KINDS:
@@ -1184,7 +1197,7 @@ def _ref_root_products(u, U, q, skip_self):
     skip = ~np.isfinite(v)
     if skip_self:
         skip = skip | np.eye(U.shape[1], dtype=bool)
-    pairs = np.stack([bethe._f(w, v, q), bethe._h(w, v, q), _bf(w / v) * _bf(q * w * v)])
+    pairs = np.stack([_f(w, v, q), _h(w, v, q), _bf(w / v) * _bf(q * w * v)])
     return np.where(skip, 1.0, pairs).prod(axis=-1)
 
 

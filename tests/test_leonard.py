@@ -253,7 +253,7 @@ def _dense_family(matrix, values):
     eye = np.eye(matrix.shape[0])
     right = np.stack([_dense_null_vector(matrix - lam * eye, scale) for lam in values], 1)
     left = np.stack([_dense_null_vector((matrix - lam * eye).T, scale) for lam in values])
-    return EigenFamily(values=values, right=right, left=left, residuals=np.zeros(len(values)))
+    return EigenFamily(right=right, left=left, residuals=np.zeros(len(values)))
 
 
 def _ratio_table(fam, dim, form):
@@ -468,7 +468,7 @@ def _ref_eigen_family(matrix, values):
     if bad.size:
         raise ValueError(f"eigen_family: shifted system at value index {bad[0]} is not "
                          f"rank-deficient within tolerance (residual {residuals[bad[0]]:.3e})")
-    return EigenFamily(values=values, right=right, left=left, residuals=residuals)
+    return EigenFamily(right=right, left=left, residuals=residuals)
 
 
 def _family_or_refusal(route, matrix, values):
@@ -476,7 +476,7 @@ def _family_or_refusal(route, matrix, values):
         fam = route(matrix, values)
     except ValueError as exc:
         return type(exc), str(exc)
-    return tuple(a.tobytes() for a in (fam.values, fam.right, fam.left, fam.residuals))
+    return tuple(a.tobytes() for a in (fam.right, fam.left, fam.residuals))
 
 
 def test_eigen_family_equals_its_reference_copy():

@@ -47,6 +47,15 @@ class TestModelParams:
             for bad in (float("nan"), float("inf"), complex(1.0, float("nan")), -float("inf")):
                 with pytest.raises(ValueError, match=f"ModelParams: {name} must be finite"):
                     _simple_params(**{name: bad})
+            # finite parts, modulus past binary64: refused by name, never
+            # passed to the screen, whose abs() would overflow
+            with pytest.raises(ValueError, match=f"ModelParams: {name} must be at most "
+                               "1.798e\\+308 in modulus"):
+                _simple_params(**{name: complex(1.7e308, 1.7e308)})
+        # a set whose product b*c is finite, so only the modulus refuses it
+        with pytest.raises(ValueError, match="ModelParams: b must be at most"):
+            ModelParams(base=QBase(1.18), two_s=2, b=complex(1.7e308, 1.7e308), c=1e-308,
+                        b_star=1.0, c_star=1.7 + 1.7j, zeta=1.1)
 
     def test_dim(self):
         assert _simple_params().dim == 3

@@ -30,6 +30,9 @@ class TestQBase:
         for bad in (nan, inf, complex(1.1, nan), complex(-inf, 1.0)):
             with pytest.raises(ValueError, match="q must be finite"):
                 QBase(bad)
+        # finite parts, modulus past binary64: abs(q) would overflow
+        with pytest.raises(ValueError, match="q must be at most 1.798e\\+308 in modulus"):
+            QBase(complex(1.7e308, 1.7e308))
 
     def test_caches_square(self):
         base = QBase(2.0 + 1.0j)

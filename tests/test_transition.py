@@ -475,8 +475,8 @@ class TestScalarProductRoute:
         D = p.dim
         sr = RNG.standard_normal(D) + 1j * RNG.standard_normal(D)
         sl = RNG.standard_normal(D) + 1j * RNG.standard_normal(D)
-        scaled = type(fam)(values=fam.values, right=fam.right * sr[None, :],
-                           left=fam.left * sl[:, None], residuals=fam.residuals)
+        scaled = type(fam)(right=fam.right * sr[None, :], left=fam.left * sl[:, None],
+                           residuals=fam.residuals)
         for M in range(D):
             for N in range(D):
                 for form in ("rac1", "rac2"):
@@ -502,8 +502,7 @@ class TestScalarProductRoute:
         _, fam = self._family(p)
         left = fam.left.copy()
         left[0, 2] = 0.0  # zeroes the rac1 denominator of every entry (M, 2)
-        bad = type(fam)(values=fam.values, right=fam.right, left=left,
-                        residuals=fam.residuals)
+        bad = type(fam)(right=fam.right, left=left, residuals=fam.residuals)
         idx = np.arange(p.dim)
         with pytest.raises(ValueError, match="vanishing scalar product"):
             racah_from_scalar_products(bad, 1, 2, "rac1")

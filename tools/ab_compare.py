@@ -20,8 +20,10 @@ workload and end-to-end metric of ``BENCHMARK.json`` the parent's and the
 change's quartiles over the pairs (``parent_q1_median_q3``,
 ``change_q1_median_q3``), the pairs in which the change reads better or worse
 (its direction in ``BENCHMARK.json``; ties count for neither), the relative
-change of the medians, and whether the gap between the medians exceeds the
-parent's interquartile range.
+change of the medians, whether the gap between the medians exceeds the
+parent's interquartile range, and whether the claim rule is met
+(``claim_rule_met``): the change wins at least ceil(0.9 * pairs) pairs, and
+its median beats the parent's by more than the parent's q3 - q1.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
         wins = sum(sign * (b - a) < 0 for a, b in zip(p, c))
         losses = sum(sign * (b - a) > 0 for a, b in zip(p, c))
         qp, qc = quartiles(p), quartiles(c)
+        iqr = qp[2] - qp[0]
         out[name] = {
             "parent_q1_median_q3": [round(v, 6) for v in qp],
             "change_q1_median_q3": [round(v, 6) for v in qc],
@@ -71,7 +74,9 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             "change_losses": losses,
             "pairs": len(p),
             "median_change_rel": round((qc[1] - qp[1]) / qp[1], 4) if qp[1] else 0.0,
-            "median_gap_exceeds_parent_iqr": abs(qc[1] - qp[1]) > qp[2] - qp[0],
+            "median_gap_exceeds_parent_iqr": abs(qc[1] - qp[1]) > iqr,
+            # wins >= ceil(0.9 * pairs), in integers
+            "claim_rule_met": 10 * wins >= 9 * len(p) and sign * (qp[1] - qc[1]) > iqr,
         }
     out["attempted_failed_correct_equal_in_every_pair"] = all(
         (a["attempted"], a["failed"], a["correct"]) == (b["attempted"], b["failed"], b["correct"])

@@ -1,10 +1,11 @@
-"""Smoke test of the A/B comparison: a checkout compared with itself.
+"""Tests of the A/B comparison: the claim rule of ``summarize`` on synthetic
+runs, and a smoke test of a checkout compared with itself.
 
     python3 -m pytest -q tools/test_ab_compare.py
 
-The files the benchmark reads are copied into a fresh git repository, so the
-worktree that the comparison adds and removes is that repository's, not this
-checkout's.
+For the smoke test the files the benchmark reads are copied into a fresh git
+repository, so the worktree that the comparison adds and removes is that
+repository's, not this checkout's.
 """
 
 import json
@@ -16,8 +17,56 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+from ab_compare import summarize  # noqa: E402
+
 COPIED = ("src/qracah", "bench", "configs", "tests/conftest.py", "BENCHMARK.json",
           "tools/ab_compare.py")
+
+
+def _runs(values, name="wall_s"):
+    """Synthetic runs of one metric, as ``summarize`` reads them."""
+    return [{"metrics": {name: {"value": v}}, "attempted": 1, "failed": 0, "correct": 1}
+            for v in values]
+
+
+# the parent's ten runs, in ms: quartiles 10.25, 12.5 and 14.75, so q3 - q1 =
+# 4.5; every value here is exact in binary64, so no gap sits on a rounding
+PARENT = [8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0]
+
+
+@pytest.mark.parametrize("change, met", [
+    # 9 of 10 pairs won, median 12.5 -> 7.5, a gap of 5 > 4.5
+    ([v - 5.0 for v in PARENT[:9]] + [18.0], True),
+    # 8 of 10 pairs won, with a gap well above the IQR
+    ([v - 10.0 for v in PARENT[:8]] + [17.0, 18.0], False),
+    # every pair won, a gap equal to the IQR
+    ([v - 4.5 for v in PARENT], False),
+    # every pair won, a gap below the IQR
+    ([v - 1.0 for v in PARENT], False),
+])
+def test_claim_rule_lower_is_better(change, met):
+    got = summarize(_runs(PARENT), _runs(change), {"wall_s": "lower"})["wall_s"]
+    assert got["parent_q1_median_q3"] == [10.25, 12.5, 14.75]
+    assert got["claim_rule_met"] is met
+
+
+def test_claim_rule_higher_is_better_ratio():
+    parent = [0.60, 0.61, 0.62, 0.63, 0.64, 0.65, 0.66, 0.67, 0.68, 0.69]
+    up = [v + 0.2 for v in parent[:9]] + [0.5]
+    better = {"coverage_ratio": "higher"}
+    got = summarize(_runs(parent, "coverage_ratio"), _runs(up, "coverage_ratio"), better)
+    assert got["coverage_ratio"]["change_wins"] == 9
+    assert got["coverage_ratio"]["claim_rule_met"] is True
+    # the same runs the other way round lose every pair the ratio moved
+    back = summarize(_runs(up, "coverage_ratio"), _runs(parent, "coverage_ratio"), better)
+    assert back["coverage_ratio"]["change_wins"] == 1
+    assert back["coverage_ratio"]["claim_rule_met"] is False
+    # ties count for neither side: an equal ratio in every pair claims nothing
+    same = summarize(_runs(parent, "coverage_ratio"), _runs(parent, "coverage_ratio"), better)
+    assert same["coverage_ratio"]["change_wins"] == same["coverage_ratio"]["change_losses"] == 0
+    assert same["coverage_ratio"]["claim_rule_met"] is False
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
