@@ -24,18 +24,18 @@ one golden-angle spiral, ``_sample_points``, at different counts: 4L + 8 for
 a batch of root count L, ``_PROBE_POOL`` for the probes.  The fit runs per
 root count: a batch shares one set of sample points, fits Q to every target
 by one stacked SVD, takes the zeros of every Q at once and inverts them to
-Bethe roots.  The root sets of every batch are then stacked, padded with
-inf to the largest root count, and go through one polish/reconstruct/match
-pass: a pad is a factor 1 in every product over roots, wins no max or min
-and sorts last.  Newton steps, which only root sets above tolerance take,
-run per root count on unpadded rows.  The homogeneous eigenvalues are read
-off the table at the probe candidates.  A row's kind, which the private
-kernels take as its index into KINDS, only selects its factors, each
-computed as for that kind alone, and each least-squares matrix is factored
-alone, so a row's result does not depend on the batch it is in.  A root set passes only when it satisfies the Bethe equations to
-tolerance and its reconstructed eigenvalue matches the closed-form
-spectrum; neither check uses the fit.  Every step is deterministic, so
-repeated runs return byte-identical results.
+Bethe roots.  The root sets of every batch are then stacked, padded with inf
+to the largest root count, and go through one polish/reconstruct/match pass:
+a pad is a factor 1 in every product over roots, wins no max or min and
+sorts last.  Newton steps, which only root sets above tolerance take, run
+per root count on unpadded rows.  The homogeneous eigenvalues are read off
+the table at the probe candidates.  A row's kind, which the private kernels
+take as its index into KINDS, only selects its factors, each computed as for
+that kind alone, and each least-squares matrix is factored alone, so a row's
+result does not depend on the batch it is in.  A root set passes only when
+it satisfies the Bethe equations to tolerance and its reconstructed
+eigenvalue matches the closed-form spectrum; neither check uses the fit.
+Every step is deterministic, so repeated runs return byte-identical results.
 
 The private kernels leave the numpy error state to their caller.  ``solve``
 holds one state that ignores floating-point errors around its table, fit,
@@ -666,7 +666,8 @@ def _solutions(systems: list[BetheSystem], k: np.ndarray, U: np.ndarray, res: np
     fewer roots than U has columns ends in pads.  probe is the TQ table of
     every kind at the probe candidates; the eigenvalues of all rows are
     reconstructed at once and matched in one broadcast.  Only homogeneous
-    rows may be padded: the closed form's sum is not exact under pads."""
+    rows may be padded: the closed form's sum is not exact under pads.  An
+    inadmissible row's match error is inf, and it matches no index."""
     S, L = U.shape
     pad = ~np.isfinite(U)
     count = L - pad.sum(axis=1)
@@ -690,7 +691,7 @@ def _solutions(systems: list[BetheSystem], k: np.ndarray, U: np.ndarray, res: np
     d = np.abs(targets - lam[:, None]) / np.maximum(1.0, np.abs(targets))
     idx = d.argmin(1)
     err = np.where(adm, d[np.arange(S), idx], np.inf)
-    hit = err <= cfg.match_tol
+    hit = adm & (err <= cfg.match_tol)
     return [BetheSolution(
         system=sys,
         roots=U[s, :count[s]],
@@ -777,7 +778,7 @@ def sweep(p: ModelParams, cfg: SolverConfig = SolverConfig(),
     best = {kind: [None] * p.dim for kind in kinds}
     for s in sols:
         kind, at = s.system.kind, s.matched_index
-        if (s.admissible and at is not None and (kind in INHOM_KINDS or s.system.level == at)
+        if (at is not None and (kind in INHOM_KINDS or s.system.level == at)
                 and (best[kind][at] is None or s.match_error < best[kind][at].match_error)):
             best[kind][at] = s
     return best

@@ -433,11 +433,9 @@ def _key_text(key: str) -> str:
 
 def _json_text(value, pad: str, put) -> str:
     """``json.dumps(value, indent=2)`` nested at ``pad``, with ``%s`` for each
-    number, which is passed to ``put``; a numpy scalar raises ``ValueError``."""
+    number, which is passed to ``put``; a number is laid out by the loop that
+    holds it, and a numpy scalar raises ``ValueError``."""
     t = type(value)
-    if t is float or t is int:
-        put(value)
-        return "%s"
     if t is list or t is dict:
         ends, inner = "[]" if t is list else "{}", pad + "  "
         if not value:

@@ -96,11 +96,12 @@ def _diagonals(p: ModelParams) -> tuple[list, list, list]:
     pw = {e: q**e for e in (*range(-2 * n, 4 * n + 1, 2), *range(n - 1, 3 * n, 2))}
     # rung k is c - b*q^(2k); entry M of sup divides by rungs 2M-2 and 2M-1,
     # that of sub by rungs 2M-1 and 2M, each as the product 1*r*r' (which
-    # fixes the sign of a zero part), so the rungs are refused in order
+    # fixes the sign of a zero part), so the rungs are refused in order, each on
+    # its terms' scale as in the screen, which no rung above 2*_DEN_TOL*|c| meets
     bq = [b * pw[2 * k] for k in range(2 * n + 1)]
-    rungs, scale = [c - y for y in bq], max(abs(c), abs(b))
-    for f in rungs:
-        if abs(f) <= _DEN_TOL * scale:
+    rungs, near = [c - y for y in bq], 2 * _DEN_TOL * abs(c)
+    for f, y in zip(rungs, bq):
+        if abs(f) <= near and abs(f) <= _DEN_TOL * max(abs(c), abs(y)):
             raise GenericityError(f"coeff: tridiagonal denominator factor vanishes (|{f:.3e}|)")
     bs_tw, c_tw, bs_z, b_z = bs * pw[n - 1] / z2, c * pw[n - 1] * z2, bs / z2, b * z2
     sub, sup = [0j], [0j]

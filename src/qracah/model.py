@@ -167,10 +167,9 @@ def spectrum(p: ModelParams) -> Spectrum:
     theta = p.b * qq + p.c / qq
     theta_star = p.b_star * qq + p.c_star / qq
     for name, vals in (("theta", theta), ("theta_star", theta_star)):
-        scale = np.abs(vals).max()
         diff = np.abs(vals[:, None] - vals[None, :])
         diff.ravel()[:: p.dim + 1] = np.inf
-        if diff.min() <= _DEGENERACY_TOL * max(1.0, scale):
+        if diff.min() <= _DEGENERACY_TOL * np.abs(vals).max():
             i, j = np.unravel_index(diff.argmin(), diff.shape)
             raise GenericityError(
                 f"spectrum: {name}[{i}] and {name}[{j}] numerically coincide "
@@ -221,11 +220,12 @@ def validate_genericity(p: ModelParams, tol: float = 1e-8) -> list[str]:
     the twists of :func:`_q2_params`, which the series and the normalizers
     divide by.  The other side's twists are these inverted, at the mirrored
     order, and the ratios' factors are the ladder rungs above two_s, so
-    neither needs a row of its own.  A q or zeta with a power that the
-    screen forms above 1e300 or below 1e-300, or a b or b_star with a
-    ladder rung above 1e300, gets one line that names it, and nothing else
-    is evaluated.
-    """
+    neither needs a row of its own.  Each row compares a gap with the size of
+    what it separates, so one factor on b, c, b_star and c_star changes no
+    verdict, and no kernel refusal (1e-12 of the same terms) follows an empty
+    screen.  A q or zeta with a power the screen forms above 1e300 or below
+    1e-300, or a b or b_star with a ladder rung above 1e300, gets one line
+    that names it, and nothing else is evaluated."""
     q, n = p.base.q, p.two_s
     # q^(2k) up to k = 2*two_s + 2 and zeta^2 are the largest powers formed
     for name, x, order in (("q", q, 4 * n + 4), ("zeta", p.zeta, 2)):

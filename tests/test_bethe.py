@@ -281,6 +281,11 @@ def test_residual_validation_and_poles():
     psys = BetheSystem("hom_minus", 1, p)
     with pytest.raises(PoleError):
         residual(psys, [complex(1.0 / np.sqrt(complex(p.base.q)))], 0)
+    with pytest.raises(PoleError, match="root too close to 0"):
+        residual(psys, [0j], 0)
+    # u = 1 zeroes b(u^2), which an inhomogeneous equation divides by
+    with pytest.raises(PoleError, match="inhomogeneity pole at root"):
+        residual(sysk, [1 + 0j], 0)
     # coinciding roots, and a pair on b(q*u*v) = 0, from either equation
     p2 = draw_params(2, rng)
     v = 1.1 + 0.3j
@@ -299,6 +304,8 @@ def test_bethe_system_level_validation():
         BetheSystem("inhom_plus", 1, p)
     with pytest.raises(ValueError):
         BetheSystem("no_such_kind", 2, p)
+    with pytest.raises(ValueError, match="share one parameter set"):
+        solve([BetheSystem("hom_minus", 1, p), BetheSystem("hom_minus", 1, draw_params(2, rng))])
 
 
 def test_symmetrize_roots_sign_invariant():
@@ -339,6 +346,15 @@ def test_level0_solve_returns_empty_matched_solution():
         assert s.admissible
         assert s.matched_index == 0
         assert s.match_error < 1e-10
+    # a returned set with a matched index is admissible, which sweep relies
+    # on, whatever match_tol is; at fuzz E = 20, draw 0 (two_s 1) both
+    # hom_minus sets are not
+    p = fuzz_params()[40]
+    for cfg in (SolverConfig(), SolverConfig(match_tol=np.inf)):
+        sols = solve([BetheSystem(kind, L, p) for kind in bethe.HOM_KINDS for L in range(p.dim)],
+                     cfg)
+        assert [s.admissible for s in sols if s.system.kind == "hom_minus"] == [False, False]
+        assert all(s.admissible for s in sols if s.matched_index is not None)
 
 
 def test_off_shell_roots_rejected_by_probe_dependence():
@@ -1042,9 +1058,10 @@ def test_a_sweep_fits_per_root_count_and_polishes_once(monkeypatch):
 
 def test_sweep_keeps_the_first_lowest_match_error(monkeypatch):
     # the solutions of a sweep, with later copies that tie (the first must
-    # win), undercut (the copy must win), or undercut while inadmissible or
-    # at another level (neither may win), against the scan over every
-    # solution for every (kind, index) with min's tie rule
+    # win), undercut (the copy must win), or undercut at another level (it may
+    # not win), and inadmissible copies, which as solve returns them match no
+    # index, against the scan over every solution for every (kind, index)
+    # with min's tie rule
     p, = draw_many(3, 1, 4600)
     systems = [BetheSystem(kind, L, p) for kind in bethe.KINDS
                for L in (range(p.dim) if kind in bethe.HOM_KINDS else (p.two_s,))]
@@ -1057,7 +1074,8 @@ def test_sweep_keeps_the_first_lowest_match_error(monkeypatch):
         if s.system.kind in bethe.HOM_KINDS:
             elsewhere = replace(s.system, level=(s.system.level + 1) % p.dim)
         extra.append([replace(s), replace(s, match_error=lower),
-                      replace(s, match_error=lower / 2, admissible=False),
+                      replace(s, admissible=False, reconstructed_eigenvalue=None,
+                              matched_index=None, match_error=np.inf),
                       replace(s, match_error=lower / 2, system=elsewhere)][k % 4])
     stacked = sols + extra
     monkeypatch.setattr(bethe, "solve", lambda systems, cfg: stacked)

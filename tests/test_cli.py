@@ -104,6 +104,21 @@ def test_parse_errors_name_the_path(tmp_path, capsys):
         parse_config(data)
 
     data = _base_config()
+    data["two_s"] = 0
+    with pytest.raises(ConfigError, match="^two_s must be >= 1$"):
+        parse_config(data)
+
+    data = _base_config()
+    del data["b_star"]
+    with pytest.raises(ConfigError, match="^b_star is required$"):
+        parse_config(data)
+
+    data = _base_config()
+    data["tolerances"] = [1e-8]
+    with pytest.raises(ConfigError, match="^tolerances must be a JSON object$"):
+        parse_config(data)
+
+    data = _base_config()
     data["output"]["format"] = "xml"
     with pytest.raises(ConfigError, match="output.format"):
         parse_config(data)

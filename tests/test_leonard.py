@@ -310,10 +310,13 @@ class TestCouplingsOnePass:
 # formulas they replaced, bit for bit
 
 
-def _ref_check_den(factors, scale):
+def _ref_check_den(c, terms):
+    """The product of the rungs c - y over ``terms``, each refused against the
+    larger of its own two terms."""
     den = 1.0 + 0j
-    for f in factors:
-        if abs(f) <= 1e-12 * scale:
+    for y in terms:
+        f = c - y
+        if abs(f) <= 1e-12 * max(abs(c), abs(y)):
             raise GenericityError(
                 f"coeff: tridiagonal denominator factor vanishes (|{f:.3e}|)"
             )
@@ -330,8 +333,7 @@ def _ref_sub_entry(M, p):
         * (bs * q ** (n - 1) / zeta**2 + b * q ** (2 * M - 2))
         * (c * q ** (n - 1) * zeta**2 + cs * q ** (2 * M - 2))
     )
-    scale = max(abs(c), abs(b))
-    den = _ref_check_den((c - b * q ** (4 * M - 2), c - b * q ** (4 * M)), scale)
+    den = _ref_check_den(c, (b * q ** (4 * M - 2), b * q ** (4 * M)))
     return num / den
 
 
@@ -343,8 +345,7 @@ def _ref_sup_entry(M, p):
         * (c + bs / zeta**2 * q ** (2 * M + n - 1))
         * (cs + b * zeta**2 * q ** (2 * M + n - 1))
     )
-    scale = max(abs(c), abs(b))
-    den = _ref_check_den((c - b * q ** (4 * M - 4), c - b * q ** (4 * M - 2)), scale)
+    den = _ref_check_den(c, (b * q ** (4 * M - 4), b * q ** (4 * M - 2)))
     return num / den
 
 

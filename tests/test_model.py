@@ -14,6 +14,7 @@ from qracah.model import (
     validate_genericity,
 )
 from qracah.qnum import QBase
+from qracah.transition import normalizers
 
 RNG = np.random.default_rng(1)
 ATOL = 1e-12
@@ -141,6 +142,9 @@ class TestValidateGenericity:
                            c_star=1.0 + 0.5j)
         msgs = validate_genericity(p)
         assert any("k = 0" in m for m in msgs)
+        # b_star = c_star: the normalizers divide by 1 - b_star/c_star
+        with pytest.raises(GenericityError, match="coupling ratio bs/cs is numerically 1"):
+            normalizers(p)
 
     def test_flags_root_of_unity(self):
         p = _simple_params(base=QBase(cmath.exp(1j * cmath.pi / 5)))

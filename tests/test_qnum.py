@@ -143,12 +143,20 @@ class TestPhi43:
     def test_non_terminating_rejected(self):
         with pytest.raises(ValueError, match="terminat"):
             phi43([0.3, 0.4, 0.5, 0.6], [0.7, 0.8, 0.9], 0.5, 0.2, 8)
+        with pytest.raises(ValueError, match="expected 4 numerator and 3 denominator"):
+            phi43([0.3, 0.4, 0.5], [0.7, 0.8, 0.9], 0.5, 0.2, 8)
 
     def test_vanishing_denominator_rejected(self):
         # b1 = qq**-2 makes the k = 3 denominator factor vanish
         qq = 0.6 + 0.1j
         with pytest.raises(ValueError, match="denominator"):
             phi43([qq**-3, 0.4, 0.5, 0.6], [qq**-2, 0.8, 0.9], qq, 0.2, 4)
+        # qq^2 = 1 to 8e-14, and a first parameter just outside the termination
+        # tolerance at k = 0 and just inside it at k = 2: the order is 2, so
+        # the (qq; qq) factor 1 - qq^2 is reached and vanishes
+        qq = -(1 + 4e-14)
+        with pytest.raises(ValueError, match="base q-shifted factorial factor vanishes"):
+            phi43([1 - 1.000004e-8, 0.4, 0.5, 0.6], [0.7, 0.8, 0.9], qq, 0.2, 4)
 
 
 class TestPhi43Broadcast:

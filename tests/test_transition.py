@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -11,8 +12,9 @@ import pytest
 
 from conftest import bench_reference, draw_many, draw_params, fuzz_config, fuzz_params
 from qracah.cli import parse_config
-from qracah.leonard import GAUGE_THETA, build, coeff, eigen_family
-from qracah.model import _LOG_RANGE, _q2_params, spectrum, validate_genericity
+from qracah.leonard import GAUGE_THETA, GAUGE_THETA_STAR, build, coeff, eigen_family
+from qracah.model import (_LOG_RANGE, GenericityError, ModelParams, _q2_params, spectrum,
+                          validate_genericity)
 from qracah.qnum import QBase, phi43
 from qracah.transition import (
     _racah_params,
@@ -240,7 +242,7 @@ def _ref_screen(p, tol=1e-8):
         diff = np.abs(vals[:, None] - vals[None, :])
         diff[np.diag_indices(p.dim)] = np.inf
         i, j = np.unravel_index(np.argmin(diff), diff.shape)
-        if diff[i, j] <= 1e-8 * max(1.0, np.max(np.abs(vals))):
+        if diff[i, j] <= 1e-8 * np.max(np.abs(vals)):
             issues.append(f"spectrum: {name}[{i}] and {name}[{j}] numerically coincide "
                           f"(gap {diff[i, j]:.3e})")
             break
@@ -276,6 +278,69 @@ def test_screen_equals_the_per_use_screen():
             assert validate_genericity(p) == want, p
             lines.update(m.split(" ")[0] for m in want)
     assert {"q^(2k)", "spectrum:", "c", "c_star", "k_seq", "series"} <= lines
+
+
+def _scaled(p, f):
+    """p with b, c, b_star and c_star multiplied by f, which multiplies both
+    spectra and both tridiagonal generators by f."""
+    return replace(p, b=p.b * f, c=p.c * f, b_star=p.b_star * f, c_star=p.c_star * f)
+
+
+def _scale_sets():
+    """Each of 40 draws at two_s 1-32 and of the fuzz configs, with its
+    couplings multiplied by 2^60 and by 2^-60."""
+    base = [p for n in (1, 2, 3, 4, 6, 8, 16, 32) for p in draw_many(n, 5, 5300 + n)]
+    return [(p, [_scaled(p, 2.0**e) for e in (60, -60)]) for p in base + fuzz_params()]
+
+
+def _rung_params():
+    """A |q| < 1 pair whose rung c - b*q^16 is 1.5e-8 of its terms, which the
+    screen accepts; a rung scale of max(|c|, |b|) once refused it."""
+    q, b, b_star = 0.5 + 0.05j, 1 + 0.2j, 1.3 - 0.4j
+    c = b * q**16 * (1 + 1.5e-8)
+    return ModelParams(base=QBase(q), two_s=4, b=b, c=c, b_star=b_star, c_star=b * c / b_star,
+                       zeta=1.1 + 0.3j)
+
+
+def test_screen_verdict_does_not_depend_on_the_coupling_scale():
+    # every row compares a gap with the size of what it separates, so one
+    # power-of-two factor on the couplings, exact in binary64, moves no row;
+    # a coincidence's gap scales with the spectrum, so its value is left out
+    def rows(p):
+        return {re.sub(r" \(gap .*\)$", "", m) for m in validate_genericity(p)}
+
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for p, scaled in _scale_sets():
+            want = rows(p)
+            for s in scaled:
+                got = rows(s)
+                if not any("out of range" in m for m in want | got):
+                    assert got == want, (p, s.b / p.b)
+                    compared += 1
+    assert compared >= 300
+
+
+def test_a_config_the_screen_accepts_meets_no_kernel_genericity_refusal():
+    # the kernels refuse at 1e-12 the gaps that the screen refuses at 1e-8,
+    # each against the same terms, so after the screen no command meets one
+    accepted = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for p in [_rung_params()] + [s for p, scaled in _scale_sets() for s in (p, *scaled)]:
+            if validate_genericity(p):
+                continue
+            accepted += 1
+            for call in (lambda: build(p, GAUGE_THETA_STAR), lambda: build(p, GAUGE_THETA),
+                         lambda: normalizers(p), lambda: build_transition(p)):
+                try:
+                    call()
+                except GenericityError as exc:
+                    pytest.fail(f"{exc} on {p}")
+                except (ArithmeticError, ValueError):  # a numerical refusal
+                    pass
+    assert accepted >= 400
 
 
 def _fuzz_draw(E, i):
