@@ -6,6 +6,7 @@ primitives are verified downstream as residuals, never as exact equalities.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass, field
@@ -80,17 +81,21 @@ def phi43(numer, denom, qq: complex, z: complex, terms: int) -> complex | np.nda
     Scalar parameters give a Python complex.  Terms are accumulated in
     ascending k with running products.
 
-    Raises ValueError when some entry has no numerator parameter of the
-    terminating form within ``terms`` scan steps, or when a denominator factor
-    vanishes at an order below some entry's termination order.
+    Raises ValueError when a power of qq below ``terms`` is past binary64's
+    range, when some entry has no numerator parameter of the terminating form
+    within ``terms`` scan steps, or when a denominator factor vanishes at an
+    order below some entry's termination order.
     """
     if len(numer) != 4 or len(denom) != 3:
         raise ValueError("phi43: expected 4 numerator and 3 denominator parameters")
+    powers = [1.0 + 0j]  # qq**k for k < terms, each a product of the one before
+    for _ in range(terms - 1):
+        powers.append(powers[-1] * qq)
+    if not cmath.isfinite(powers[-1]):
+        k = next(k for k, x in enumerate(powers) if not cmath.isfinite(x))
+        raise ValueError(f"phi43: qq**{k} is past binary64's range")
     numer = [np.asarray(a, dtype=complex) for a in numer]
     denom = [complex(b) for b in denom]
-    powers = [1.0 + 0j]  # qq**k for k <= terms
-    for _ in range(terms):
-        powers.append(powers[-1] * qq)
     # One pass over every numerator parameter: the termination scan and the
     # factor table 1 - a*qq**k, zeroed from each parameter's first hit on so
     # that every entry's terms past its own order vanish exactly.

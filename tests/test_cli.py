@@ -21,8 +21,9 @@ from qracah.cli import (
     run_verify,
 )
 
+from qracah import bethe, leonard, transition
 from qracah.bethe import KINDS
-from qracah.leonard import GAUGE_THETA, build, eigen_family
+from qracah.leonard import GAUGE_THETA, build, eigen_family, verify_cayley_hamilton
 from qracah.model import _dual, spectrum
 from qracah.transition import build_transition, racah_from_scalar_products, racah_matrix
 
@@ -283,6 +284,15 @@ def test_verify_passes_on_the_untwisted_and_imaginary_twists(zeta, two_s, tmp_pa
 # report content
 
 
+# every check of a verify report, in report order (schema 4.0)
+_CHECK_NAMES = [
+    "aw1", "aw2", "eigenvector_residual_A", "pinv_p_identity", "p_pinv_identity",
+    "pinv_columns_eigenvectors", "recurrence", "q_difference", "orthogonality_rows",
+    "orthogonality_columns", "racah_first_row_col", "racah_series_vs_recurrence",
+    "racah_series_vs_rac1", "racah_series_vs_rac2", *(f"bethe_coverage_{kind}" for kind in KINDS),
+]
+
+
 @pytest.fixture(scope="module")
 def fast_cfg(tmp_path_factory):
     data = _base_config()
@@ -294,12 +304,9 @@ def fast_cfg(tmp_path_factory):
 def test_verify_report_schema_and_pass(fast_cfg):
     rep = run_verify(fast_cfg)
     assert set(rep) == {"instance", "checks", "bethe", "racah", "pass", "versions"}
-    assert rep["versions"] == {"spec": "3.0"}
+    assert rep["versions"] == {"spec": "4.0"}
     assert rep["pass"] is True
-    names = [c["name"] for c in rep["checks"]]
-    for expected in ("aw1", "aw2", "pinv_p_identity", "recurrence",
-                     "bethe_coverage_hom_minus", "bethe_coverage_dual_inhom_minus"):
-        assert expected in names
+    assert [c["name"] for c in rep["checks"]] == _CHECK_NAMES
     for c in rep["checks"]:
         assert set(c) == {"name", "residual", "threshold", "pass"}
         assert c["pass"] is True
@@ -744,6 +751,141 @@ def test_verify_frontier_floor_two_s_8():
     passed = sum(run_verify(parse_config(_draw_config(p)))["pass"]
                  for p in draw_many(8, 12, 1008))
     assert passed >= 8
+
+
+# ---------------------------------------------------------------------------
+# the check-power map: which report checks catch one wrong statement
+
+
+def _failing(rep):
+    return {c["name"] for c in rep["checks"] if not c["pass"]}
+
+
+@pytest.fixture(scope="module")
+def map_draws():
+    """draw_many(n, 4, 300 + n) at two_s 1-4 and 8: each draw, its config
+    and the checks its unmutated report fails."""
+    out = []
+    for n in (1, 2, 3, 4, 8):
+        for p in draw_many(n, 4, 300 + n):
+            cfg = parse_config(_draw_config(p))
+            out.append((p, cfg, _failing(run_verify(cfg))))
+    return out
+
+
+def _diagonals_mutant(side, entry):
+    """Entry (M, M-1), (M, M) or (M-1, M) of A (side "A", the couplings of
+    the dual pair in the theta_star gauge) or of A* (side "Astar", the theta
+    gauge) at the middle M = (two_s + 1) // 2."""
+    def transform(lists, e, draw, pair):
+        if (pair == draw) == (side == "Astar"):
+            lists[entry][(pair.two_s + 1) // 2] *= 1 + e
+        return lists
+    return leonard, "_diagonals", transform
+
+
+def _tq_mutant(kind, coeff):
+    """Coefficient A (0) or T (3) of one kind's _tq_table rows."""
+    def transform(table, e, draw, kinds, *_):
+        table = table.copy()
+        table[coeff, np.asarray(kinds) == KINDS.index(kind)] *= 1 + e
+        return table
+    return bethe, "_tq_table", transform
+
+
+def _last_times(k, e, *_):
+    """The last entry of a normalization sequence, k_seq's and k_seq_dual's."""
+    k = k.copy()
+    k[-1] *= 1 + e
+    return k
+
+
+# statement -> (module, function, transform): transform(value, e, draw, *args)
+# is the function's value on args with the statement times 1 + e
+_MUTANTS = {
+    **{f"diagonals_{side}_{name}": _diagonals_mutant(side, entry)
+       for side in ("A", "Astar") for entry, name in enumerate(("sub", "diag", "sup"))},
+    "k_sequence_last": (transition, "_k_sequence", _last_times),
+    "series_row_M": (transition, "racah_matrix",
+                     lambda R, e, draw, _: R * (1 + e * np.arange(draw.dim))[:, None]),
+    "closed_form_eigenvalues": (bethe, "_closed_form_eigenvalues",
+                                lambda lam, e, *_: lam * (1 + e)),
+    **{f"tq_{kind}_{name}": _tq_mutant(kind, coeff)
+       for kind in ("hom_minus", "inhom_plus") for coeff, name in ((0, "A"), (3, "T"))},
+}
+
+_EIG_A = {"eigenvector_residual_A", "pinv_columns_eigenvectors"}
+_AW1 = {"aw1", "q_difference"}
+_RAC = {"racah_series_vs_rac1", "racah_series_vs_rac2"}
+_REC = {"recurrence", "racah_series_vs_recurrence"}
+_INV = {"pinv_p_identity", "p_pinv_identity"}
+_ORTH = {"orthogonality_rows", "orthogonality_columns"}
+_SERIES = _RAC | _REC | _ORTH | {"racah_first_row_col"}
+_INHOM = {f"bethe_coverage_{kind}" for kind in KINDS[2:]}
+_A_OFF_DIAGONAL = {1: _EIG_A | _AW1 | _RAC, 2: _EIG_A | _AW1, 3: _EIG_A | _AW1 | _RAC,
+                   4: _EIG_A | _RAC, 8: _EIG_A | _AW1 | _RAC}
+_ASTAR = {1: _REC, 2: {"recurrence"}, 3: _REC, 8: _REC}
+_HOM_MINUS = dict.fromkeys((1, 2, 3, 4, 8), {"bethe_coverage_hom_minus"})
+
+# (statement, e) -> {two_s: the checks that catch it on every draw of that
+# size}; a pair or size not listed has no check that catches it on every draw
+_MAP = {
+    ("diagonals_A_sub", 1e-6): _A_OFF_DIAGONAL,
+    ("diagonals_A_diag", 1e-6): {1: _EIG_A | _AW1 | _RAC | {"aw2"}, 2: _EIG_A | _AW1,
+                                 3: _EIG_A | _AW1 | _RAC | {"aw2"}, 4: _EIG_A | _AW1 | _RAC,
+                                 8: _EIG_A | _AW1 | _RAC | {"aw2"}},
+    ("diagonals_A_sup", 1e-6): _A_OFF_DIAGONAL,
+    ("diagonals_Astar_sub", 1e-6): _ASTAR,
+    ("diagonals_Astar_diag", 1e-6): _ASTAR,
+    ("diagonals_Astar_sup", 1e-6): {1: _REC, 2: _REC, 3: {"recurrence"},
+                                    4: {"racah_series_vs_recurrence"}, 8: _REC},
+    ("k_sequence_last", 1e-6): {**dict.fromkeys((1, 2, 3, 4), _INV | _ORTH), 8: _ORTH},
+    ("series_row_M", 1e-6): {**dict.fromkeys((1, 2, 3, 4), _SERIES | _INV), 8: _SERIES},
+    ("closed_form_eigenvalues", 1e-6): {1: {"bethe_coverage_dual_inhom_plus"}, 3: _INHOM,
+                                        4: _INHOM, 8: {"bethe_coverage_inhom_plus"}},
+    ("tq_hom_minus_A", 1e-6): _HOM_MINUS,
+    ("tq_hom_minus_T", 1e-6): _HOM_MINUS,
+    ("tq_inhom_plus_A", 1e-6): {8: {"bethe_coverage_inhom_plus"}},
+    ("tq_inhom_plus_T", 1e-6): {8: {"bethe_coverage_inhom_plus"}},
+    ("series_row_M", 1e-9): {**dict.fromkeys((1, 2, 3, 4), {"racah_first_row_col"}),
+                             8: _ORTH | {"racah_first_row_col"}},
+}
+
+# the inhomogeneous TQ rows decide no verdict below two_s 8 (ROADMAP item
+# 31(c)): (statement, e) -> the draws, of 20, on which any check catches it
+_UNGUARDED = {("tq_inhom_plus_A", 1e-6): 4, ("tq_inhom_plus_T", 1e-6): 4,
+              ("tq_inhom_plus_A", 1e-9): 3, ("tq_inhom_plus_T", 1e-9): 3}
+
+
+@pytest.mark.parametrize("e", [1e-6, 1e-9])
+@pytest.mark.parametrize("statement", list(_MUTANTS))
+def test_check_power_map(statement, e, map_draws, monkeypatch):
+    # one statement times 1 + e in process, on each draw; the report checks
+    # that newly fail are compared with the map.  Where a Cayley-Hamilton
+    # product of the mutated pair reaches identity_tol (A in the theta_star
+    # gauge, A* in the theta gauge, where each is tridiagonal), a report
+    # check catches the mutant too: the evidence that verify needs neither
+    # product.  A* in the theta_star gauge is diag(theta*), whose product is 0.
+    module, name, transform = _MUTANTS[statement]
+    original = getattr(module, name)
+    caught, reached = {}, 0
+    for p, cfg, before in map_draws:
+        monkeypatch.setattr(module, name,
+                            lambda *args, p=p: transform(original(*args), e, p, *args))
+        new = _failing(run_verify(cfg)) - before
+        product_A, product_Astar_diagonal = verify_cayley_hamilton(build(p))
+        _, product_Astar = verify_cayley_hamilton(build(p, GAUGE_THETA))
+        assert product_Astar_diagonal == 0.0
+        if max(product_A, product_Astar) >= cfg.identity_tol:
+            assert new, (p.two_s, product_A, product_Astar)
+            reached += 1
+        caught.setdefault(p.two_s, []).append(new)
+    every = {n: set.intersection(*found) for n, found in caught.items()}
+    assert {n: found for n, found in every.items() if found} == _MAP.get((statement, e), {})
+    if statement.startswith("diagonals") and e == 1e-6:
+        assert reached  # the products see these mutants on some draws
+    if statement.startswith("tq_inhom"):
+        assert sum(map(bool, sum(caught.values(), []))) == _UNGUARDED[statement, e]
 
 
 # ---------------------------------------------------------------------------

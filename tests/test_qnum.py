@@ -1,6 +1,7 @@
 """Tests for q-arithmetic primitives."""
 
 import cmath
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -157,6 +158,13 @@ class TestPhi43:
         qq = -(1 + 4e-14)
         with pytest.raises(ValueError, match="base q-shifted factorial factor vanishes"):
             phi43([1 - 1.000004e-8, 0.4, 0.5, 0.6], [0.7, 0.8, 0.9], qq, 0.2, 4)
+        # qq^2 past binary64 is no vanishing factor: it is refused by name,
+        # before numpy meets it, under either warning filter
+        for action in ("ignore", "error"):
+            with warnings.catch_warnings():
+                warnings.simplefilter(action)
+                with pytest.raises(ValueError, match=r"^phi43: qq\*\*2 is past binary64's range$"):
+                    phi43([1e-300, 0.4, 0.5, 0.6], [0.7, 0.8, 0.9], 1e200, 0.2, 4)
 
 
 class TestPhi43Broadcast:

@@ -21,9 +21,12 @@ change's quartiles over the pairs (``parent_q1_median_q3``,
 ``change_q1_median_q3``), the pairs in which the change reads better or worse
 (its direction in ``BENCHMARK.json``; ties count for neither), the relative
 change of the medians, whether the gap between the medians exceeds the
-parent's interquartile range, and whether the claim rule is met
+parent's interquartile range, whether the claim rule is met
 (``claim_rule_met``): the change wins at least ceil(0.9 * pairs) pairs, and
-its median beats the parent's by more than the parent's q3 - q1.
+its median beats the parent's by more than the parent's q3 - q1, and whether
+the no-regression rule is broken (``worse_than_bound``): the change's median
+is worse than the parent's by more than the metric's ``bound`` in
+``BENCHMARK.json``, relative to the parent's median.
 """
 
 from __future__ import annotations
@@ -55,9 +58,11 @@ def quartiles(values: list[float]) -> list[float]:
     return [at(0.25), at(0.5), at(0.75)]
 
 
-def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
+              bounds: dict[str, float]) -> dict:
     """The per-metric summary of one workload's pairs; ``better`` maps each
-    end-to-end metric to ``"lower"`` or ``"higher"``."""
+    end-to-end metric to ``"lower"`` or ``"higher"``, and ``bounds`` to its
+    relative bound."""
     out = {}
     for name, direction in better.items():
         p = [r["metrics"][name]["value"] for r in parent]
@@ -77,6 +82,7 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str]) ->
             "median_gap_exceeds_parent_iqr": abs(qc[1] - qp[1]) > iqr,
             # wins >= ceil(0.9 * pairs), in integers
             "claim_rule_met": 10 * wins >= 9 * len(p) and sign * (qp[1] - qc[1]) > iqr,
+            "worse_than_bound": sign * (qc[1] - qp[1]) > bounds[name] * abs(qp[1]),
         }
     out["attempted_failed_correct_equal_in_every_pair"] = all(
         (a["attempted"], a["failed"], a["correct"]) == (b["attempted"], b["failed"], b["correct"])
@@ -110,6 +116,7 @@ def compare(parent_tree: Path, runs, pairs: int, seconds: float, trace) -> dict:
     """The runs and summaries of every workload, and the traced runs if asked."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": parent_tree, "change": ROOT}
     result = {"summary": {}, "runs": {}}
     for workload, seed0 in runs:
@@ -122,7 +129,7 @@ def compare(parent_tree: Path, runs, pairs: int, seconds: float, trace) -> dict:
                 log(f"{workload} seed {seed0 + i} {side}: "
                     f"wall_s {line['metrics']['wall_s']['value']:.6f}")
         result["runs"][workload] = done
-        result["summary"][workload] = summarize(done["parent"], done["change"], better)
+        result["summary"][workload] = summarize(done["parent"], done["change"], better, bounds)
     if trace:
         workload, seed = trace
         traced = {"parent": [], "change": []}

@@ -34,6 +34,7 @@ def _runs(values, name="wall_s"):
 # the parent's ten runs, in ms: quartiles 10.25, 12.5 and 14.75, so q3 - q1 =
 # 4.5; every value here is exact in binary64, so no gap sits on a rounding
 PARENT = [8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0]
+BOUND = {"wall_s": 0.25}
 
 
 @pytest.mark.parametrize("change, met", [
@@ -47,7 +48,7 @@ PARENT = [8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0]
     ([v - 1.0 for v in PARENT], False),
 ])
 def test_claim_rule_lower_is_better(change, met):
-    got = summarize(_runs(PARENT), _runs(change), {"wall_s": "lower"})["wall_s"]
+    got = summarize(_runs(PARENT), _runs(change), {"wall_s": "lower"}, BOUND)["wall_s"]
     assert got["parent_q1_median_q3"] == [10.25, 12.5, 14.75]
     assert got["claim_rule_met"] is met
 
@@ -55,18 +56,34 @@ def test_claim_rule_lower_is_better(change, met):
 def test_claim_rule_higher_is_better_ratio():
     parent = [0.60, 0.61, 0.62, 0.63, 0.64, 0.65, 0.66, 0.67, 0.68, 0.69]
     up = [v + 0.2 for v in parent[:9]] + [0.5]
-    better = {"coverage_ratio": "higher"}
-    got = summarize(_runs(parent, "coverage_ratio"), _runs(up, "coverage_ratio"), better)
+    better, bound = {"coverage_ratio": "higher"}, {"coverage_ratio": 0.15}
+    got = summarize(_runs(parent, "coverage_ratio"), _runs(up, "coverage_ratio"), better, bound)
     assert got["coverage_ratio"]["change_wins"] == 9
     assert got["coverage_ratio"]["claim_rule_met"] is True
     # the same runs the other way round lose every pair the ratio moved
-    back = summarize(_runs(up, "coverage_ratio"), _runs(parent, "coverage_ratio"), better)
+    back = summarize(_runs(up, "coverage_ratio"), _runs(parent, "coverage_ratio"), better, bound)
     assert back["coverage_ratio"]["change_wins"] == 1
     assert back["coverage_ratio"]["claim_rule_met"] is False
     # ties count for neither side: an equal ratio in every pair claims nothing
-    same = summarize(_runs(parent, "coverage_ratio"), _runs(parent, "coverage_ratio"), better)
+    same = summarize(_runs(parent, "coverage_ratio"), _runs(parent, "coverage_ratio"), better,
+                     bound)
     assert same["coverage_ratio"]["change_wins"] == same["coverage_ratio"]["change_losses"] == 0
     assert same["coverage_ratio"]["claim_rule_met"] is False
+
+
+@pytest.mark.parametrize("better, shift, worse", [
+    # the parent's median 12.5 with a bound of 0.25: worse past a gap of 3.125
+    ("lower", 3.0, False),
+    ("lower", 3.5, True),
+    ("lower", -5.0, False),
+    ("higher", -3.0, False),
+    ("higher", -3.5, True),
+    ("higher", 5.0, False),
+])
+def test_worse_than_bound(better, shift, worse):
+    change = [v + shift for v in PARENT]
+    got = summarize(_runs(PARENT), _runs(change), {"wall_s": better}, BOUND)
+    assert got["wall_s"]["worse_than_bound"] is worse
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
@@ -104,6 +121,7 @@ def test_a_checkout_compared_with_itself(tmp_path):
     assert summary["attempted_failed_correct_equal_in_every_pair"] is True
     for name in ("coverage_ratio", "checks_pass_ratio", "racah_ok_ratio"):
         assert summary[name]["parent_q1_median_q3"] == summary[name]["change_q1_median_q3"]
+        assert summary[name]["worse_than_bound"] is False
         assert summary[name]["change_wins"] == summary[name]["change_losses"] == 0
     assert summary["wall_s"]["pairs"] == 1
     # the parent's worktree is gone again
