@@ -723,6 +723,8 @@ def solve(sys, cfg: SolverConfig = SolverConfig()) -> list[BetheSolution]:
     other systems solved with it.
     """
     systems = [sys] if isinstance(sys, BetheSystem) else list(sys)
+    if not systems:
+        return []
     p = systems[0].params
     if any(s.params != p for s in systems):
         raise ValueError("solve: the systems must share one parameter set")

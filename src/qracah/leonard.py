@@ -168,19 +168,21 @@ def verify_aw(real: TridiagonalRealization, sc=None) -> tuple[float, float]:
 
 
 def verify_cayley_hamilton(real: TridiagonalRealization) -> tuple[float, float]:
-    """Relative residuals of the annihilating products over both spectra."""
+    """Relative residuals of the annihilating products over both spectra;
+    each factor mat - lam*I is divided by max|mat| + |lam| as it is formed,
+    so that the product stays in binary64's range."""
     sp = real.spectrum
     D = real.params.dim
     out = []
     for mat, vals in ((real.A_mat, sp.theta), (real.Astar_mat, sp.theta_star)):
         prod = _eye(D, complex)
-        scale, size = 1.0, _maxabs(mat)
+        size = _maxabs(mat)
         for lam in vals:
-            shifted = mat.copy()
-            shifted.ravel()[:: D + 1] -= lam  # mat - lam*I on the diagonal alone
+            inv = 1.0 / (size + abs(lam))
+            shifted = mat * inv
+            shifted.ravel()[:: D + 1] -= lam * inv  # on the diagonal alone
             prod = prod @ shifted
-            scale *= size + abs(lam)
-        out.append(_maxabs(prod) / scale)
+        out.append(_maxabs(prod))
     return out[0], out[1]
 
 

@@ -18,9 +18,6 @@ __all__ = ["QBase", "qnumber", "qpoch", "phi43"]
 # Below this magnitude 1/x is no longer a finite binary64 number.
 _INVERSION_FLOOR = 1e-300
 
-# Relative tolerance for recognizing a numerator parameter of the form qq**-n.
-_TERMINATION_TOL = 1e-8
-
 # Relative tolerance below which a denominator factor counts as vanishing.
 _DENOMINATOR_TOL = 1e-13
 
@@ -69,70 +66,64 @@ def qpoch(a: complex, qq: complex, n: int) -> complex:
     return out
 
 
-def phi43(numer, denom, qq: complex, z: complex, terms: int) -> complex | np.ndarray:
+def phi43(numer, denom, qq: complex, z: complex, order) -> complex | np.ndarray:
     """Terminating basic hypergeometric sum with 4 numerator and 3 denominator
     parameters.
 
     Evaluates sum_{k=0}^{n} z**k * prod_i (a_i; qq)_k /
-    ((qq; qq)_k * prod_j (b_j; qq)_k) where n is the termination order: the
-    smallest n < ``terms`` with a_i = qq**-n for some numerator parameter a_i.
-    The numerator parameters may be arrays; they broadcast to a common shape
-    and the result has that shape, one sum per entry, each with its own n.
-    Scalar parameters give a Python complex.  Terms are accumulated in
-    ascending k with running products.
+    ((qq; qq)_k * prod_j (b_j; qq)_k) where n is the termination order
+    ``order``, an int or an integer array.  The numerator parameters and
+    ``order`` may be arrays; they broadcast to a common shape and the result
+    has that shape, one sum per entry, each with its own n: a term past an
+    entry's order is exactly zero.  Scalar inputs give a Python complex.
+    Terms are accumulated in ascending k with running products.
 
-    Raises ValueError when a power of qq below ``terms`` is past binary64's
-    range, when some entry has no numerator parameter of the terminating form
-    within ``terms`` scan steps, or when a denominator factor vanishes at an
-    order below some entry's termination order.
+    Raises ValueError when an order is negative, when a power of qq up to the
+    largest order is past binary64's range, or when a denominator factor
+    vanishes at an order below some entry's termination order.
     """
     if len(numer) != 4 or len(denom) != 3:
         raise ValueError("phi43: expected 4 numerator and 3 denominator parameters")
-    powers = [1.0 + 0j]  # qq**k for k < terms, each a product of the one before
-    for _ in range(terms - 1):
+    order = np.asarray(order)
+    if order.min() < 0:
+        raise ValueError("phi43: order must be >= 0")
+    n_max = int(order.max())
+    powers = [1.0 + 0j]  # qq**k for k <= n_max, each a product of the one before
+    for _ in range(n_max):
         powers.append(powers[-1] * qq)
     if not cmath.isfinite(powers[-1]):
         k = next(k for k, x in enumerate(powers) if not cmath.isfinite(x))
         raise ValueError(f"phi43: qq**{k} is past binary64's range")
     numer = [np.asarray(a, dtype=complex) for a in numer]
     denom = [complex(b) for b in denom]
-    # One pass over every numerator parameter: the termination scan and the
-    # factor table 1 - a*qq**k, zeroed from each parameter's first hit on so
-    # that every entry's terms past its own order vanish exactly.
-    ap = np.array(powers[:terms])[:, None] * np.concatenate([a.ravel() for a in numer])
-    table = 1.0 - ap
-    hit = np.abs(table) <= _TERMINATION_TOL * np.maximum(1.0, np.abs(ap))
-    live = ~np.logical_or.accumulate(hit, axis=0)
-    table[~live] = 0.0
-    first = live.sum(axis=0)  # each parameter's first hit, or terms if none
-    # order has an axis even for scalars: their sum takes the array arithmetic
-    factors, order, at = [], np.full(1, terms), 0
-    for a in numer:
-        factors.append(table[:, at:at + a.size].reshape((terms,) + a.shape))
-        order = np.minimum(order, first[at:at + a.size].reshape(a.shape))
-        at += a.size
-    n_max = int(order.max())
-    if n_max == terms:
-        raise ValueError(
-            "phi43: no numerator parameter of the form qq**-n found "
-            f"within {terms} scan steps (non-terminating input)"
-        )
-    total = np.ones(order.shape, dtype=complex)
-    term = np.ones(order.shape, dtype=complex)
-    for k in range(n_max):
-        p = powers[k]
-        scale = z
-        for b in denom:
-            d = 1.0 - b * p
-            if abs(d) <= _DENOMINATOR_TOL * max(1.0, abs(b * p)):
-                raise ValueError("phi43: denominator q-shifted factorial factor vanishes")
+    # the shape has an axis even for scalars: their sum takes the array arithmetic
+    shape = np.broadcast_shapes((1,), order.shape, *(a.shape for a in numer))
+    with np.errstate(all="ignore"):
+        # one pass over every numerator parameter: the factor table 1 - a*qq**k
+        ap = np.array(powers[:n_max])[:, None] * np.concatenate([a.ravel() for a in numer])
+        table = 1.0 - ap
+        factors, at = [], 0
+        for a in numer:
+            factors.append(table[:, at:at + a.size].reshape((n_max,) + a.shape))
+            at += a.size
+        dead = np.arange(n_max).reshape((n_max,) + (1,) * order.ndim) >= order
+        total = np.ones(shape, dtype=complex)
+        term = np.ones(shape, dtype=complex)
+        for k in range(n_max):
+            p = powers[k]
+            scale = z
+            for b in denom:
+                d = 1.0 - b * p
+                if abs(d) <= _DENOMINATOR_TOL * max(1.0, abs(b * p)):
+                    raise ValueError("phi43: denominator q-shifted factorial factor vanishes")
+                scale /= d
+            d = 1.0 - powers[k + 1]
+            if abs(d) <= _DENOMINATOR_TOL * max(1.0, abs(powers[k + 1])):
+                raise ValueError("phi43: base q-shifted factorial factor vanishes")
             scale /= d
-        d = 1.0 - powers[k + 1]
-        if abs(d) <= _DENOMINATOR_TOL * max(1.0, abs(powers[k + 1])):
-            raise ValueError("phi43: base q-shifted factorial factor vanishes")
-        scale /= d
-        for f in factors:
-            term = term * f[k]
-        term = term * scale
-        total += term
-    return complex(total[0]) if all(a.ndim == 0 for a in numer) else total
+            for f in factors:
+                term = term * f[k]
+            term = term * scale
+            np.copyto(term, 0.0, where=dead[k])
+            total += term
+    return complex(total[0]) if order.ndim == 0 and all(a.ndim == 0 for a in numer) else total

@@ -63,10 +63,11 @@ def _racah_params(p: ModelParams, M, N) -> tuple[list, list]:
 
 def racah_matrix(p: ModelParams) -> np.ndarray:
     """Full series-route table, R[M, N] for 0 <= M, N <= two_s, summed as one
-    broadcast series over the rows (M) and columns (N)."""
+    broadcast series over the rows (M) and columns (N); entry M, N terminates
+    at order min(M, N), through its parameters q**(-2M) and q**(-2N)."""
     idx = np.arange(p.dim)
     numer, denom = _racah_params(p, idx[:, None], idx[None, :])
-    return phi43(numer, denom, p.base.q2, p.base.q2, terms=p.dim)
+    return phi43(numer, denom, p.base.q2, p.base.q2, np.minimum(idx[:, None], idx[None, :]))
 
 
 def racah_by_recurrence(p: ModelParams) -> np.ndarray:

@@ -355,6 +355,9 @@ def test_level0_solve_returns_empty_matched_solution():
                      cfg)
         assert [s.admissible for s in sols if s.system.kind == "hom_minus"] == [False, False]
         assert all(s.admissible for s in sols if s.matched_index is not None)
+    # no system gives no solution, and a sweep of no kind no entry
+    assert solve([]) == []
+    assert bethe.sweep(p, SolverConfig(), ()) == {}
 
 
 def test_off_shell_roots_rejected_by_probe_dependence():

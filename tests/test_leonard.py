@@ -156,6 +156,20 @@ class TestCayleyHamilton:
             p = _params(two_s)
             r1, r2 = verify_cayley_hamilton(build(p, GAUGE_THETA))
             assert r1 < CH_TOL and r2 < CH_TOL
+        # the fuzz configs in both gauges: each factor is divided by its scale
+        # as it is formed, so a product whose matrix and spectrum are finite
+        # stays in range, and its residual is finite and within CH_TOL
+        for p in fuzz_params():
+            for gauge in (GAUGE_THETA_STAR, GAUGE_THETA):
+                with warnings.catch_warnings():  # the fuzz couplings overflow as they are built
+                    warnings.simplefilter("ignore")
+                    real = build(p, gauge)
+                    residuals = verify_cayley_hamilton(real)
+                sp = real.spectrum
+                pairs = ((real.A_mat, sp.theta), (real.Astar_mat, sp.theta_star))
+                for (mat, vals), res in zip(pairs, residuals):
+                    if np.isfinite(mat).all() and np.isfinite(vals).all():
+                        assert res < CH_TOL, (p, gauge)
 
     def test_diagonal_factor_exact_zero(self):
         # in the theta gauge the M-th factor has an exactly zero (M, M) entry
@@ -378,17 +392,18 @@ def _outcome(fn, *args):
 
 
 def _ref_cayley_hamilton(real):
-    """verify_cayley_hamilton with each factor formed as mat - lam * eye."""
+    """verify_cayley_hamilton with each factor formed as
+    mat * inv - (lam * inv) * eye, inv = 1 / (max|mat| + |lam|)."""
     sp = real.spectrum
     eye = np.eye(real.params.dim)
     out = []
     for mat, vals in ((real.A_mat, sp.theta), (real.Astar_mat, sp.theta_star)):
         prod = eye.astype(complex)
-        scale, size = 1.0, np.max(np.abs(mat))
+        size = np.max(np.abs(mat))
         for lam in vals:
-            prod = prod @ (mat - lam * eye)
-            scale *= size + abs(lam)
-        out.append(float(np.max(np.abs(prod))) / scale)
+            inv = 1.0 / (size + abs(lam))
+            prod = prod @ (mat * inv - (lam * inv) * eye)
+        out.append(float(np.max(np.abs(prod))))
     return out[0], out[1]
 
 

@@ -23,10 +23,13 @@ change's quartiles over the pairs (``parent_q1_median_q3``,
 change of the medians, whether the gap between the medians exceeds the
 parent's interquartile range, whether the claim rule is met
 (``claim_rule_met``): the change wins at least ceil(0.9 * pairs) pairs, and
-its median beats the parent's by more than the parent's q3 - q1, and whether
+its median beats the parent's by more than the parent's q3 - q1, whether
 the no-regression rule is broken (``worse_than_bound``): the change's median
 is worse than the parent's by more than the metric's ``bound`` in
-``BENCHMARK.json``, relative to the parent's median.
+``BENCHMARK.json``, relative to the parent's median, and whether the runs
+spread too widely to tell (``unresolved``): the parent's spread, (q3 - q1) /
+|median|, is wider than the metric's ``bound``, unless every change run reads
+better than every parent run.
 """
 
 from __future__ import annotations
@@ -83,6 +86,10 @@ def summarize(parent: list[dict], change: list[dict], better: dict[str, str],
             # wins >= ceil(0.9 * pairs), in integers
             "claim_rule_met": 10 * wins >= 9 * len(p) and sign * (qp[1] - qc[1]) > iqr,
             "worse_than_bound": sign * (qc[1] - qp[1]) > bounds[name] * abs(qp[1]),
+            # the spread is wider than the bound, and some change run reads
+            # no better than some parent run
+            "unresolved": (iqr > bounds[name] * abs(qp[1])
+                           and max(sign * v for v in c) >= min(sign * v for v in p)),
         }
     out["attempted_failed_correct_equal_in_every_pair"] = all(
         (a["attempted"], a["failed"], a["correct"]) == (b["attempted"], b["failed"], b["correct"])

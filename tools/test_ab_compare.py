@@ -86,6 +86,32 @@ def test_worse_than_bound(better, shift, worse):
     assert got["wall_s"]["worse_than_bound"] is worse
 
 
+# the parent's spread (q3 - q1) / |median| against the bound 0.25: PARENT's is
+# 4.5 / 12.5 = 0.36, NARROW's 0.45 / 12.45, about 0.036
+NARROW = [12.0 + 0.1 * i for i in range(10)]
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+@pytest.mark.parametrize("parent, shift, unresolved", [
+    # a spread wider than the bound: the runs overlap, so nothing can be told
+    (PARENT, 1.0, True),
+    (PARENT, -1.0, True),
+    # as wide, but every change run reads better than every parent run
+    (PARENT, -10.0, False),
+    # as wide, and the worst change run ties the best parent run
+    (PARENT, -9.0, True),
+    # a spread within the bound, whichever side the change moves
+    (NARROW, 1.0, False),
+    (NARROW, -1.0, False),
+])
+def test_unresolved(better, parent, shift, unresolved):
+    # shift is toward the better side of the metric when negative
+    step = shift if better == "lower" else -shift
+    change = [v + step for v in parent]
+    got = summarize(_runs(parent), _runs(change), {"wall_s": better}, BOUND)
+    assert got["wall_s"]["unresolved"] is unresolved
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
 def test_a_checkout_compared_with_itself(tmp_path):
     for name in COPIED:
